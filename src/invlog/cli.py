@@ -11,7 +11,8 @@ Subcommands:
 
 Exit status: 0 clean; 1 when a campaign turns up a mathematical violation
 (for sharpness: an asserted equality function missing its bound by more
-than tolerance noise); 2 on bad arguments.
+than tolerance noise); 2 on bad arguments, including sizes too large to
+allocate.
 """
 
 from __future__ import annotations
@@ -318,7 +319,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # an order too large to allocate is a bad argument, not a finding
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

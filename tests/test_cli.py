@@ -1,7 +1,8 @@
 """Command line front end, driven in process through main(argv).
 
 One subprocess test at the end confirms the installed console script wires
-up to the same entry point; everything else avoids process spawns.
+up to the same entry point, and one runs an oversized order under an
+address-space cap; everything else avoids process spawns.
 """
 
 import json
@@ -201,6 +202,23 @@ def test_explore_exits_zero_regardless_of_findings(capsys):
                    "--seed", "1", "--format", "csv")
     assert code == 0
     capsys.readouterr()
+
+
+def test_order_too_large_to_allocate_is_a_bad_argument():
+    # a 1.46 TiB coefficient array; the address-space cap makes the refusal
+    # immediate whatever the machine's overcommit policy
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (16 << 30, 16 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "invlog.cli", "cross-check", "--seed", "1",
+         "--order", "100000000000"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_seed_is_required_on_campaigns(capsys):
