@@ -28,6 +28,38 @@ class BoundResult:
     note: str = ""
 
 
+# ---------------------------------------------------------------------------
+# parameter ranges, one check per class; the class registry in families and
+# every bound and extremal function of a class call the same check
+
+
+def check_star_ab(A, B):
+    if not -1 <= B < A <= 1:
+        raise ValueError(f"star-ab requires -1 <= B < A <= 1, got A={A}, B={B}")
+
+
+def check_spiral(alpha, beta):
+    if not abs(alpha) < math.pi / 2:
+        raise ValueError(f"spiral requires |alpha| < pi/2, got {alpha}")
+    if not 0 <= beta < 1:
+        raise ValueError(f"spiral requires 0 <= beta < 1, got {beta}")
+
+
+def check_gc(c):
+    if not 0 < c <= 1:
+        raise ValueError(f"gc requires 0 < c <= 1, got {c}")
+
+
+def check_u_lambda(lam):
+    if not 0 < lam <= 1:
+        raise ValueError(f"u-lambda requires 0 < lam <= 1, got {lam}")
+
+
+def check_f_alpha(alpha):
+    if not -0.5 <= alpha < 1:
+        raise ValueError(f"f-alpha requires -1/2 <= alpha < 1, got {alpha}")
+
+
 def _interval_index(n: int, x: float, exact: Fraction | None = None) -> tuple[int, bool]:
     """Return (k, integer_case) with x in I_k; exact rationals dodge the epsilon."""
     if exact is not None:
@@ -89,9 +121,8 @@ def bound_star_AB(n: int, A, B) -> BoundResult:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_star_ab(A, B)
     Af, Bf = float(A), float(B)
-    if not (-1 <= Bf < Af <= 1):
-        raise ValueError(f"requires -1 <= B < A <= 1, got A={Af}, B={Bf}")
     eA, eB = _coerce_exact(A), _coerce_exact(B)
     exact = (1 - eA) / (1 - eB) if eA is not None and eB is not None else None
     delta = (1.0 - Af) / (1.0 - Bf)
@@ -134,10 +165,7 @@ def bound_spiral(n: int, alpha: float, beta: float) -> BoundResult:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not abs(alpha) < math.pi / 2:
-        raise ValueError(f"requires |alpha| < pi/2, got {alpha}")
-    if not 0 <= beta < 1:
-        raise ValueError(f"requires 0 <= beta < 1, got {beta}")
+    check_spiral(alpha, beta)
     k, _ = _interval_index(n, beta, _coerce_exact(beta))
     zeta = 2.0 * n * (1.0 - beta) * math.cos(alpha) * complex(math.cos(alpha), -math.sin(alpha))
     if n >= 2 and k == n - 1:
@@ -161,8 +189,7 @@ def bound_bn_Gc(m: int, lam: float, c: float) -> float:
         raise ValueError("m must be >= 1")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if not 0 < c <= 1:
-        raise ValueError(f"requires 0 < c <= 1, got {c}")
+    check_gc(c)
     if lam <= 1:
         return lam * c / (m * (1.0 + c))
     p = math.floor(lam)
@@ -175,8 +202,7 @@ def bound_Gc(n: int, c: float) -> BoundResult:
     """|Gamma_n| <= (1/(2n(1+c)^n)) prod_{j<n} (nc+j)/(1+j) for the G(c) class."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0 < c <= 1:
-        raise ValueError(f"requires 0 < c <= 1, got {c}")
+    check_gc(c)
     value = _product(n * c + j for j in range(n)) / (2.0 * n * (1.0 + c) ** n)
     return BoundResult(n=n, value=value, branch="product")
 
@@ -221,9 +247,10 @@ def bound_U_gamma2(lam: float, abs_a: float) -> BoundResult:
     return BoundResult(n=2, value=0.25 * (t * t + 2.0 * lam * abs_a), branch="structural")
 
 
-def _check_U(lam: float, abs_a: float):
-    if not 0 < lam <= 1:
-        raise ValueError(f"requires 0 < lam <= 1, got {lam}")
+def _check_U(lam: float, abs_a: float | None):
+    check_u_lambda(lam)
+    if abs_a is None:
+        raise ValueError("u-lambda bounds are per-sample; pass abs_a = |omega(0)|")
     if not 0 <= abs_a <= 1:
         raise ValueError(f"requires 0 <= |a| <= 1, got {abs_a}")
 
@@ -238,12 +265,12 @@ ALPHA3_LOW_HI = 7.0 / 47.0
 
 
 def bound_F_gamma1(alpha: float) -> BoundResult:
-    _check_F(alpha)
+    check_f_alpha(alpha)
     return BoundResult(n=1, value=0.5 * (1.0 - alpha), branch="linear")
 
 
 def bound_F_gamma2(alpha: float) -> BoundResult:
-    _check_F(alpha)
+    check_f_alpha(alpha)
     if alpha <= 0.2:
         value = (1.0 - alpha) * (3.0 - 5.0 * alpha) / 12.0
         return BoundResult(n=2, value=value, branch="low-range")
@@ -253,7 +280,7 @@ def bound_F_gamma2(alpha: float) -> BoundResult:
 def bound_F_gamma3(alpha: float) -> BoundResult:
     """Two proved ranges with a genuine gap between them; outside both the
     result is marked not applicable rather than interpolated."""
-    _check_F(alpha)
+    check_f_alpha(alpha)
     if alpha <= ALPHA3_LOW_HI:
         value = (1.0 - alpha) * (3.0 * alpha - 2.0) * (2.0 * alpha - 1.0) / 12.0
         return BoundResult(n=3, value=value, branch="low-range")
@@ -263,18 +290,13 @@ def bound_F_gamma3(alpha: float) -> BoundResult:
                        note="no bound established on this alpha range")
 
 
-def _check_F(alpha: float):
-    if not -0.5 <= alpha < 1:
-        raise ValueError(f"requires -1/2 <= alpha < 1, got {alpha}")
-
-
 # ---------------------------------------------------------------------------
 # quartic-coefficient functional: region classification
 
 
 def f_alpha_mu_upsilon(alpha: float) -> tuple[float, float]:
     """The (mu, upsilon) pair fed to the quartic functional for this class."""
-    _check_F(alpha)
+    check_f_alpha(alpha)
     return 5.0 * alpha - 3.0, (3.0 * alpha - 2.0) * (2.0 * alpha - 1.0)
 
 
@@ -346,32 +368,7 @@ def verify_d1234(step: float = 1e-3) -> dict:
 
 
 def bound_for(spec, n: int, abs_a: float | None = None) -> BoundResult:
-    """Route a ClassSpec to the right bound. u-lambda needs abs_a = |omega(0)|
-    of the sample at hand; classes with no bound at this n come back
-    applicable=False."""
-    tag = spec.tag
-    if tag == "full-s":
-        return bound_class_S(n)
-    if tag == "star-ab":
-        return bound_star_AB(n, spec.A, spec.B)
-    if tag == "spiral":
-        return bound_spiral(n, spec.alpha, spec.beta)
-    if tag == "gc":
-        return bound_Gc(n, spec.c)
-    if tag == "u-lambda":
-        if n == 1 or n == 2:
-            if abs_a is None:
-                raise ValueError("u-lambda bounds are per-sample; pass abs_a = |omega(0)|")
-            return (bound_U_gamma1 if n == 1 else bound_U_gamma2)(spec.lam, abs_a)
-        return BoundResult(n=n, value=None, branch="open", applicable=False,
-                           note="no bound known for n >= 3")
-    if tag == "f-alpha":
-        if n == 1:
-            return bound_F_gamma1(spec.alpha)
-        if n == 2:
-            return bound_F_gamma2(spec.alpha)
-        if n == 3:
-            return bound_F_gamma3(spec.alpha)
-        return BoundResult(n=n, value=None, branch="open", applicable=False,
-                           note="no bound known for n >= 4")
-    raise ValueError(f"unknown class tag {tag!r}")
+    """Route a ClassSpec to its class's bound. u-lambda needs abs_a =
+    |omega(0)| of the sample at hand; classes with no bound at this n come
+    back applicable=False."""
+    return spec.entry.bound(spec, n, abs_a)

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import families, gammas, harness, series
-from .bounds import bound_for, bound_star_AB
+from .bounds import bound_for
 from .families import ClassSpec
 
 GAMMA_FAMILIES = ("identity", "koebe", "halfplane", "halfconvex", "star-ab",
@@ -43,9 +43,8 @@ def _complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
 
 
-def _add_class_args(p: argparse.ArgumentParser, *, with_convex: bool = False):
-    choices = list(families.CLASS_TAGS) + (["convex"] if with_convex else [])
-    p.add_argument("--class", dest="cls", required=True, choices=choices)
+def _add_class_args(p: argparse.ArgumentParser):
+    p.add_argument("--class", dest="cls", required=True, choices=families.CLASS_TAGS)
     _add_param_args(p)
 
 
@@ -66,25 +65,15 @@ def _add_output_args(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+_FLAGS = {"lam": "--lambda"}  # ClassSpec fields whose flag is not --<field>
+
+
 def _spec_from_args(args) -> ClassSpec:
-    cls = args.cls
-    if cls in ("full-s", "convex"):
-        return ClassSpec.full_s() if cls == "full-s" else ClassSpec.f_alpha(0.0)
-    if cls == "star-ab":
-        _require(args.A is not None and args.B is not None, "--class star-ab needs --A and --B")
-        return ClassSpec.star_ab(float(args.A), float(args.B))
-    if cls == "spiral":
-        _require(args.alpha is not None and args.beta is not None,
-                 "--class spiral needs --alpha and --beta")
-        return ClassSpec.spiral(args.alpha, args.beta)
-    if cls == "gc":
-        _require(args.c is not None, "--class gc needs --c")
-        return ClassSpec.gc(args.c)
-    if cls == "u-lambda":
-        _require(args.lam is not None, "--class u-lambda needs --lambda")
-        return ClassSpec.u_lambda(args.lam)
-    _require(args.alpha is not None, "--class f-alpha needs --alpha")
-    return ClassSpec.f_alpha(args.alpha)
+    names = families.CLASSES[args.cls].params
+    missing = [_FLAGS.get(name, f"--{name}") for name in names if getattr(args, name) is None]
+    _require(not missing, f"--class {args.cls} needs {' and '.join(missing)}")
+    # --A and --B keep their exact Fractions for the bound's seam detection
+    return ClassSpec(tag=args.cls, **{name: getattr(args, name) for name in names})
 
 
 def _require(cond: bool, message: str):
@@ -129,10 +118,6 @@ def _gamma_function(args, order: int):
     return families.f_alpha_extremal(args.alpha, args.variant, order)
 
 
-def _fmt17(x: float) -> str:
-    return format(x, ".17g")
-
-
 def cmd_gamma(args) -> int:
     n_max = args.n_max
     order = args.order if args.order is not None else n_max + 1
@@ -144,7 +129,8 @@ def cmd_gamma(args) -> int:
     for n in range(1, n_max + 1):
         g = gv[n]
         payload.append({"n": n, "re": g.real, "im": g.imag, "abs": abs(g)})
-        lines_csv.append(",".join((str(n), _fmt17(g.real), _fmt17(g.imag), _fmt17(abs(g)))))
+        lines_csv.append(",".join((str(n), harness._fmt17(g.real), harness._fmt17(g.imag),
+                                   harness._fmt17(abs(g)))))
         human.append(f"  n={n:3d}  re={g.real:+.12e}  im={g.imag:+.12e}  |Gamma|={abs(g):.12e}")
     if args.format == "csv":
         text = "\n".join(lines_csv) + "\n"
@@ -161,17 +147,13 @@ def cmd_gamma(args) -> int:
 def cmd_bounds(args) -> int:
     spec = _spec_from_args(args)
     abs_a = None
-    if spec.tag == "u-lambda":
+    if spec.entry.per_sample_bound:
         a = 0.5 if args.a is None else args.a
         abs_a = abs(a)
     lines = [f"bounds for {spec.label()}" + (f" at |omega(0)| = {abs_a:g}" if abs_a is not None else "")]
     rows = []
-    exact_ab = spec.tag == "star-ab" and isinstance(args.A, Fraction) and isinstance(args.B, Fraction)
     for n in range(1, args.n_max + 1):
-        if exact_ab:
-            res = bound_star_AB(n, args.A, args.B)
-        else:
-            res = bound_for(spec, n, abs_a=abs_a)
+        res = bound_for(spec, n, abs_a=abs_a)
         rows.append({"n": n, "value": res.value, "branch": res.branch,
                      "applicable": res.applicable, "note": res.note})
         if res.applicable:
@@ -186,7 +168,7 @@ def cmd_bounds(args) -> int:
     elif args.format == "csv":
         out = ["n,value,branch,applicable,note"]
         for r in rows:
-            val = "n/a" if r["value"] is None else _fmt17(r["value"])
+            val = "n/a" if r["value"] is None else harness._fmt17(r["value"])
             out.append(f'{r["n"]},{val},{r["branch"]},{int(r["applicable"])},{r["note"]}')
         text = "\n".join(out) + "\n"
     else:

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from . import series
-from .bounds import v_of_x
+from . import bounds, series
+from .bounds import (BoundResult, check_f_alpha, check_gc, check_spiral, check_star_ab,
+                     check_u_lambda, v_of_x)
 from .series import AnalyticSeries, Series, UnitSeries
-
-CLASS_TAGS = ("full-s", "star-ab", "spiral", "gc", "u-lambda", "f-alpha")
 
 F_ALPHA_VARIANTS = ("pow1", "pow2", "pow3", "halfconvex")
 
@@ -30,43 +31,25 @@ class ClassSpec:
     """Tagged description of a function class and its parameters."""
 
     tag: str
-    A: float | None = None
-    B: float | None = None
+    A: float | Fraction | None = None
+    B: float | Fraction | None = None
     alpha: float | None = None
     beta: float | None = None
     c: float | None = None
     lam: float | None = None
 
     def __post_init__(self):
-        if self.tag not in CLASS_TAGS:
+        if self.tag not in CLASSES:
             raise ValueError(f"unknown class tag {self.tag!r}")
-        if self.tag == "star-ab":
-            if self.A is None or self.B is None:
-                raise ValueError("star-ab needs A and B")
-            if not (-1 <= self.B < self.A <= 1):
-                raise ValueError(f"star-ab requires -1 <= B < A <= 1, got A={self.A}, B={self.B}")
-        elif self.tag == "spiral":
-            if self.alpha is None or self.beta is None:
-                raise ValueError("spiral needs alpha and beta")
-            if not abs(self.alpha) < math.pi / 2:
-                raise ValueError(f"spiral requires |alpha| < pi/2, got {self.alpha}")
-            if not 0 <= self.beta < 1:
-                raise ValueError(f"spiral requires 0 <= beta < 1, got {self.beta}")
-        elif self.tag == "gc":
-            if self.c is None:
-                raise ValueError("gc needs c")
-            if not 0 < self.c <= 1:
-                raise ValueError(f"gc requires 0 < c <= 1, got {self.c}")
-        elif self.tag == "u-lambda":
-            if self.lam is None:
-                raise ValueError("u-lambda needs lam")
-            if not 0 < self.lam <= 1:
-                raise ValueError(f"u-lambda requires 0 < lam <= 1, got {self.lam}")
-        elif self.tag == "f-alpha":
-            if self.alpha is None:
-                raise ValueError("f-alpha needs alpha")
-            if not -0.5 <= self.alpha < 1:
-                raise ValueError(f"f-alpha requires -1/2 <= alpha < 1, got {self.alpha}")
+        names = self.entry.params
+        values = [getattr(self, name) for name in names]
+        if any(v is None for v in values):
+            raise ValueError(f"{self.tag} needs {' and '.join(names)}")
+        self.entry.check(*values)
+
+    @property
+    def entry(self) -> ClassEntry:
+        return CLASSES[self.tag]
 
     @classmethod
     def full_s(cls):
@@ -74,7 +57,9 @@ class ClassSpec:
 
     @classmethod
     def star_ab(cls, A, B):
-        return cls(tag="star-ab", A=float(A), B=float(B))
+        # Fractions stay exact, so the bound finds its interval seams exactly
+        A, B = (x if isinstance(x, Fraction) else float(x) for x in (A, B))
+        return cls(tag="star-ab", A=A, B=B)
 
     @classmethod
     def spiral(cls, alpha, beta):
@@ -95,30 +80,17 @@ class ClassSpec:
     @property
     def delta(self) -> float:
         """(1-A)/(1-B) in [0,1); the dispatch variable for the A,B family."""
-        if self.tag != "star-ab":
+        if self.entry.params != ("A", "B"):
             raise ValueError("delta is defined for star-ab specs only")
         return (1.0 - self.A) / (1.0 - self.B)
 
     def label(self) -> str:
-        if self.tag == "full-s":
-            return "full-s"
-        if self.tag == "star-ab":
-            return f"star-ab(A={self.A:g},B={self.B:g})"
-        if self.tag == "spiral":
-            return f"spiral(alpha={self.alpha:g},beta={self.beta:g})"
-        if self.tag == "gc":
-            return f"gc(c={self.c:g})"
-        if self.tag == "u-lambda":
-            return f"u-lambda(lam={self.lam:g})"
-        return f"f-alpha(alpha={self.alpha:g})"
+        # float(): Fraction parameters reject the :g format
+        inner = ",".join(f"{name}={float(getattr(self, name)):g}" for name in self.entry.params)
+        return f"{self.tag}({inner})" if inner else self.tag
 
     def params(self) -> dict:
-        out = {}
-        for name in ("A", "B", "alpha", "beta", "c", "lam"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = float(val)
-        return out
+        return {name: float(getattr(self, name)) for name in self.entry.params}
 
 
 @dataclass(frozen=True)
@@ -173,8 +145,7 @@ def _z_times(u: Series, order: int) -> AnalyticSeries:
 
 def k_AB_n(A: float, B: float, n: int, order: int) -> AnalyticSeries:
     """z (1 + B z^n)^{(A-B)/(nB)}; B = 0 takes the limit form z exp(A z^n / n)."""
-    if not (-1 <= B < A <= 1):
-        raise ValueError(f"requires -1 <= B < A <= 1, got A={A}, B={B}")
+    check_star_ab(A, B)
     if n < 1:
         raise ValueError("n must be >= 1")
     if order < 1:
@@ -190,10 +161,7 @@ def k_AB_n(A: float, B: float, n: int, order: int) -> AnalyticSeries:
 
 def spiral_extremal(alpha: float, beta: float, n: int, order: int) -> AnalyticSeries:
     """z / (1 - z^n)^{gamma/n} with real exponent gamma = 2(1-beta)cos(alpha)."""
-    if not abs(alpha) < math.pi / 2:
-        raise ValueError(f"requires |alpha| < pi/2, got {alpha}")
-    if not 0 <= beta < 1:
-        raise ValueError(f"requires 0 <= beta < 1, got {beta}")
+    check_spiral(alpha, beta)
     if n < 1 or order < 1:
         raise ValueError("n and order must be >= 1")
     gamma = 2.0 * (1.0 - beta) * math.cos(alpha)
@@ -203,8 +171,7 @@ def spiral_extremal(alpha: float, beta: float, n: int, order: int) -> AnalyticSe
 
 def gc_extremal(c: float, m: int, order: int) -> AnalyticSeries:
     """Antiderivative of (1 - z^m)^{c/m}: the function the bound is claimed sharp for."""
-    if not 0 < c <= 1:
-        raise ValueError(f"requires 0 < c <= 1, got {c}")
+    check_gc(c)
     if m < 1 or order < 1:
         raise ValueError("m and order must be >= 1")
     base = _one_plus_monomial(m, -1.0, order - 1)
@@ -219,8 +186,7 @@ def u_lambda_member(a2, omega, lam: float, order: int) -> AnalyticSeries:
     responsibility), or a complex constant of modulus <= 1. The construction
     satisfies f'(z/f)^2 - 1 = -lam z^2 omega identically.
     """
-    if not 0 < lam <= 1:
-        raise ValueError(f"requires 0 < lam <= 1, got {lam}")
+    check_u_lambda(lam)
     if order < 2:
         raise ValueError("order must be >= 2")
     dord = order - 1
@@ -266,8 +232,7 @@ def f_alpha_extremal(alpha: float, variant: str, order: int) -> AnalyticSeries:
     pow3: f' = (1-z^3)^{-2(1-alpha)/3} halfconvex: (z - z^2/2)/(1-z)^2,
     the pow1 function at alpha = -1/2 in closed form.
     """
-    if not -0.5 <= alpha < 1:
-        raise ValueError(f"requires -1/2 <= alpha < 1, got {alpha}")
+    check_f_alpha(alpha)
     if variant not in F_ALPHA_VARIANTS:
         raise ValueError(f"variant must be one of {F_ALPHA_VARIANTS}, got {variant!r}")
     if order < 1:
@@ -353,42 +318,26 @@ def member_from_schwarz(spec: ClassSpec, phi, order: int) -> AnalyticSeries:
     """Solve the class's defining subordination with the given Schwarz function.
 
     phi is a SchwarzFn or any Series with zero constant term (a polynomial
-    Schwarz function must be extend()-ed to order-1 by the caller). The
-    starlike-type classes give f = z exp(int (q(phi)-1)/t dt); the convexity
-    class integrates f' = exp(int 2(1-alpha) phi / (t(1-phi)) dt).
+    Schwarz function must be extend()-ed to order-1 by the caller). With
+    q(phi) - 1 = a phi / (1 + b phi) from the class entry, the starlike-type
+    classes give f = z exp(int (q(phi)-1)/t dt) and the convexity class
+    integrates f' = exp(int (q(phi)-1)/t dt).
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     s = _phi_series(phi, order - 1)
-    tag = spec.tag
-    if tag == "u-lambda":
-        raise ValueError("u-lambda members come from u_lambda_member(a2, omega, lam), not subordination")
-    if tag == "f-alpha":
-        g = series.multiply(series.scale(s, 2.0 * (1.0 - spec.alpha)),
-                            series.reciprocal(_one_minus(s), order - 1), order - 1)
-        integrand = series.divide_by_z(g)
-        deriv = series.exp_zero(series.integrate_termwise(integrand, order - 1), order - 1)
-        return AnalyticSeries(series.integrate_termwise(deriv, order).coeffs)
-    if tag in ("full-s", "star-ab"):
-        A = 1.0 if tag == "full-s" else spec.A
-        B = -1.0 if tag == "full-s" else spec.B
-        num = series.scale(s, A - B)
-        den = series.add(series.constant(1.0, order - 1), series.scale(s, B), order - 1)
-    elif tag == "spiral":
-        # target (1 + A z)/(1 - z) with A = e^{i a}(e^{i a} - 2 beta cos a);
-        # A + 1 = 2(1-beta)cos(a) e^{i a}
-        coef = 2.0 * (1.0 - spec.beta) * math.cos(spec.alpha) * cmath.exp(1j * spec.alpha)
-        num = series.scale(s, coef)
-        den = _one_minus(s)
-    elif tag == "gc":
-        c = spec.c
-        num = series.scale(s, -c / (1.0 + c))
-        den = series.add(series.constant(1.0, order - 1), series.scale(s, -1.0 / (1.0 + c)), order - 1)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown tag {tag!r}")
-    g = series.multiply(num, series.reciprocal(den, order - 1), order - 1)
+    entry = spec.entry
+    if entry.subordination is None:
+        raise ValueError(f"{spec.tag} members come from u_lambda_member(a2, omega, lam), "
+                         "not subordination")
+    a, b = entry.subordination(spec)
+    den = s.coeffs * complex(b)  # 1 + b phi, built in place: phi(0) = 0
+    den[0] += 1.0
+    g = series.multiply(series.scale(s, a), series.reciprocal(Series(den), order - 1), order - 1)
     integrand = series.divide_by_z(g)
     unit = series.exp_zero(series.integrate_termwise(integrand, order - 1), order - 1)
+    if entry.derivative:
+        return AnalyticSeries(series.integrate_termwise(unit, order).coeffs)
     return _z_times(unit, order)
 
 
@@ -404,5 +353,152 @@ def _phi_series(phi, order: int) -> Series:
     raise TypeError("phi must be a SchwarzFn or a Series")
 
 
-def _one_minus(s: Series) -> Series:
-    return series.subtract(series.constant(1.0, s.order), s, s.order)
+def _identity_phi(order: int) -> Series:
+    """phi(z) = z, the Schwarz function of the kernel ray of a subordination."""
+    return series.extend(series.identity(1), order - 1)
+
+
+# ---------------------------------------------------------------------------
+# the class registry
+
+
+@dataclass(frozen=True)
+class ClassEntry:
+    """Everything one class tag means, read by specs, bounds, campaigns and
+    the CLI instead of switching on the tag."""
+
+    # ClassSpec fields the class takes, in label order
+    params: tuple[str, ...]
+    # range check, called with those fields in that order
+    check: Callable
+    # bound(spec, n, abs_a) -> BoundResult
+    bound: Callable
+    # spec -> (a, b) with q(phi) - 1 = a phi / (1 + b phi); None for a class
+    # drawn from its structure formula instead
+    subordination: Callable | None
+    # candidates(spec, n, branch, order, abs_a) -> [(label, f, asserted, note)]:
+    # the named equality functions of the clause that gave the bound at n
+    candidates: Callable
+    # the subordination gives f' rather than f/z
+    derivative: bool = False
+    # the bound depends on each member's omega(0), passed as abs_a
+    per_sample_bound: bool = False
+
+
+def _by_order(bound_fns, n: int, *args) -> BoundResult:
+    """The n-th of a class's per-order bounds; open past the last one."""
+    if 1 <= n <= len(bound_fns):
+        return bound_fns[n - 1](*args)
+    return BoundResult(n=n, value=None, branch="open", applicable=False,
+                       note=f"no bound known for n >= {len(bound_fns) + 1}")
+
+
+_NO_MIDDLE = "no equality function named on the middle clauses"
+
+
+def _clause_candidates(branch: str, full: list, sym: tuple) -> list:
+    """The interval-dispatched classes: the full-product maps, the
+    n-symmetric map (label, f) on the endpoint clause, and both report-only
+    on the middle clauses."""
+    if branch == "full-product":
+        return full
+    if branch == "endpoint-linear":
+        return [(*sym, True, "")]
+    return [(*full[0][:2], False, _NO_MIDDLE), (*sym, False, _NO_MIDDLE)]
+
+
+def _star_ab_candidates(spec, n, branch, order, abs_a):
+    A, B = float(spec.A), float(spec.B)
+    one = ("one-point-map", k_AB_n(A, B, 1, order), True, "")
+    return _clause_candidates(branch, [one], (f"{n}-symmetric-map", k_AB_n(A, B, n, order)))
+
+
+def _spiral_candidates(spec, n, branch, order, abs_a):
+    line = ("tilted-line-map", member_from_schwarz(spec, _identity_phi(order), order), True, "")
+    real = ("real-power-map", spiral_extremal(spec.alpha, spec.beta, 1, order),
+            spec.alpha == 0, "" if spec.alpha == 0 else "reaches the bound only at alpha = 0")
+    sym = (f"{n}-symmetric-map", spiral_extremal(spec.alpha, spec.beta, n, order))
+    return _clause_candidates(branch, [line, real], sym)
+
+
+def _gc_candidates(spec, n, branch, order, abs_a):
+    note = "" if spec.c == 1 else "claimed equality function; reaches the bound only at c = 1"
+    return [("claimed-derivative-map", gc_extremal(spec.c, 1, order), True, note),
+            ("kernel-ray-map", member_from_schwarz(spec, _identity_phi(order), order), True,
+             "substitute equality function from the defining subordination")]
+
+
+# (n, branch) -> the power maps p of the clause, f' = (1 - z^p)^(...): the
+# first attains the clause, any other attains the other clause at that n
+_F_ALPHA_POWERS = {(1, "linear"): (1,), (2, "low-range"): (1, 2), (2, "high-range"): (2, 1),
+                   (3, "low-range"): (1,), (3, "mid-range"): (3,)}
+
+
+def _f_alpha_candidates(spec, n, branch, order, abs_a):
+    cands = [(f"power-map-{p}", f_alpha_extremal(spec.alpha, f"pow{p}", order), i == 0,
+              "" if i == 0 else "attains the other clause")
+             for i, p in enumerate(_F_ALPHA_POWERS[n, branch])]
+    if spec.alpha == -0.5:
+        cands.append(("half-convex-map", f_alpha_extremal(-0.5, "halfconvex", order), False,
+                      "same function as power-map-1 at alpha = -1/2"))
+    return cands
+
+
+CLASSES = {
+    "full-s": ClassEntry(
+        params=(),
+        check=lambda: None,
+        bound=lambda spec, n, abs_a: bounds.bound_class_S(n),
+        subordination=lambda spec: (2.0, -1.0),
+        candidates=lambda spec, n, branch, order, abs_a: [
+            ("cusp-map", koebe(0.0, order), True, "")],
+    ),
+    "star-ab": ClassEntry(
+        params=("A", "B"),
+        check=check_star_ab,
+        # the spec's own A, B: Fractions reach the seam detection exactly
+        bound=lambda spec, n, abs_a: bounds.bound_star_AB(n, spec.A, spec.B),
+        subordination=lambda spec: (float(spec.A) - float(spec.B), float(spec.B)),
+        candidates=_star_ab_candidates,
+    ),
+    "spiral": ClassEntry(
+        params=("alpha", "beta"),
+        check=check_spiral,
+        bound=lambda spec, n, abs_a: bounds.bound_spiral(n, spec.alpha, spec.beta),
+        # target (1 + A z)/(1 - z) with A = e^{i a}(e^{i a} - 2 beta cos a);
+        # A + 1 = 2(1-beta)cos(a) e^{i a}
+        subordination=lambda spec: (
+            2.0 * (1.0 - spec.beta) * math.cos(spec.alpha) * cmath.exp(1j * spec.alpha), -1.0),
+        candidates=_spiral_candidates,
+    ),
+    "gc": ClassEntry(
+        params=("c",),
+        check=check_gc,
+        bound=lambda spec, n, abs_a: bounds.bound_Gc(n, spec.c),
+        subordination=lambda spec: (-spec.c / (1.0 + spec.c), -1.0 / (1.0 + spec.c)),
+        candidates=_gc_candidates,
+    ),
+    "u-lambda": ClassEntry(
+        params=("lam",),
+        check=check_u_lambda,
+        bound=lambda spec, n, abs_a: _by_order(
+            (bounds.bound_U_gamma1, bounds.bound_U_gamma2), n, spec.lam, abs_a),
+        subordination=None,
+        candidates=lambda spec, n, branch, order, abs_a: [
+            ("extremal-dilation-map", u_extremal(spec.lam, abs_a, order), True,
+             f"at omega(0) = {abs_a:g}")],
+        per_sample_bound=True,
+    ),
+    "f-alpha": ClassEntry(
+        params=("alpha",),
+        check=check_f_alpha,
+        bound=lambda spec, n, abs_a: _by_order(
+            (bounds.bound_F_gamma1, bounds.bound_F_gamma2, bounds.bound_F_gamma3), n,
+            spec.alpha),
+        subordination=lambda spec: (2.0 * (1.0 - spec.alpha), -1.0),
+        candidates=_f_alpha_candidates,
+        derivative=True,
+    ),
+}
+
+CLASS_TAGS = tuple(CLASSES)

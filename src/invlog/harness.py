@@ -8,9 +8,9 @@ Four entry points, all deterministic in (seed, sample index):
   explore_convex_large_n -- probe the open orders of the convex class
 
 Per-sample randomness comes from numpy's counter-style seeding with the key
-(seed, index, attempt), so a campaign gives byte-identical reports at any
-thread count; the reduction walks samples in index order regardless of
-completion order.
+(seed, index, attempt), so a campaign gives byte-identical reports; the
+sampled campaigns share one loop that draws and folds samples in index
+order.
 
 Violation grading: with excess the amount by which a sample oversteps
 (|Gamma| - bound, or the route discrepancy), excess <= tol is "ok",
@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import families, gammas, series
-from .bounds import bound_for
-from .families import ClassSpec, SchwarzFn
+from . import families, gammas
+from .bounds import bound_for, v_of_x
+from .families import ClassSpec
 
 CSV_COLUMNS = ("sample_id", "n", "abs_gamma", "bound", "branch", "margin", "flag")
 
@@ -46,24 +44,11 @@ def _flag(excess: float, tol: float) -> str:
 
 
 def _fmt17(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
-
-
-def _threads() -> int:
-    raw = os.environ.get("INVLOG_THREADS", "").strip()
-    if not raw:
-        return 1
-    return max(1, int(raw))
-
-
-def _map_indexed(fn, count: int) -> list:
-    workers = _threads()
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(count)))
 
 
 @dataclass
@@ -105,23 +90,8 @@ class VerifyReport:
         return not self.mathematical_violations
 
     def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "label": self.label,
-            "params": self.params,
-            "n_max": self.n_max,
-            "order": self.order,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "max_discrepancy": self.max_discrepancy,
-            "counts": self.counts(),
-            "ok": self.ok,
-            "rows": self.rows,
-            "summary": self.summary,
-            "violations": self.violations,
-            "notes": self.notes,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload.update(counts=self.counts(), ok=self.ok)
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
@@ -147,7 +117,7 @@ def _draw_member(spec: ClassSpec, seed, index: int, order: int, radius_cap: floa
     for attempt in range(4):
         key = (seed, index, attempt)
         try:
-            if spec.tag == "u-lambda":
+            if spec.entry.subordination is None:  # drawn from its structure formula
                 f, meta = _draw_u_member(spec, key, order, radius_cap)
             else:
                 phi = families.sample_schwarz(key, 4, radius_cap=radius_cap)
@@ -172,8 +142,6 @@ def _draw_u_member(spec: ClassSpec, key, order: int, radius_cap: float):
         factors.append(r * complex(math.cos(t), math.sin(t)))
     omega = families.blaschke_series(theta, tuple(factors), max(order - 3, 0))
     abs_a = float(abs(omega.coeffs[0]))
-    from .bounds import v_of_x  # local to keep module import acyclic
-
     radius = radius_cap * (1.0 + spec.lam * v_of_x(abs_a)) * math.sqrt(rng.uniform())
     ang = rng.uniform(0.0, 2.0 * math.pi)
     a2 = radius * complex(math.cos(ang), math.sin(ang))
@@ -181,13 +149,41 @@ def _draw_u_member(spec: ClassSpec, key, order: int, radius_cap: float):
     return f, {"abs_a": abs_a, "a2": a2}
 
 
-def _resolve_order(n_max: int, order) -> int:
+def _resolve_order(n_max: int, order, tol: float = 0.0) -> int:
+    """The series order a campaign up to Gamma_{n_max} runs at. Every
+    campaign calls this before any sampling, so it also rejects a tolerance
+    that cannot grade: a negative one flags every row, a NaN or infinite one
+    cannot be serialized."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if order is None:
         return n_max + DEFAULT_ORDER_MARGIN
     order = int(order)
     if order < n_max + 1:
         raise ValueError(f"order {order} cannot support Gamma_{n_max}; need >= {n_max + 1}")
     return order
+
+
+def _graded_row(sample_id, n: int, ag: float, bound: float, branch: str, tol: float) -> dict:
+    """The row for |Gamma_n| = ag, graded against a bound it must not exceed."""
+    return {"sample_id": sample_id, "n": n, "abs_gamma": ag, "bound": bound, "branch": branch,
+            "margin": bound - ag, "flag": _flag(ag - bound, tol), "excess": ag - bound}
+
+
+def _sample_rows(report: VerifyReport, spec: ClassSpec, radius_cap: float, rows_of):
+    """The sample loop of every sampled campaign: draw each member in index
+    order, append rows_of(i, f, meta) to the report and yield each row for
+    the caller's summary. Rows flagged neither ok nor open become
+    violations; resampled draws leave a note."""
+    for i in range(report.samples):
+        f, meta, attempts = _draw_member(spec, report.seed, i, report.order, radius_cap)
+        if attempts:
+            report.notes.append(f"sample {i}: resampled {attempts} time(s)")
+        for row in rows_of(i, f, meta):
+            report.rows.append(row)
+            if row["flag"] not in ("ok", "open"):
+                report.violations.append(dict(row))
+            yield row
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +203,9 @@ def cross_check(samples: int, seed: int, n_max: int, tol: float = 1e-10, *,
     spec = spec if spec is not None else ClassSpec.star_ab(1.0, -1.0)
     if samples < 1 or n_max < 1:
         raise ValueError("samples and n_max must be >= 1")
-    order = _resolve_order(n_max, order)
+    order = _resolve_order(n_max, order, tol)
 
-    def work(i: int):
-        f, meta, attempts = _draw_member(spec, seed, i, order, radius_cap)
+    def rows_of(i: int, f, meta):
         gr = gammas.gamma_via_reversion(f, n_max)
         gb = gammas.gamma_via_bn(f, n_max)
         disc = np.abs(gr.gammas - gb.gammas)
@@ -228,19 +223,13 @@ def cross_check(samples: int, seed: int, n_max: int, tol: float = 1e-10, *,
                 "discrepancy": d,
                 "excess": d,
             })
-        return rows, attempts
+        return rows
 
     report = VerifyReport(kind="cross-check", label=spec.label(), params=spec.params(),
                           n_max=n_max, order=order, samples=samples, seed=seed, tol=tol)
     per_n_max = np.zeros(n_max)
-    for i, (rows, attempts) in enumerate(_map_indexed(work, samples)):
-        report.rows.extend(rows)
-        if attempts:
-            report.notes.append(f"sample {i}: resampled {attempts} time(s)")
-        for row in rows:
-            per_n_max[row["n"] - 1] = max(per_n_max[row["n"] - 1], row["discrepancy"])
-            if row["flag"] != "ok":
-                report.violations.append(dict(row))
+    for row in _sample_rows(report, spec, radius_cap, rows_of):
+        per_n_max[row["n"] - 1] = max(per_n_max[row["n"] - 1], row["discrepancy"])
     report.summary = [{"n": n, "max_discrepancy": float(per_n_max[n - 1])}
                       for n in range(1, n_max + 1)]
     report.max_discrepancy = float(per_n_max.max())
@@ -259,73 +248,43 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
     """
     if samples < 1 or n_max < 1:
         raise ValueError("samples and n_max must be >= 1")
-    order = _resolve_order(n_max, order)
-    static = {}
-    for n in range(1, n_max + 1):
-        if spec.tag != "u-lambda":
-            res = bound_for(spec, n)
-            if res.applicable:
-                static[n] = res
-    if spec.tag != "u-lambda" and not static:
+    order = _resolve_order(n_max, order, tol)
+
+    def applicable(abs_a):
+        results = (bound_for(spec, n, abs_a=abs_a) for n in range(1, n_max + 1))
+        return {res.n: res for res in results if res.applicable}
+
+    per_sample = spec.entry.per_sample_bound
+    static = None if per_sample else applicable(None)
+    if static == {}:
         raise ValueError(f"no applicable bounds for {spec.label()} with n_max={n_max}")
 
-    def work(i: int):
-        f, meta, attempts = _draw_member(spec, seed, i, order, radius_cap)
+    def rows_of(i: int, f, meta):
         gv = gammas.gamma_via_bn(f, n_max)
-        rows = []
-        for n in range(1, n_max + 1):
-            if spec.tag == "u-lambda":
-                res = bound_for(spec, n, abs_a=meta["abs_a"])
-                if not res.applicable:
-                    continue
-            elif n in static:
-                res = static[n]
-            else:
-                continue
-            ag = float(abs(gv.gammas[n - 1]))
-            rows.append({
-                "sample_id": i,
-                "n": n,
-                "abs_gamma": ag,
-                "bound": res.value,
-                "branch": res.branch,
-                "margin": res.value - ag,
-                "flag": _flag(ag - res.value, tol),
-                "excess": ag - res.value,
-            })
-        return rows, attempts
+        results = applicable(meta["abs_a"]) if per_sample else static
+        return [_graded_row(i, n, float(abs(gv.gammas[n - 1])), res.value, res.branch, tol)
+                for n, res in results.items()]
 
     report = VerifyReport(kind="verify", label=spec.label(), params=spec.params(),
                           n_max=n_max, order=order, samples=samples, seed=seed, tol=tol)
     sharp_gaps: dict[int, float | None] = {}
-    if spec.tag != "u-lambda":
-        for n, res in static.items():
-            best = None
-            for _, f, asserted, _ in _sharpness_candidates(spec, n, res.branch, order, 0.5):
-                if not asserted:
-                    continue
-                ag = float(abs(gammas.gamma_via_bn(f, n).gammas[n - 1]))
-                best = ag if best is None else max(best, ag)
-            sharp_gaps[n] = None if best is None else res.value - best
+    for n, res in (static or {}).items():
+        reached = [float(abs(gammas.gamma_via_bn(f, n).gammas[n - 1]))
+                   for _, f, asserted, _ in spec.entry.candidates(spec, n, res.branch, order, 0.5)
+                   if asserted]
+        sharp_gaps[n] = res.value - max(reached) if reached else None
     stats: dict[int, dict] = {}
-    for i, (rows, attempts) in enumerate(_map_indexed(work, samples)):
-        report.rows.extend(rows)
-        if attempts:
-            report.notes.append(f"sample {i}: resampled {attempts} time(s)")
-        for row in rows:
-            st = stats.setdefault(row["n"], {"empirical_max_abs_gamma": 0.0,
-                                             "margin": math.inf,
-                                             "bound": row["bound"],
-                                             "branch": row["branch"]})
-            st["empirical_max_abs_gamma"] = max(st["empirical_max_abs_gamma"],
-                                                row["abs_gamma"])
-            st["margin"] = min(st["margin"], row["margin"])
-            st["bound"] = min(st["bound"], row["bound"])
-            if row["flag"] != "ok":
-                report.violations.append(dict(row))
+    for row in _sample_rows(report, spec, radius_cap, rows_of):
+        st = stats.setdefault(row["n"], {"empirical_max_abs_gamma": 0.0,
+                                         "margin": math.inf,
+                                         "bound": row["bound"],
+                                         "branch": row["branch"]})
+        st["empirical_max_abs_gamma"] = max(st["empirical_max_abs_gamma"], row["abs_gamma"])
+        st["margin"] = min(st["margin"], row["margin"])
+        st["bound"] = min(st["bound"], row["bound"])
     report.summary = [{"n": n, **stats[n], "sharpness_gap": sharp_gaps.get(n)}
                       for n in sorted(stats)]
-    if spec.tag == "u-lambda":
+    if per_sample:
         report.notes.append("bounds vary with each sample's omega(0); summary bound "
                             "and margin are the worst cases, sharpness_gap is per-run "
                             "(see sharpness_check)")
@@ -337,71 +296,6 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
     return report
 
 
-# named equality candidates: (label, constructor, asserted, note)
-
-
-def _sharpness_candidates(spec: ClassSpec, n: int, branch: str, order: int,
-                          abs_a: float):
-    if spec.tag == "full-s":
-        return [("cusp-map", families.koebe(0.0, order), True, "")]
-    if spec.tag == "star-ab":
-        one = ("one-point-map", families.k_AB_n(spec.A, spec.B, 1, order))
-        sym = (f"{n}-symmetric-map", families.k_AB_n(spec.A, spec.B, n, order))
-        if branch == "full-product":
-            return [(*one, True, "")]
-        if branch == "endpoint-linear":
-            return [(*sym, True, "")]
-        return [(*one, False, "no equality function named on the middle clauses"),
-                (*sym, False, "no equality function named on the middle clauses")]
-    if spec.tag == "spiral":
-        phi_id = series.extend(series.identity(1), order - 1)
-        line = ("tilted-line-map", families.member_from_schwarz(spec, phi_id, order))
-        real = ("real-power-map", families.spiral_extremal(spec.alpha, spec.beta, 1, order))
-        sym = (f"{n}-symmetric-map", families.spiral_extremal(spec.alpha, spec.beta, n, order))
-        if branch == "full-product":
-            note = "" if spec.alpha == 0 else "reaches the bound only at alpha = 0"
-            return [(*line, True, ""), (*real, spec.alpha == 0, note)]
-        if branch == "endpoint-linear":
-            return [(*sym, True, "")]
-        return [(*line, False, "no equality function named on the middle clauses"),
-                (*sym, False, "no equality function named on the middle clauses")]
-    if spec.tag == "gc":
-        printed = ("claimed-derivative-map", families.gc_extremal(spec.c, 1, order))
-        phi_id = series.extend(series.identity(1), order - 1)
-        ray = ("kernel-ray-map", families.member_from_schwarz(spec, phi_id, order))
-        note = "" if spec.c == 1 else "claimed equality function; reaches the bound only at c = 1"
-        return [(*printed, True, note),
-                (*ray, True, "substitute equality function from the defining subordination")]
-    if spec.tag == "u-lambda":
-        return [("extremal-dilation-map", families.u_extremal(spec.lam, abs_a, order), True,
-                 f"at omega(0) = {abs_a:g}")]
-    if spec.tag == "f-alpha":
-        cands = []
-        pow1 = ("power-map-1", families.f_alpha_extremal(spec.alpha, "pow1", order))
-        if n == 1:
-            cands.append((*pow1, True, ""))
-        elif n == 2:
-            pow2 = ("power-map-2", families.f_alpha_extremal(spec.alpha, "pow2", order))
-            if branch == "low-range":
-                cands.append((*pow1, True, ""))
-                cands.append((*pow2, False, "attains the other clause"))
-            else:
-                cands.append((*pow2, True, ""))
-                cands.append((*pow1, False, "attains the other clause"))
-        else:
-            pow3 = ("power-map-3", families.f_alpha_extremal(spec.alpha, "pow3", order))
-            if branch == "low-range":
-                cands.append((*pow1, True, ""))
-            elif branch == "mid-range":
-                cands.append((*pow3, True, ""))
-        if spec.alpha == -0.5 and n <= 3:
-            cands.append(("half-convex-map",
-                          families.f_alpha_extremal(-0.5, "halfconvex", order), False,
-                          "same function as power-map-1 at alpha = -1/2"))
-        return cands
-    raise ValueError(f"unknown class tag {spec.tag!r}")
-
-
 def sharpness_check(spec: ClassSpec, n_max: int, tol: float = 1e-9, *,
                     order: int | None = None, abs_a: float = 0.5) -> VerifyReport:
     """Evaluate each bound's named equality function and report the gap
@@ -411,36 +305,27 @@ def sharpness_check(spec: ClassSpec, n_max: int, tol: float = 1e-9, *,
     family)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    order = _resolve_order(n_max, order)
+    order = _resolve_order(n_max, order, tol)
     report = VerifyReport(kind="sharpness", label=spec.label(), params=spec.params(),
                           n_max=n_max, order=order, samples=0, seed=None, tol=tol)
     gaps = []
     for n in range(1, n_max + 1):
         res = bound_for(spec, n, abs_a=abs_a)
         if not res.applicable:
-            report.rows.append({"sample_id": "none", "n": n, "abs_gamma": float("inf"),
-                                "bound": -1.0, "branch": res.branch, "margin": -1.0,
+            report.rows.append({"sample_id": "none", "n": n, "abs_gamma": None,
+                                "bound": None, "branch": res.branch, "margin": None,
                                 "flag": "open", "asserted": False, "note": res.note})
             continue
         if res.note:
             report.notes.append(f"n={n}: {res.note}")
-        for name, f, asserted, note in _sharpness_candidates(spec, n, res.branch, order, abs_a):
+        for name, f, asserted, note in spec.entry.candidates(spec, n, res.branch, order, abs_a):
             gv = gammas.gamma_via_bn(f, n)
             ag = float(abs(gv.gammas[n - 1]))
             gap = res.value - ag
+            # both sides of the bound: an equality function must reach it
             flag = _flag(abs(gap), tol) if asserted else "report-only"
-            row = {
-                "sample_id": name,
-                "n": n,
-                "abs_gamma": ag,
-                "bound": res.value,
-                "branch": res.branch,
-                "margin": gap,
-                "flag": flag,
-                "asserted": asserted,
-                "note": note,
-                "excess": abs(gap),
-            }
+            row = {**_graded_row(name, n, ag, res.value, res.branch, tol), "flag": flag,
+                   "asserted": asserted, "note": note, "excess": abs(gap)}
             report.rows.append(row)
             if asserted:
                 gaps.append(abs(gap))
@@ -473,47 +358,35 @@ def explore_convex_large_n(n_min: int, n_max: int, samples: int, seed: int, *,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     spec = ClassSpec.f_alpha(0.0)
-    order = _resolve_order(n_max, order)
+    order = _resolve_order(n_max, order, tol)
 
-    def work(i: int):
-        f, meta, attempts = _draw_member(spec, seed, i, order, radius_cap)
+    def rows_of(i: int, f, meta):
         gv = gammas.gamma_via_bn(f, n_max)
         rows = []
         for n in range(n_min, n_max + 1):
             ag = float(abs(gv.gammas[n - 1]))
-            conj = 1.0 / (2.0 * n)
             if n <= 3:
                 res = bound_for(spec, n)
-                rows.append({"sample_id": i, "n": n, "abs_gamma": ag, "bound": res.value,
-                             "branch": res.branch, "margin": res.value - ag,
-                             "flag": _flag(ag - res.value, tol),
-                             "excess": ag - res.value})
+                rows.append(_graded_row(i, n, ag, res.value, res.branch, tol))
             else:
-                rows.append({"sample_id": i, "n": n, "abs_gamma": ag, "bound": conj,
-                             "branch": "conjectured", "margin": conj - ag,
-                             "flag": "open" if ag > conj + tol else "ok",
-                             "excess": ag - conj})
-        return rows, attempts
+                conj = 1.0 / (2.0 * n)
+                row = _graded_row(i, n, ag, conj, "conjectured", tol)
+                rows.append({**row, "flag": "open" if ag > conj + tol else "ok"})
+        return rows
 
     report = VerifyReport(kind="explore", label=spec.label(), params=spec.params(),
                           n_max=n_max, order=order, samples=samples, seed=seed, tol=tol)
     stats: dict[int, dict] = {}
-    for i, (rows, attempts) in enumerate(_map_indexed(work, samples)):
-        report.rows.extend(rows)
-        if attempts:
-            report.notes.append(f"sample {i}: resampled {attempts} time(s)")
-        for row in rows:
-            n = row["n"]
-            st = stats.setdefault(n, {"max_abs_gamma": 0.0, "max_ratio": 0.0,
-                                      "argmax_sample": -1, "exceed_count": 0})
-            if row["abs_gamma"] > st["max_abs_gamma"]:
-                st["max_abs_gamma"] = row["abs_gamma"]
-                st["argmax_sample"] = row["sample_id"]
-            st["max_ratio"] = max(st["max_ratio"], 2.0 * n * row["abs_gamma"])
-            if row["flag"] == "mathematical" or row["flag"] == "open":
-                st["exceed_count"] += 1
-            if n <= 3 and row["flag"] != "ok":
-                report.violations.append(dict(row))
+    for row in _sample_rows(report, spec, radius_cap, rows_of):
+        n = row["n"]
+        st = stats.setdefault(n, {"max_abs_gamma": 0.0, "max_ratio": 0.0,
+                                  "argmax_sample": -1, "exceed_count": 0})
+        if row["abs_gamma"] > st["max_abs_gamma"]:
+            st["max_abs_gamma"] = row["abs_gamma"]
+            st["argmax_sample"] = row["sample_id"]
+        st["max_ratio"] = max(st["max_ratio"], 2.0 * n * row["abs_gamma"])
+        if row["flag"] == "mathematical" or row["flag"] == "open":
+            st["exceed_count"] += 1
     report.summary = [{"n": n, **stats[n]} for n in sorted(stats)]
     report.notes.append("orders beyond 3 probe an open question; overshoots there "
                         "are reported as open, not failed")

@@ -197,6 +197,43 @@ def test_sharpness_single_order_filter(capsys):
     assert {r["n"] for r in payload["rows"]} == {4}
 
 
+@pytest.mark.parametrize("cls", [("u-lambda", "--lambda", "0.5"),
+                                 ("f-alpha", "--alpha", "0")], ids=lambda c: c[0])
+def test_sharpness_open_orders_serialize(capsys, cls):
+    # the default --n-max 4 runs past the last proved order of both classes
+    name, flag, value = cls
+    assert run_cli("sharpness", "--class", name, flag, value) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    open_rows = [r for r in rows if r["flag"] == "open"]
+    assert open_rows
+    assert all(r["abs_gamma"] is None and r["bound"] is None and r["margin"] is None
+               for r in open_rows)
+    assert run_cli("sharpness", "--class", name, flag, value, "--format", "csv") == 0
+    assert ",4,,,open,,open" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_bad_tolerance_is_a_bad_argument(capsys, tol):
+    code = run_cli("verify", "--class", "gc", "--c", "0.5", "--seed", "1", f"--tol={tol}")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tol")
+    assert captured.out == ""
+
+
+def test_exact_star_parameters_reach_every_command(capsys):
+    # 5 delta sits 5e-14 above the seam at 1: only exact arithmetic sees it
+    params = ("--class", "star-ab", "--A", "0.59999999999998", "--B=-1", "--n-max", "5")
+    assert run_cli("bounds", *params, "--format", "json") == 0
+    table = {r["n"]: r["branch"] for r in json.loads(capsys.readouterr().out)["rows"]}
+    assert run_cli("verify", *params, "--samples", "5", "--seed", "1") == 0
+    payload = json.loads(capsys.readouterr().out)
+    campaign = {r["n"]: r["branch"] for r in payload["summary"]}
+    assert table[5] == campaign[5] == "partial-product k=1"
+    assert payload["params"] == {"A": 0.59999999999998, "B": -1.0}
+    assert payload["label"] == "star-ab(A=0.6,B=-1)"
+
+
 def test_explore_exits_zero_regardless_of_findings(capsys):
     code = run_cli("explore", "--n-min", "4", "--n-max", "7", "--samples", "60",
                    "--seed", "1", "--format", "csv")

@@ -5,12 +5,11 @@ full-size runs live in the acceptance tests.
 """
 
 import json
-import os
 
 import numpy as np
 import pytest
 
-from invlog import harness
+from invlog import families, harness
 from invlog.families import ClassSpec
 from invlog.harness import (
     CSV_COLUMNS,
@@ -35,22 +34,6 @@ def test_cross_check_is_deterministic():
     assert a.to_json() == b.to_json()
     c = cross_check(40, 8, 8)
     assert a.to_json() != c.to_json()
-
-
-def test_thread_count_does_not_change_the_report(monkeypatch):
-    base = verify_bounds(ClassSpec.gc(0.5), 6, 60, 11)
-    monkeypatch.setenv("INVLOG_THREADS", "4")
-    threaded = verify_bounds(ClassSpec.gc(0.5), 6, 60, 11)
-    assert base.to_json() == threaded.to_json()
-
-
-def test_thread_env_parsing(monkeypatch):
-    monkeypatch.delenv("INVLOG_THREADS", raising=False)
-    assert harness._threads() == 1
-    monkeypatch.setenv("INVLOG_THREADS", "6")
-    assert harness._threads() == 6
-    monkeypatch.setenv("INVLOG_THREADS", "0")
-    assert harness._threads() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +290,21 @@ def test_resolve_order_default_margin():
         harness._resolve_order(8, 8)
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_every_campaign_rejects_a_bad_tolerance_before_sampling(monkeypatch, tol):
+    def no_draw(*args):
+        raise AssertionError("sampled before the tolerance was checked")
+
+    monkeypatch.setattr(harness, "_draw_member", no_draw)
+    campaigns = [lambda: cross_check(5, 1, 4, tol=tol),
+                 lambda: verify_bounds(ClassSpec.gc(0.5), 4, 5, 1, tol=tol),
+                 lambda: sharpness_check(ClassSpec.gc(0.5), 4, tol=tol),
+                 lambda: explore_convex_large_n(1, 4, 5, 1, tol=tol)]
+    for campaign in campaigns:
+        with pytest.raises(ValueError, match="tol must be finite"):
+            campaign()
+
+
 def test_draw_member_is_reproducible_per_key():
     spec = ClassSpec.gc(0.5)
     f1, meta1, att1 = harness._draw_member(spec, 42, 7, 12, 0.9)
@@ -315,3 +313,36 @@ def test_draw_member_is_reproducible_per_key():
     assert meta1 == meta2 and att1 == att2
     f3, _, _ = harness._draw_member(spec, 42, 8, 12, 0.9)
     assert not np.array_equal(f1.coeffs, f3.coeffs)
+
+
+# every sampled campaign retries a degenerate draw under a fresh key; real
+# campaigns almost never do, so the draw is made to fail on purpose
+
+
+@pytest.mark.parametrize("campaign", [
+    lambda: cross_check(5, 3, 4),
+    lambda: verify_bounds(ClassSpec.gc(0.5), 4, 5, 3),
+    lambda: explore_convex_large_n(1, 4, 5, 3),
+], ids=["cross-check", "verify", "explore"])
+def test_campaigns_resample_a_failed_draw(monkeypatch, campaign):
+    draw = families.sample_schwarz
+
+    def first_attempt_of_sample_2_fails(key, *args, **kwargs):
+        if key[1:] == (2, 0):
+            raise ValueError("degenerate draw")
+        return draw(key, *args, **kwargs)
+
+    monkeypatch.setattr(families, "sample_schwarz", first_attempt_of_sample_2_fails)
+    rep = campaign()
+    assert [n for n in rep.notes if "resampled" in n] == ["sample 2: resampled 1 time(s)"]
+    assert len(rep.rows) == 5 * 4
+    assert [row["sample_id"] for row in rep.rows[::4]] == [0, 1, 2, 3, 4]
+
+
+def test_draw_gives_up_after_four_attempts(monkeypatch):
+    def always_fails(key, *args, **kwargs):
+        raise ValueError("degenerate draw")
+
+    monkeypatch.setattr(families, "sample_schwarz", always_fails)
+    with pytest.raises(RuntimeError, match="no usable draw in 4 attempts"):
+        verify_bounds(ClassSpec.gc(0.5), 4, 5, 3)
