@@ -137,7 +137,8 @@ def cmd_gamma(args) -> int:
     elif args.format == "json":
         import json
         text = json.dumps({"family": args.family, "n_max": n_max, "order": order,
-                           "gammas": payload}, sort_keys=True, indent=2) + "\n"
+                           "gammas": payload}, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
     else:
         text = "\n".join(human) + "\n"
     _emit(text, args.output)
@@ -164,7 +165,7 @@ def cmd_bounds(args) -> int:
     if args.format == "json":
         import json
         text = json.dumps({"label": spec.label(), "params": spec.params(), "rows": rows},
-                          sort_keys=True, indent=2) + "\n"
+                          sort_keys=True, indent=2, allow_nan=False) + "\n"
     elif args.format == "csv":
         out = ["n,value,branch,applicable,note"]
         for r in rows:

@@ -310,6 +310,51 @@ def sample_schwarz(seed, degree_max: int = 4, *, radius_cap: float = 0.95,
     return SchwarzFn(theta=theta, multiplicity=m, factors=tuple(factors))
 
 
+@dataclass(frozen=True)
+class DilationDraw:
+    """The random parameters of one bounded-distortion member: its dilation
+    omega = e^{i theta} prod_j (z + a_j)/(1 + conj(a_j) z), the modulus
+    abs_a = |omega(0)| its bounds depend on, and a2."""
+
+    theta: float
+    factors: tuple
+    abs_a: float
+    a2: complex
+
+
+def sample_dilation(seed, lam: float, *, radius_cap: float = 0.95) -> DilationDraw:
+    """Draw a bounded-distortion member's parameters, deterministically in
+    the seed: zero to three Blaschke factors of radius below 0.95, then a2
+    sqrt-uniform in the disk of radius radius_cap (1 + lam v(|omega(0)|)),
+    a share of the largest |a2| the class allows at that omega(0)."""
+    rng = np.random.default_rng(seed)
+    nfac = int(rng.integers(0, 4))
+    theta = float(rng.uniform(0.0, 2.0 * math.pi))
+    factors = []
+    for _ in range(nfac):
+        r = 0.95 * math.sqrt(rng.uniform())
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        factors.append(r * complex(math.cos(t), math.sin(t)))
+    omega0 = cmath.exp(1j * theta)
+    for a in factors:
+        omega0 *= a
+    abs_a = abs(omega0)
+    radius = radius_cap * (1.0 + lam * v_of_x(abs_a)) * math.sqrt(rng.uniform())
+    ang = rng.uniform(0.0, 2.0 * math.pi)
+    a2 = radius * complex(math.cos(ang), math.sin(ang))
+    return DilationDraw(theta=theta, factors=tuple(factors), abs_a=abs_a, a2=a2)
+
+
+def sample_member(spec: ClassSpec, seed, *, radius_cap: float):
+    """The random parameters of one member of the class, deterministically in
+    the seed: a SchwarzFn for a subordination class, a DilationDraw for the
+    class drawn from its structure formula. member_rows turns a list of
+    either into members."""
+    if spec.entry.subordination is None:
+        return sample_dilation(seed, spec.lam, radius_cap=radius_cap)
+    return sample_schwarz(seed, 4, radius_cap=radius_cap)
+
+
 # ---------------------------------------------------------------------------
 # members from subordination
 
@@ -351,6 +396,83 @@ def _phi_series(phi, order: int) -> Series:
             raise ValueError(f"phi of order {phi.order} not known to order {order}; extend() it if exact")
         return series.truncate(phi, order)
     raise TypeError("phi must be a SchwarzFn or a Series")
+
+
+# ---------------------------------------------------------------------------
+# members in batches: one member per row of an (S, order+1) array
+#
+# The row versions of blaschke_series/schwarz_series, member_from_schwarz and
+# u_lambda_member, for campaigns. Nothing is checked per intermediate row;
+# the caller checks each finished member row once.
+
+
+def member_rows(spec: ClassSpec, draws: list, order: int) -> np.ndarray:
+    """One member of the class per draw of sample_member, as rows."""
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    if spec.entry.subordination is None:
+        omega = blaschke_rows([d.theta for d in draws], [0] * len(draws),
+                              [d.factors for d in draws], max(order - 3, 0))
+        return u_lambda_rows([d.a2 for d in draws], omega, spec.lam, order)
+    phi = blaschke_rows([p.theta for p in draws], [p.multiplicity for p in draws],
+                        [p.factors for p in draws], order - 1)
+    return subordination_rows(spec, phi, order)
+
+
+def blaschke_rows(thetas, multiplicities, factors, order: int) -> np.ndarray:
+    """Row s is e^{i theta_s} z^{m_s} prod_j (z + a_j)/(1 + conj(a_j) z) over
+    the tuple factors[s]; m = 0 leaves out the z^m factor, as
+    blaschke_series does. Factor slot j multiplies only the rows that have a
+    j-th factor."""
+    counts = np.array([len(fs) for fs in factors], dtype=int)
+    a = np.zeros((len(factors), counts.max(initial=0)), dtype=np.complex128)
+    out = np.zeros((len(factors), order + 1), dtype=np.complex128)
+    for s, (theta, m, fs) in enumerate(zip(thetas, multiplicities, factors)):
+        a[s, : len(fs)] = fs
+        if m <= order:
+            out[s, m] = cmath.exp(1j * theta)
+    for j in range(a.shape[1]):
+        has = np.flatnonzero(counts > j)
+        num = np.zeros((has.size, order + 1), dtype=np.complex128)  # z + a
+        den = np.zeros((has.size, order + 1), dtype=np.complex128)  # 1 + conj(a) z
+        num[:, 0] = a[has, j]
+        den[:, 0] = 1.0
+        if order >= 1:
+            num[:, 1] = 1.0
+            den[:, 1] = a[has, j].conj()
+        factor = series.multiply_rows(num, series.reciprocal_rows(den, order), order)
+        out[has] = series.multiply_rows(out[has], factor, order)
+    return out
+
+
+def subordination_rows(spec: ClassSpec, phi: np.ndarray, order: int) -> np.ndarray:
+    """member_from_schwarz on each row of phi, Schwarz functions known to
+    order - 1 with zero constant terms."""
+    a, b = spec.entry.subordination(spec)
+    den = phi * complex(b)  # 1 + b phi
+    den[:, 0] += 1.0
+    g = series.multiply_rows(phi * complex(a), series.reciprocal_rows(den, order - 1), order - 1)
+    # log(f/z), or log f': [z^k] = g_k / k, the term-wise integral of g/z
+    log_unit = np.zeros((phi.shape[0], order), dtype=np.complex128)
+    log_unit[:, 1:] = g[:, 1:order] / np.arange(1, order)
+    unit = series.exp_zero_rows(log_unit, order - 1)
+    f = np.zeros((phi.shape[0], order + 1), dtype=np.complex128)
+    f[:, 1:] = unit / np.arange(1, order + 1) if spec.entry.derivative else unit
+    return f
+
+
+def u_lambda_rows(a2, omega: np.ndarray, lam: float, order: int) -> np.ndarray:
+    """u_lambda_member on each row: f = z / (1 - a2 z + lam z int omega),
+    with a2 one value per row and omega rows known to order - 3."""
+    dord = order - 1
+    den = np.zeros((len(a2), dord + 1), dtype=np.complex128)
+    den[:, 0] = 1.0
+    den[:, 1] = -np.asarray(a2, dtype=np.complex128)
+    if dord >= 2:
+        den[:, 2:] += lam * omega[:, : dord - 1] / np.arange(1, dord, dtype=np.float64)
+    f = np.zeros((len(a2), order + 1), dtype=np.complex128)
+    f[:, 1:] = series.reciprocal_rows(den, dord)
+    return f
 
 
 def _identity_phi(order: int) -> Series:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import series
+from .bounds import check_f_alpha, check_u_lambda
 from .series import AnalyticSeries, Series
 
 SOURCES = ("reversion", "bn-identity", "closed-form")
@@ -112,12 +113,33 @@ def gamma_via_bn(f: Series, n_max: int) -> GammaVector:
     return GammaVector(gammas=out, source="bn-identity")
 
 
+def gamma_rows_via_bn(f: np.ndarray, n_max: int) -> np.ndarray:
+    """gamma_via_bn on every row of an (S, order+1) array of normalized
+    members at once: row s of the (S, n_max) result holds Gamma_1..Gamma_{n_max}
+    of member s. Same identity, one reciprocal and n_max - 1 products, each
+    on the whole stack of rows."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if f.ndim != 2 or f.shape[1] < n_max + 2:
+        raise ValueError(f"Gamma_{n_max} needs rows known through a_{n_max + 1}, "
+                         f"got shape {f.shape}")
+    if np.any(f[:, 0] != 0) or np.any(f[:, 1] != 1):
+        raise ValueError("input must be normalized: f(0) = 0, f'(0) = 1")
+    base = series.reciprocal_rows(f[:, 1:], n_max)  # z/f, one row per member
+    out = np.empty((f.shape[0], n_max), dtype=np.complex128)
+    out[:, 0] = base[:, 1] / 2.0
+    power = base
+    for n in range(2, n_max + 1):
+        power = series.multiply_rows(power, base, n_max)
+        out[:, n - 1] = power[:, n] / (2.0 * n)
+    return out
+
+
 def gamma12_U(a2, a, lam: float) -> tuple[complex, complex]:
     """Closed forms for the bounded-distortion class from its structure
     formula: Gamma_1 = -a2/2, Gamma_2 = (a2^2 + 2 lam a)/4, where
     a = omega(0) of the member's dilation."""
-    if not 0 < lam <= 1:
-        raise ValueError(f"requires 0 < lam <= 1, got {lam}")
+    check_u_lambda(lam)
     a2 = complex(a2)
     a = complex(a)
     if abs(a) > 1 + 1e-12:
@@ -135,8 +157,7 @@ def gamma123_F_alpha(c1, c2, c3, alpha: float) -> tuple[complex, complex, comple
         6 Gamma_3 = ((1-alpha)/2) (-c3 + (3-5 alpha) c1 c2
                                    - (3 alpha-2)(2 alpha-1) c1^3)
     """
-    if not -0.5 <= alpha < 1:
-        raise ValueError(f"requires -1/2 <= alpha < 1, got {alpha}")
+    check_f_alpha(alpha)
     c1, c2, c3 = complex(c1), complex(c2), complex(c3)
     om = 1.0 - alpha
     g1 = -om * c1 / 2.0

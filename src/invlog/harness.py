@@ -8,9 +8,19 @@ Four entry points, all deterministic in (seed, sample index):
   explore_convex_large_n -- probe the open orders of the convex class
 
 Per-sample randomness comes from numpy's counter-style seeding with the key
-(seed, index, attempt), so a campaign gives byte-identical reports; the
-sampled campaigns share one loop that draws and folds samples in index
-order.
+(seed, index, attempt), so a campaign gives byte-identical reports.
+
+The sampled campaigns share one chunked loop, _sample_rows. It takes CHUNK
+sample indices at a time; each index draws its parameters under its own
+key, then the chunk's members and their bn-route Gammas are computed as
+(samples x order) arrays (families.member_rows, gammas.gamma_rows_via_bn on
+the row kernels of series). Rows are built, graded and folded in index
+order. A row's bits do not depend on the rows computed with it, so reports
+do not depend on CHUNK. The scalar Series API (member_from_schwarz,
+u_lambda_member, gamma_via_bn) stays the reference layer: sharpness, the
+extremals and the demos use it, and the tests hold the batch rows to it.
+cross_check still runs the reversion route sample by sample, on a Series
+of each member row.
 
 Violation grading: with excess the amount by which a sample oversteps
 (|Gamma| - bound, or the route discrepancy), excess <= tol is "ok",
@@ -27,8 +37,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import families, gammas
-from .bounds import bound_for, v_of_x
+from .bounds import bound_for
 from .families import ClassSpec
+from .series import AnalyticSeries
 
 CSV_COLUMNS = ("sample_id", "n", "abs_gamma", "bound", "branch", "margin", "flag")
 
@@ -110,43 +121,47 @@ class VerifyReport:
 # sampling
 
 
-def _draw_member(spec: ClassSpec, seed, index: int, order: int, radius_cap: float):
-    """One random member plus per-sample metadata; retries a fresh key on a
-    degenerate draw rather than perturbing it, so results stay reproducible."""
-    last = None
-    for attempt in range(4):
-        key = (seed, index, attempt)
-        try:
-            if spec.entry.subordination is None:  # drawn from its structure formula
-                f, meta = _draw_u_member(spec, key, order, radius_cap)
-            else:
-                phi = families.sample_schwarz(key, 4, radius_cap=radius_cap)
-                f = families.member_from_schwarz(spec, phi, order)
-                meta = {"multiplicity": phi.multiplicity, "degree": len(phi.factors)}
-            if np.all(np.isfinite(f.coeffs)):
-                return f, meta, attempt
-            last = "non-finite coefficients"
-        except (ValueError, FloatingPointError) as exc:
-            last = str(exc)
-    raise RuntimeError(f"sample {index}: no usable draw in 4 attempts ({last})")
+CHUNK = 256  # sample indices drawn and computed as one batch
 
 
-def _draw_u_member(spec: ClassSpec, key, order: int, radius_cap: float):
-    rng = np.random.default_rng(key)
-    nfac = int(rng.integers(0, 4))
-    theta = float(rng.uniform(0.0, 2.0 * math.pi))
-    factors = []
-    for _ in range(nfac):
-        r = 0.95 * math.sqrt(rng.uniform())
-        t = rng.uniform(0.0, 2.0 * math.pi)
-        factors.append(r * complex(math.cos(t), math.sin(t)))
-    omega = families.blaschke_series(theta, tuple(factors), max(order - 3, 0))
-    abs_a = float(abs(omega.coeffs[0]))
-    radius = radius_cap * (1.0 + spec.lam * v_of_x(abs_a)) * math.sqrt(rng.uniform())
-    ang = rng.uniform(0.0, 2.0 * math.pi)
-    a2 = radius * complex(math.cos(ang), math.sin(ang))
-    f = families.u_lambda_member(a2, omega, spec.lam, order)
-    return f, {"abs_a": abs_a, "a2": a2}
+def _draw_chunk(spec: ClassSpec, seed, ids, order: int, radius_cap: float):
+    """Members for the sample indices ids, as rows of one array, plus each
+    index's parameter draw and attempt count.
+
+    Each index draws its parameters under the key (seed, index, attempt);
+    a draw that raises, or whose member row is not finite, is retried under
+    the next attempt rather than perturbed, so results stay reproducible.
+    Each pass turns all pending draws into members as one batch.
+    """
+    rows = np.empty((len(ids), order + 1), dtype=np.complex128)
+    draws = [None] * len(ids)
+    attempts = [0] * len(ids)
+    last = [None] * len(ids)
+    todo = list(range(len(ids)))
+    while todo:
+        for j in todo:
+            while draws[j] is None:
+                if attempts[j] == 4:
+                    raise RuntimeError(f"sample {ids[j]}: no usable draw in 4 attempts "
+                                       f"({last[j]})")
+                try:
+                    draws[j] = families.sample_member(spec, (seed, ids[j], attempts[j]),
+                                                      radius_cap=radius_cap)
+                except (ValueError, FloatingPointError) as exc:
+                    last[j] = str(exc)
+                    attempts[j] += 1
+        # overflow shows up as a non-finite row, caught below
+        with np.errstate(all="ignore"):
+            batch = families.member_rows(spec, [draws[j] for j in todo], order)
+        finite = np.isfinite(batch).all(axis=1)
+        rows[todo] = batch
+        redo = [j for j, ok in zip(todo, finite) if not ok]
+        for j in redo:
+            draws[j] = None
+            last[j] = "non-finite coefficients"
+            attempts[j] += 1
+        todo = redo
+    return rows, draws, attempts
 
 
 def _resolve_order(n_max: int, order, tol: float = 0.0) -> int:
@@ -171,19 +186,24 @@ def _graded_row(sample_id, n: int, ag: float, bound: float, branch: str, tol: fl
 
 
 def _sample_rows(report: VerifyReport, spec: ClassSpec, radius_cap: float, rows_of):
-    """The sample loop of every sampled campaign: draw each member in index
-    order, append rows_of(i, f, meta) to the report and yield each row for
-    the caller's summary. Rows flagged neither ok nor open become
-    violations; resampled draws leave a note."""
-    for i in range(report.samples):
-        f, meta, attempts = _draw_member(spec, report.seed, i, report.order, radius_cap)
-        if attempts:
-            report.notes.append(f"sample {i}: resampled {attempts} time(s)")
-        for row in rows_of(i, f, meta):
-            report.rows.append(row)
-            if row["flag"] not in ("ok", "open"):
-                report.violations.append(dict(row))
-            yield row
+    """The sample loop of every sampled campaign. CHUNK indices at a time,
+    draw the members and compute their Gamma_1..Gamma_{n_max} by the bn route
+    as arrays; then, in index order, append rows_of(i, f, gamma, draw) to the
+    report and yield each row for the caller's summary. Rows flagged neither
+    ok nor open become violations; resampled draws leave a note."""
+    for start in range(0, report.samples, CHUNK):
+        ids = range(start, min(start + CHUNK, report.samples))
+        members, draws, attempts = _draw_chunk(spec, report.seed, ids, report.order,
+                                               radius_cap)
+        gams = gammas.gamma_rows_via_bn(members, report.n_max)
+        for i, f, gam, draw, tries in zip(ids, members, gams, draws, attempts):
+            if tries:
+                report.notes.append(f"sample {i}: resampled {tries} time(s)")
+            for row in rows_of(i, f, gam, draw):
+                report.rows.append(row)
+                if row["flag"] not in ("ok", "open"):
+                    report.violations.append(dict(row))
+                yield row
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +225,17 @@ def cross_check(samples: int, seed: int, n_max: int, tol: float = 1e-10, *,
         raise ValueError("samples and n_max must be >= 1")
     order = _resolve_order(n_max, order, tol)
 
-    def rows_of(i: int, f, meta):
-        gr = gammas.gamma_via_reversion(f, n_max)
-        gb = gammas.gamma_via_bn(f, n_max)
-        disc = np.abs(gr.gammas - gb.gammas)
+    def rows_of(i: int, f, gam, draw):
+        gr = gammas.gamma_via_reversion(AnalyticSeries(f), n_max)
+        disc = np.abs(gr.gammas - gam).tolist()
+        abs_gamma = np.abs(gam).tolist()
         rows = []
         for n in range(1, n_max + 1):
-            d = float(disc[n - 1])
+            d = disc[n - 1]
             rows.append({
                 "sample_id": i,
                 "n": n,
-                "abs_gamma": float(abs(gb.gammas[n - 1])),
+                "abs_gamma": abs_gamma[n - 1],
                 "bound": tol,
                 "branch": "path-equivalence",
                 "margin": tol - d,
@@ -252,17 +272,22 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
 
     def applicable(abs_a):
         results = (bound_for(spec, n, abs_a=abs_a) for n in range(1, n_max + 1))
-        return {res.n: res for res in results if res.applicable}
+        found = {res.n: res for res in results if res.applicable}
+        for n, res in found.items():
+            if not math.isfinite(res.value):
+                raise ValueError(f"the bound at n={n} is {res.value}, beyond double "
+                                 "precision; lower n_max")
+        return found
 
     per_sample = spec.entry.per_sample_bound
     static = None if per_sample else applicable(None)
     if static == {}:
         raise ValueError(f"no applicable bounds for {spec.label()} with n_max={n_max}")
 
-    def rows_of(i: int, f, meta):
-        gv = gammas.gamma_via_bn(f, n_max)
-        results = applicable(meta["abs_a"]) if per_sample else static
-        return [_graded_row(i, n, float(abs(gv.gammas[n - 1])), res.value, res.branch, tol)
+    def rows_of(i: int, f, gam, draw):
+        abs_gamma = np.abs(gam).tolist()
+        results = applicable(draw.abs_a) if per_sample else static
+        return [_graded_row(i, n, abs_gamma[n - 1], res.value, res.branch, tol)
                 for n, res in results.items()]
 
     report = VerifyReport(kind="verify", label=spec.label(), params=spec.params(),
@@ -360,11 +385,11 @@ def explore_convex_large_n(n_min: int, n_max: int, samples: int, seed: int, *,
     spec = ClassSpec.f_alpha(0.0)
     order = _resolve_order(n_max, order, tol)
 
-    def rows_of(i: int, f, meta):
-        gv = gammas.gamma_via_bn(f, n_max)
+    def rows_of(i: int, f, gam, draw):
+        abs_gamma = np.abs(gam).tolist()
         rows = []
         for n in range(n_min, n_max + 1):
-            ag = float(abs(gv.gammas[n - 1]))
+            ag = abs_gamma[n - 1]
             if n <= 3:
                 res = bound_for(spec, n)
                 rows.append(_graded_row(i, n, ag, res.value, res.branch, tol))

@@ -331,6 +331,43 @@ def _compose_raw(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
+# row layer: many series at once, one per row of an (S, order+1) array
+#
+# No wrapping and no checks: callers validate at the batch boundary. Each
+# result coefficient is one elementwise product and one sum over the last
+# axis, so a row's bits do not depend on how many rows are stacked with it.
+# These mirror multiply, reciprocal and exp_zero but do not replace them:
+# the scalar kernels stay the reference the rows are tested against.
+
+
+def multiply_rows(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """Row-wise product modulo z^{order+1}."""
+    out = np.empty((a.shape[0], order + 1), dtype=np.complex128)
+    for k in range(order + 1):
+        out[:, k] = (a[:, : k + 1] * b[:, k::-1]).sum(axis=-1)
+    return out
+
+
+def reciprocal_rows(c: np.ndarray, order: int) -> np.ndarray:
+    """Row-wise reciprocal of series whose constant terms are all 1."""
+    r = np.empty((c.shape[0], order + 1), dtype=np.complex128)
+    r[:, 0] = 1.0
+    for k in range(1, order + 1):
+        r[:, k] = -(c[:, k:0:-1] * r[:, :k]).sum(axis=-1)
+    return r
+
+
+def exp_zero_rows(c: np.ndarray, order: int) -> np.ndarray:
+    """Row-wise exponential of series whose constant terms are all 0."""
+    e = np.empty((c.shape[0], order + 1), dtype=np.complex128)
+    e[:, 0] = 1.0
+    weighted = np.arange(order + 1) * c[:, : order + 1]
+    for k in range(1, order + 1):
+        e[:, k] = (weighted[:, 1 : k + 1] * e[:, k - 1 :: -1]).sum(axis=-1) / k
+    return e
+
+
+# ---------------------------------------------------------------------------
 # argument checking
 
 

@@ -9,8 +9,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from invlog import harness
 from invlog.cli import build_parser, main
 
 
@@ -232,6 +234,33 @@ def test_exact_star_parameters_reach_every_command(capsys):
     assert table[5] == campaign[5] == "partial-product k=1"
     assert payload["params"] == {"A": 0.59999999999998, "B": -1.0}
     assert payload["label"] == "star-ab(A=0.6,B=-1)"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--class", "full-s", "--n-max", "600"),
+    ("gamma", "--family", "koebe", "--n-max", "600"),
+], ids=["bounds", "gamma"])
+def test_overflowing_json_is_an_error_not_output(capsys, argv):
+    # the full-class bound and the cusp map's Gammas overflow a double
+    # near n = 515; JSON has no infinity
+    with np.errstate(all="ignore"):
+        assert run_cli(*argv, "--format", "json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_an_overflowing_bound_stops_verify_before_sampling(capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("sampled before the bounds were checked")
+
+    monkeypatch.setattr(harness, "_draw_chunk", no_draw)
+    code = run_cli("verify", "--class", "full-s", "--n-max", "560", "--samples", "1",
+                   "--seed", "1")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the bound at n=515 is inf")
 
 
 def test_explore_exits_zero_regardless_of_findings(capsys):

@@ -12,7 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
-from invlog import bounds, families, series
+from invlog import bounds, families, gammas, series
 from invlog.families import ClassSpec, SchwarzFn
 from invlog.series import Series
 
@@ -410,3 +410,78 @@ def test_class_spec_delta_and_label():
         ClassSpec.gc(0.5).delta
     assert ClassSpec.full_s().label() == "full-s"
     assert ClassSpec.u_lambda(0.75).params() == {"lam": 0.75}
+
+
+# ---------------------------------------------------------------------------
+# members in batches against the scalar reference
+
+
+BATCH_CLASSES = [ClassSpec.full_s(), ClassSpec.star_ab(0.6, -0.4), ClassSpec.spiral(0.5, 0.25),
+                 ClassSpec.gc(0.5), ClassSpec.u_lambda(0.75), ClassSpec.f_alpha(-0.5)]
+
+
+def _scalar_member(spec: ClassSpec, draw, order: int) -> Series:
+    if spec.entry.subordination is None:
+        omega = families.blaschke_series(draw.theta, draw.factors, max(order - 3, 0))
+        return families.u_lambda_member(draw.a2, omega, spec.lam, order)
+    return families.member_from_schwarz(spec, draw, order)
+
+
+def _worst_relative(batch, scalar, scale) -> float:
+    # a coefficient whose scale is exactly zero must agree exactly
+    assert np.all(batch[scale == 0] == scalar[scale == 0])
+    return float(np.max(np.abs(batch - scalar)[scale > 0] / scale[scale > 0]))
+
+
+def _bn_term_scale(f: Series, n_max: int) -> np.ndarray:
+    """The bn route run on |z/f|: [z^n] (sum_k |u_k| z^k)^n / (2n) bounds the
+    modulus of every term the route sums for Gamma_n, so rounding errors
+    scale with it, not with |Gamma_n|."""
+    base = Series(np.abs(series.reciprocal(Series(f.coeffs[1:]), n_max).coeffs))
+    out, power = [base[1] / 2.0], base
+    for n in range(2, n_max + 1):
+        power = series.multiply(power, base, n_max)
+        out.append(power[n] / (2.0 * n))
+    return np.abs(out)
+
+
+@pytest.mark.parametrize("order,radius_cap", [(16, 0.95), (40, 0.8)])
+@pytest.mark.parametrize("spec", BATCH_CLASSES, ids=lambda s: s.label())
+def test_member_rows_match_the_scalar_members(spec, order, radius_cap):
+    draws = [families.sample_member(spec, (11, i, 0), radius_cap=radius_cap)
+             for i in range(24)]
+    rows = families.member_rows(spec, draws, order)
+    gam = gammas.gamma_rows_via_bn(rows, order - 1)
+    assert rows.shape == (24, order + 1) and gam.shape == (24, order - 1)
+    for draw, row, g in zip(draws, rows, gam):
+        f = _scalar_member(spec, draw, order)
+        assert row[0] == 0 and row[1] == 1
+        assert _worst_relative(row, f.coeffs, np.abs(f.coeffs)) <= 1e-12
+        # the top Gammas cancel: a member 1e-14 off moves Gamma_39 of an
+        # f-alpha(-0.5) member by 2e-10 of itself, whichever route order
+        want = gammas.gamma_via_bn(f, order - 1).gammas
+        assert _worst_relative(g, want, _bn_term_scale(f, order - 1)) <= 1e-12
+
+
+def test_blaschke_rows_match_the_scalar_series():
+    rng = RNG("blaschke-rows")
+    thetas = rng.uniform(0, 2 * math.pi, size=5)
+    factors = [tuple(0.9 * np.sqrt(rng.uniform(size=d)) * np.exp(2j * math.pi * rng.uniform(size=d)))
+               for d in (0, 1, 4, 2, 3)]
+    rows = families.blaschke_rows(thetas, [0, 1, 2, 3, 20], factors, 12)
+    for s in range(5):
+        want = families.blaschke_series(thetas[s], factors[s], 12).coeffs
+        if s:
+            want = families.schwarz_series(SchwarzFn(thetas[s], s if s < 4 else 20, factors[s]),
+                                           12).coeffs
+        np.testing.assert_allclose(rows[s], want, rtol=0, atol=1e-14)
+
+
+def test_sample_dilation_is_keyed_and_inside_the_class():
+    a = families.sample_dilation((5, 3, 0), 0.5, radius_cap=0.95)
+    assert a == families.sample_dilation((5, 3, 0), 0.5, radius_cap=0.95)
+    assert a != families.sample_dilation((5, 4, 0), 0.5, radius_cap=0.95)
+    assert len(a.factors) <= 3 and all(abs(x) < 0.95 for x in a.factors)
+    omega = families.blaschke_series(a.theta, a.factors, 0)
+    assert a.abs_a == pytest.approx(abs(omega[0]), rel=1e-15)
+    assert abs(a.a2) <= 0.95 * (1.0 + 0.5 * bounds.v_of_x(a.abs_a))

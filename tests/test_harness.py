@@ -5,6 +5,7 @@ full-size runs live in the acceptance tests.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -295,7 +296,7 @@ def test_every_campaign_rejects_a_bad_tolerance_before_sampling(monkeypatch, tol
     def no_draw(*args):
         raise AssertionError("sampled before the tolerance was checked")
 
-    monkeypatch.setattr(harness, "_draw_member", no_draw)
+    monkeypatch.setattr(harness, "_draw_chunk", no_draw)
     campaigns = [lambda: cross_check(5, 1, 4, tol=tol),
                  lambda: verify_bounds(ClassSpec.gc(0.5), 4, 5, 1, tol=tol),
                  lambda: sharpness_check(ClassSpec.gc(0.5), 4, tol=tol),
@@ -307,12 +308,51 @@ def test_every_campaign_rejects_a_bad_tolerance_before_sampling(monkeypatch, tol
 
 def test_draw_member_is_reproducible_per_key():
     spec = ClassSpec.gc(0.5)
-    f1, meta1, att1 = harness._draw_member(spec, 42, 7, 12, 0.9)
-    f2, meta2, att2 = harness._draw_member(spec, 42, 7, 12, 0.9)
-    assert np.array_equal(f1.coeffs, f2.coeffs)
-    assert meta1 == meta2 and att1 == att2
-    f3, _, _ = harness._draw_member(spec, 42, 8, 12, 0.9)
-    assert not np.array_equal(f1.coeffs, f3.coeffs)
+    f1, draws1, att1 = harness._draw_chunk(spec, 42, [7], 12, 0.9)
+    f2, draws2, att2 = harness._draw_chunk(spec, 42, [7], 12, 0.9)
+    assert np.array_equal(f1, f2)
+    assert draws1 == draws2 and att1 == att2 == [0]
+    f3, _, _ = harness._draw_chunk(spec, 42, [8], 12, 0.9)
+    assert not np.array_equal(f1, f3)
+    # a member's row does not depend on the indices drawn with it
+    rows, _, _ = harness._draw_chunk(spec, 42, range(5, 10), 12, 0.9)
+    assert np.array_equal(rows[2], f1[0])
+    assert np.array_equal(rows[3], f3[0])
+
+
+def _campaign_bytes():
+    reports = [verify_bounds(spec, 8, 12, 3) for spec in EVERY_CLASS]
+    reports += [cross_check(12, 3, 8), explore_convex_large_n(1, 9, 12, 3)]
+    return [rep.to_json() + rep.to_csv() for rep in reports]
+
+
+EVERY_CLASS = [ClassSpec.full_s(), ClassSpec.star_ab(0.6, -1.0), ClassSpec.spiral(0.5, 0.2),
+               ClassSpec.gc(0.5), ClassSpec.u_lambda(0.5), ClassSpec.f_alpha(0.0),
+               ClassSpec.f_alpha(-0.5)]
+
+
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    reference = _campaign_bytes()  # 12 samples: one chunk
+    for chunk in (1, 7):
+        monkeypatch.setattr(harness, "CHUNK", chunk)
+        assert _campaign_bytes() == reference, f"CHUNK = {chunk}"
+
+
+def test_a_non_finite_member_is_redrawn(monkeypatch):
+    draw = families.sample_schwarz
+
+    def first_attempt_of_sample_2_overflows(key, *args, **kwargs):
+        phi = draw(key, *args, **kwargs)
+        if key[1:] == (2, 0):  # a NaN rotation makes every coefficient NaN
+            return families.SchwarzFn(math.nan, phi.multiplicity, phi.factors)
+        return phi
+
+    monkeypatch.setattr(families, "sample_schwarz", first_attempt_of_sample_2_overflows)
+    monkeypatch.setattr(harness, "CHUNK", 3)
+    rep = verify_bounds(ClassSpec.gc(0.5), 4, 5, 3)
+    assert [n for n in rep.notes if "resampled" in n] == ["sample 2: resampled 1 time(s)"]
+    assert len(rep.rows) == 5 * 4
+    assert all(math.isfinite(row["abs_gamma"]) for row in rep.rows)
 
 
 # every sampled campaign retries a degenerate draw under a fresh key; real
@@ -346,3 +386,22 @@ def test_draw_gives_up_after_four_attempts(monkeypatch):
     monkeypatch.setattr(families, "sample_schwarz", always_fails)
     with pytest.raises(RuntimeError, match="no usable draw in 4 attempts"):
         verify_bounds(ClassSpec.gc(0.5), 4, 5, 3)
+
+
+def test_draw_gives_up_on_four_non_finite_members(monkeypatch):
+    def always_nan(key, *args, **kwargs):
+        return families.SchwarzFn(math.nan)
+
+    monkeypatch.setattr(families, "sample_schwarz", always_nan)
+    with pytest.raises(RuntimeError, match=r"sample 0: no usable draw in 4 attempts "
+                                           r"\(non-finite coefficients\)"):
+        verify_bounds(ClassSpec.gc(0.5), 4, 5, 3)
+
+
+def test_a_bound_beyond_double_precision_is_rejected_before_sampling(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("sampled before the bounds were checked")
+
+    monkeypatch.setattr(harness, "_draw_chunk", no_draw)
+    with pytest.raises(ValueError, match="bound at n=51[0-9] is inf"):
+        verify_bounds(ClassSpec.full_s(), 560, 1, 1)

@@ -67,6 +67,30 @@ def test_reciprocal_matches_neumann_sum():
         assert _maxdiff(got, want) < 1e-11
 
 
+@pytest.mark.parametrize("order", [0, 1, 12])
+def test_row_kernels_match_the_scalar_kernels(order):
+    rng = RNG(f"rows-{order}")
+    units = np.array([unit_draw(rng, order, rho=0.9) for _ in range(9)])
+    others = np.array([unit_draw(rng, order, rho=0.9) for _ in range(9)])
+    zeros = units - np.eye(1, order + 1)  # constant terms exactly 0
+    got = {"multiply": series.multiply_rows(units, others, order),
+           "reciprocal": series.reciprocal_rows(units, order),
+           "exp_zero": series.exp_zero_rows(zeros, order)}
+    for s in range(9):
+        want = {"multiply": series.multiply(_series(units[s]), _series(others[s]), order),
+                "reciprocal": series.reciprocal(_series(units[s]), order),
+                "exp_zero": series.exp_zero(_series(zeros[s]), order)}
+        for name, w in want.items():
+            assert _maxdiff(got[name][s], w.coeffs) < 1e-14, name
+        # a row's bits do not depend on the rows stacked with it
+        assert np.array_equal(series.multiply_rows(units[s:s + 1], others[s:s + 1], order)[0],
+                              got["multiply"][s])
+        assert np.array_equal(series.reciprocal_rows(units[s:s + 1], order)[0],
+                              got["reciprocal"][s])
+        assert np.array_equal(series.exp_zero_rows(zeros[s:s + 1], order)[0],
+                              got["exp_zero"][s])
+
+
 def test_log_matches_mercator_series():
     rng = RNG("log")
     for _ in range(50):
