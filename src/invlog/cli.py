@@ -122,12 +122,14 @@ def cmd_gamma(args) -> int:
     n_max = args.n_max
     order = args.order if args.order is not None else n_max + 1
     f = _gamma_function(args, order)
-    gv = gammas.gamma_via_bn(f, n_max)
+    with np.errstate(all="ignore"):  # an overflow is reported below, at its first n
+        gv = gammas.gamma_via_bn(f, n_max)
     lines_csv = ["n,re,im,abs"]
     human = [f"Gamma_n for family {args.family} (order {order}, route: bn-identity)"]
     payload = []
     for n in range(1, n_max + 1):
         g = gv[n]
+        _require(np.isfinite(g), f"Gamma at n={n} is {g}, beyond double precision; lower n_max")
         payload.append({"n": n, "re": g.real, "im": g.imag, "abs": abs(g)})
         lines_csv.append(",".join((str(n), harness._fmt17(g.real), harness._fmt17(g.imag),
                                    harness._fmt17(abs(g)))))
@@ -155,6 +157,8 @@ def cmd_bounds(args) -> int:
     rows = []
     for n in range(1, args.n_max + 1):
         res = bound_for(spec, n, abs_a=abs_a)
+        _require(not res.applicable or np.isfinite(res.value),
+                 f"the bound at n={n} is {res.value}, beyond double precision; lower n_max")
         rows.append({"n": n, "value": res.value, "branch": res.branch,
                      "applicable": res.applicable, "note": res.note})
         if res.applicable:

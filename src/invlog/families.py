@@ -189,15 +189,9 @@ def u_lambda_member(a2, omega, lam: float, order: int) -> AnalyticSeries:
     check_u_lambda(lam)
     if order < 2:
         raise ValueError("order must be >= 2")
-    dord = order - 1
-    den = np.zeros(dord + 1, dtype=np.complex128)
-    den[0] = 1.0
-    den[1] = -complex(a2)
-    if dord >= 2:
-        w = _omega_coeffs(omega, dord - 2)
-        # (z * int omega)[k] = omega_{k-2} / (k-1) for k >= 2
-        den[2:] += lam * w / np.arange(1, dord, dtype=np.float64)
-    return _z_times(series.reciprocal(Series(den), dord), order)
+    # order 2 never reads omega: f = z / (1 - a2 z) there
+    omega = _omega_coeffs(omega, order - 3)[None] if order >= 3 else None
+    return AnalyticSeries(u_lambda_rows([complex(a2)], omega, lam, order)[0])
 
 
 def _omega_coeffs(omega, order: int) -> np.ndarray:
@@ -254,10 +248,7 @@ def f_alpha_extremal(alpha: float, variant: str, order: int) -> AnalyticSeries:
 
 def schwarz_series(phi: SchwarzFn, order: int) -> Series:
     """Taylor coefficients of phi to the stated order; c0 is exactly zero."""
-    if phi.multiplicity > order:
-        return series.constant(0.0, order)
-    out = series.monomial(phi.multiplicity, order, cmath.exp(1j * phi.theta))
-    return _blaschke_apply(out, phi.factors, order)
+    return Series(blaschke_rows([phi.theta], [phi.multiplicity], [phi.factors], order)[0])
 
 
 def blaschke_series(theta: float, factors, order: int) -> Series:
@@ -266,23 +257,7 @@ def blaschke_series(theta: float, factors, order: int) -> Series:
     for a in factors:
         if abs(a) >= 1:
             raise ValueError(f"Blaschke parameter {a!r} not inside the unit disk")
-    return _blaschke_apply(series.constant(cmath.exp(1j * theta), order), factors, order)
-
-
-def _blaschke_apply(out: Series, factors, order: int) -> Series:
-    for a in factors:
-        a = complex(a)
-        num = np.zeros(order + 1, dtype=np.complex128)
-        num[0] = a
-        if order >= 1:
-            num[1] = 1.0
-        den = np.zeros(order + 1, dtype=np.complex128)
-        den[0] = 1.0
-        if order >= 1:
-            den[1] = np.conj(a)
-        factor = series.multiply(Series(num), series.reciprocal(Series(den), order), order)
-        out = series.multiply(out, factor, order)
-    return out
+    return Series(blaschke_rows([theta], [0], [tuple(factors)], order)[0])
 
 
 def sample_schwarz(seed, degree_max: int = 4, *, radius_cap: float = 0.95,
@@ -371,19 +346,10 @@ def member_from_schwarz(spec: ClassSpec, phi, order: int) -> AnalyticSeries:
     if order < 2:
         raise ValueError("order must be >= 2")
     s = _phi_series(phi, order - 1)
-    entry = spec.entry
-    if entry.subordination is None:
+    if spec.entry.subordination is None:
         raise ValueError(f"{spec.tag} members come from u_lambda_member(a2, omega, lam), "
                          "not subordination")
-    a, b = entry.subordination(spec)
-    den = s.coeffs * complex(b)  # 1 + b phi, built in place: phi(0) = 0
-    den[0] += 1.0
-    g = series.multiply(series.scale(s, a), series.reciprocal(Series(den), order - 1), order - 1)
-    integrand = series.divide_by_z(g)
-    unit = series.exp_zero(series.integrate_termwise(integrand, order - 1), order - 1)
-    if entry.derivative:
-        return AnalyticSeries(series.integrate_termwise(unit, order).coeffs)
-    return _z_times(unit, order)
+    return AnalyticSeries(subordination_rows(spec, s.coeffs[None], order)[0])
 
 
 def _phi_series(phi, order: int) -> Series:
@@ -401,9 +367,10 @@ def _phi_series(phi, order: int) -> Series:
 # ---------------------------------------------------------------------------
 # members in batches: one member per row of an (S, order+1) array
 #
-# The row versions of blaschke_series/schwarz_series, member_from_schwarz and
-# u_lambda_member, for campaigns. Nothing is checked per intermediate row;
-# the caller checks each finished member row once.
+# The one implementation of the members: campaigns call these on a chunk of
+# draws; schwarz_series, blaschke_series, member_from_schwarz and
+# u_lambda_member validate and call them on one row. Each caller checks the
+# finished rows, never an intermediate one.
 
 
 def member_rows(spec: ClassSpec, draws: list, order: int) -> np.ndarray:
@@ -469,6 +436,7 @@ def u_lambda_rows(a2, omega: np.ndarray, lam: float, order: int) -> np.ndarray:
     den[:, 0] = 1.0
     den[:, 1] = -np.asarray(a2, dtype=np.complex128)
     if dord >= 2:
+        # (z * int omega)[k] = omega_{k-2} / (k-1) for k >= 2
         den[:, 2:] += lam * omega[:, : dord - 1] / np.arange(1, dord, dtype=np.float64)
     f = np.zeros((len(a2), order + 1), dtype=np.complex128)
     f[:, 1:] = series.reciprocal_rows(den, dord)

@@ -96,28 +96,17 @@ def gamma_via_reversion(f: Series, n_max: int) -> GammaVector:
 
 
 def gamma_via_bn(f: Series, n_max: int) -> GammaVector:
-    """Reversion-free route: 2 n Gamma_n is the z^n coefficient of (z/f)^n.
-
-    One reciprocal, then successive multiplications by z/f; the z^n
-    coefficient of the n-th power is read off as it appears.
-    """
+    """Reversion-free route, 2 n Gamma_n = [z^n] (z/f)^n: gamma_rows_via_bn on one row."""
     _check_input(f, n_max)
-    u = series.reciprocal(Series(f.coeffs[1:]), n_max)  # z/f as a series in z
-    base = u.coeffs
-    out = np.empty(n_max, dtype=np.complex128)
-    out[0] = base[1] / 2.0
-    power = base
-    for n in range(2, n_max + 1):
-        power = series._mul_raw(power, base, n_max)
-        out[n - 1] = power[n] / (2.0 * n)
-    return GammaVector(gammas=out, source="bn-identity")
+    return GammaVector(gammas=gamma_rows_via_bn(f.coeffs[None], n_max)[0], source="bn-identity")
 
 
 def gamma_rows_via_bn(f: np.ndarray, n_max: int) -> np.ndarray:
-    """gamma_via_bn on every row of an (S, order+1) array of normalized
+    """The bn route on every row of an (S, order+1) array of normalized
     members at once: row s of the (S, n_max) result holds Gamma_1..Gamma_{n_max}
-    of member s. Same identity, one reciprocal and n_max - 1 products, each
-    on the whole stack of rows."""
+    of member s. One reciprocal gives u = z/f, successive products on the
+    whole stack give u^m for m <= ceil(n_max/2), and [z^n] u^n is the z^n
+    coefficient of u^{n - n//2} u^{n//2}: one sum of n + 1 terms."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if f.ndim != 2 or f.shape[1] < n_max + 2:
@@ -126,12 +115,14 @@ def gamma_rows_via_bn(f: np.ndarray, n_max: int) -> np.ndarray:
     if np.any(f[:, 0] != 0) or np.any(f[:, 1] != 1):
         raise ValueError("input must be normalized: f(0) = 0, f'(0) = 1")
     base = series.reciprocal_rows(f[:, 1:], n_max)  # z/f, one row per member
+    powers = [None, base]
+    for _ in range(2, (n_max + 1) // 2 + 1):
+        powers.append(series.multiply_rows(powers[-1], base, n_max))
     out = np.empty((f.shape[0], n_max), dtype=np.complex128)
     out[:, 0] = base[:, 1] / 2.0
-    power = base
     for n in range(2, n_max + 1):
-        power = series.multiply_rows(power, base, n_max)
-        out[:, n - 1] = power[:, n] / (2.0 * n)
+        hi, lo = powers[n - n // 2], powers[n // 2]
+        out[:, n - 1] = np.einsum("sj,sj->s", hi[:, : n + 1], lo[:, n::-1]) / (2.0 * n)
     return out
 
 

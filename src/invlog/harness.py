@@ -16,9 +16,9 @@ key, then the chunk's members and their bn-route Gammas are computed as
 (samples x order) arrays (families.member_rows, gammas.gamma_rows_via_bn on
 the row kernels of series). Rows are built, graded and folded in index
 order. A row's bits do not depend on the rows computed with it, so reports
-do not depend on CHUNK. The scalar Series API (member_from_schwarz,
-u_lambda_member, gamma_via_bn) stays the reference layer: sharpness, the
-extremals and the demos use it, and the tests hold the batch rows to it.
+do not depend on CHUNK. The Series API (member_from_schwarz,
+u_lambda_member, gamma_via_bn) is a validating one-row wrapper over the
+same row functions; tests/_oracles.py is the reference both are held to.
 cross_check still runs the reversion route sample by sample, on a Series
 of each member row.
 

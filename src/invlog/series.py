@@ -195,21 +195,15 @@ def integrate_termwise(a: Series, order: int) -> Series:
 def multiply(a: Series, b: Series, order: int) -> Series:
     _need(a, order)
     _need(b, order)
-    return Series(_mul_raw(a.coeffs, b.coeffs, order))
+    return Series(multiply_rows(a.coeffs[None], b.coeffs[None], order)[0])
 
 
 def reciprocal(a: Series, order: int) -> UnitSeries:
     """Series r with multiply(a, r, order) == 1 modulo z^{order+1}."""
     _need(a, order)
-    c = a.coeffs
-    if c[0] != 1:
+    if a.coeffs[0] != 1:
         raise ValueError("reciprocal requires c0 == 1 exactly")
-    r = np.zeros(order + 1, dtype=np.complex128)
-    r[0] = 1.0
-    for k in range(1, order + 1):
-        # r_k = -sum_{m=1..k} c_m r_{k-m}
-        r[k] = -np.dot(c[k:0:-1], r[:k])
-    return UnitSeries(r)
+    return UnitSeries(reciprocal_rows(a.coeffs[None], order)[0])
 
 
 def log_unit(a: Series, order: int) -> Series:
@@ -229,17 +223,9 @@ def log_unit(a: Series, order: int) -> Series:
 def exp_zero(a: Series, order: int) -> UnitSeries:
     """Exponential of a series with c0 == 0; result has c0 == 1."""
     _need(a, order)
-    c = a.coeffs
-    if c[0] != 0:
+    if a.coeffs[0] != 0:
         raise ValueError("exp_zero requires c0 == 0 exactly")
-    e = np.zeros(order + 1, dtype=np.complex128)
-    e[0] = 1.0
-    if order >= 1:
-        weighted = np.arange(order + 1) * c[: order + 1]
-        for k in range(1, order + 1):
-            # k E_k = sum_{j=1..k} j c_j E_{k-j}
-            e[k] = np.dot(weighted[1 : k + 1], e[k - 1 :: -1][:k]) / k
-    return UnitSeries(e)
+    return UnitSeries(exp_zero_rows(a.coeffs[None], order)[0])
 
 
 def pow_scalar(a: Series, mu, order: int) -> UnitSeries:
@@ -309,43 +295,38 @@ def revert(f: Series, order: int) -> AnalyticSeries:
 
 
 # ---------------------------------------------------------------------------
-# raw array layer (no wrapping, used by hot loops)
-
-
-def _mul_raw(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    out = np.convolve(a[: order + 1], b[: order + 1])[: order + 1]
-    if out.size < order + 1:
-        out = np.concatenate([out, np.zeros(order + 1 - out.size, dtype=np.complex128)])
-    return out
+# row layer: many series at once, one per row of an (S, order+1) array
+#
+# The one implementation of the product, reciprocal and exponential; the
+# Series functions above validate and call these on one row. Each result
+# coefficient is one sum over a row's own terms, never BLAS: exactly the
+# terms it needs, or (the product) those in turn and then exact zeros. So
+# its bits depend neither on the rows stacked with it nor on the order.
 
 
 def _compose_raw(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
     # Horner: o_0 + g (o_1 + g (o_2 + ...)); g has zero constant term.
     # Only compose uses it; revert keeps the same nesting as a table.
-    acc = np.zeros(order + 1, dtype=np.complex128)
-    acc[0] = outer[-1]
+    acc = np.zeros((1, order + 1), dtype=np.complex128)
+    acc[0, 0] = outer[-1]
     for k in range(len(outer) - 2, -1, -1):
-        acc = _mul_raw(acc, inner, order)
-        acc[0] += outer[k]
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# row layer: many series at once, one per row of an (S, order+1) array
-#
-# No wrapping and no checks: callers validate at the batch boundary. Each
-# result coefficient is one elementwise product and one sum over the last
-# axis, so a row's bits do not depend on how many rows are stacked with it.
-# These mirror multiply, reciprocal and exp_zero but do not replace them:
-# the scalar kernels stay the reference the rows are tested against.
+        acc = multiply_rows(acc, inner[None], order)
+        acc[0, 0] += outer[k]
+    return acc[0]
 
 
 def multiply_rows(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """Row-wise product modulo z^{order+1}."""
-    out = np.empty((a.shape[0], order + 1), dtype=np.complex128)
-    for k in range(order + 1):
-        out[:, k] = (a[:, : k + 1] * b[:, k::-1]).sum(axis=-1)
-    return out
+    """Row-wise product modulo z^{order+1}: out[s, k] = sum_j a[s, j] T[s, k, j]
+    with T[s, k, j] = b[s, k - j], zero for j > k, a strided view (no copy)
+    of b reversed and zero-padded. The padding adds exact zeros to each
+    in-turn sum, so it changes no bits while a is finite."""
+    n = order + 1
+    padded = np.zeros((b.shape[0], 2 * n - 1), dtype=np.complex128)
+    padded[:, :n] = b[:, n - 1 :: -1]
+    step = padded.itemsize
+    toeplitz = np.ndarray((b.shape[0], n, n), np.complex128, padded, (n - 1) * step,
+                          (padded.strides[0], -step, step))
+    return np.einsum("sj,skj->sk", a[:, :n], toeplitz)
 
 
 def reciprocal_rows(c: np.ndarray, order: int) -> np.ndarray:

@@ -1,18 +1,21 @@
 """Independent reference implementations for the test suite.
 
-Everything here is pure Python over plain lists (or Fractions), written
-from the defining formulas rather than the package's recurrences: naive
-convolution, Neumann sums for reciprocals, Mercator and Taylor series for
-log and exp, generalized binomial sums for powers, direct power sums for
-composition, and Lagrange's formula for reversion. Slow on purpose; the
-point is that they share no algorithmic structure with the kernel they
-check.
+Everything here is pure Python over plain lists (of complex numbers,
+Fractions or mpmath numbers), written from the defining formulas rather
+than the package's recurrences: naive convolution, Neumann sums for
+reciprocals, Mercator and Taylor series for log and exp, generalized
+binomial sums for powers, direct power sums for composition, Lagrange's
+formula for reversion, and the bn identity at 50 digits. Slow on purpose;
+the point is that they share no algorithmic structure with the kernel they
+check. The package's Series functions and its row kernels are one
+implementation; these are the reference both are held to.
 
 Lists hold coefficients low to high: p[k] multiplies z**k.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
 import numpy as np
@@ -167,6 +170,61 @@ def gamma_oracle(f, n_max):
     unit = aa[1:]  # F/w
     ell = log_mercator(unit, n_max)
     return [ell[n] / 2 for n in range(1, n_max + 1)]
+
+
+def _bn_coefficients(u, n_max):
+    """[z^n] u^n / (2n) for n = 1..n_max, from plain powers of u."""
+    out, power = [], [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        power = poly_mul(power, u, n_max)
+        out.append(power[n] / (2 * n))
+    return out
+
+
+def _z_over_f_mp(f, n_max):
+    """z/f by the Neumann sum on mpmath.mpc, from the exact values of f's
+    doubles; call inside an mpmath precision context."""
+    import mpmath
+
+    return recip_neumann([mpmath.mpc(complex(c)) for c in f[1 : n_max + 2]], n_max)
+
+
+def gamma_bn_mp(f, n_max, dps=50):
+    """Gamma_1..Gamma_{n_max} by the bn identity 2n Gamma_n = [z^n] (z/f)^n,
+    with the generic Neumann reciprocal and powers run on mpmath.mpc at dps
+    digits. The float route computes the same identity, so the difference is
+    the float route's rounding alone."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return [complex(g) for g in _bn_coefficients(_z_over_f_mp(f, n_max), n_max)]
+
+
+def bn_term_scale(f, n_max, dps=50):
+    """The bn route run on |z/f|: [z^n] (sum_k |u_k| z^k)^n / (2n) bounds the
+    modulus of every term the route sums for Gamma_n, so rounding errors
+    scale with it, not with |Gamma_n|. A sum of positive terms, so the
+    powers need no extra precision; z/f itself does (the Neumann sum
+    cancels)."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        u = [float(abs(x)) for x in _z_over_f_mp(f, n_max)]
+    return _bn_coefficients(u, n_max)
+
+
+def blaschke(theta, m, factors, order):
+    """e^{i theta} z^m prod_j (z + a_j)/(1 + conj(a_j) z), each denominator
+    by its geometric (Neumann) series."""
+    out = [0] * (order + 1)
+    if m <= order:
+        out[m] = cmath.exp(1j * theta)
+    for a in factors:
+        a = complex(a)
+        num = ([a, 1] + [0] * order)[: order + 1]
+        den = ([1, a.conjugate()] + [0] * order)[: order + 1]
+        out = poly_mul(out, poly_mul(num, recip_neumann(den, order), order), order)
+    return out
 
 
 def v_quadrature(x):

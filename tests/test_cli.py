@@ -250,6 +250,19 @@ def test_overflowing_json_is_an_error_not_output(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("fmt", ["human", "csv"])
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--class", "full-s", "--n-max", "600"),
+    ("gamma", "--family", "koebe", "--n-max", "600"),
+], ids=["bounds", "gamma"])
+def test_a_value_beyond_double_precision_is_an_error_in_every_format(capsys, argv, fmt):
+    # both overflow first at n = 515: no earlier Gamma may turn NaN on the way
+    assert run_cli(*argv, "--format", fmt) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and " at n=515 is " in captured.err
+
+
 def test_an_overflowing_bound_stops_verify_before_sampling(capsys, monkeypatch):
     def no_draw(*args):
         raise AssertionError("sampled before the bounds were checked")

@@ -12,6 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
+from _oracles import blaschke, bn_term_scale, gamma_bn_mp, poly_mul
 from invlog import bounds, families, gammas, series
 from invlog.families import ClassSpec, SchwarzFn
 from invlog.series import Series
@@ -413,36 +414,47 @@ def test_class_spec_delta_and_label():
 
 
 # ---------------------------------------------------------------------------
-# members in batches against the scalar reference
+# members in batches, held to the oracles
+#
+# member_rows is also what member_from_schwarz and u_lambda_member run on one
+# row, so the rows are checked against relations evaluated in _oracles: the
+# defining relation written with products only (no reciprocal to cancel),
+# to within rounding of the terms it sums.
 
 
 BATCH_CLASSES = [ClassSpec.full_s(), ClassSpec.star_ab(0.6, -0.4), ClassSpec.spiral(0.5, 0.25),
                  ClassSpec.gc(0.5), ClassSpec.u_lambda(0.75), ClassSpec.f_alpha(-0.5)]
 
 
-def _scalar_member(spec: ClassSpec, draw, order: int) -> Series:
+def _abs(p):
+    return [abs(x) for x in p]
+
+
+def _oracle_residual(spec: ClassSpec, draw, row, order: int):
+    """Residual and term scale per coefficient of the member's defining
+    relation. With q = z f'/f (or 1 + z f''/f') and q - 1 = a phi/(1 + b phi),
+    it reads q_num (1 + b phi) = g (1 + (a + b) phi) for q = q_num/g; the
+    bounded-distortion class reads f' = (f/z)^2 (1 - lam z^2 omega)."""
+    f = [complex(c) for c in row]
     if spec.entry.subordination is None:
-        omega = families.blaschke_series(draw.theta, draw.factors, max(order - 3, 0))
-        return families.u_lambda_member(draw.a2, omega, spec.lam, order)
-    return families.member_from_schwarz(spec, draw, order)
-
-
-def _worst_relative(batch, scalar, scale) -> float:
-    # a coefficient whose scale is exactly zero must agree exactly
-    assert np.all(batch[scale == 0] == scalar[scale == 0])
-    return float(np.max(np.abs(batch - scalar)[scale > 0] / scale[scale > 0]))
-
-
-def _bn_term_scale(f: Series, n_max: int) -> np.ndarray:
-    """The bn route run on |z/f|: [z^n] (sum_k |u_k| z^k)^n / (2n) bounds the
-    modulus of every term the route sums for Gamma_n, so rounding errors
-    scale with it, not with |Gamma_n|."""
-    base = Series(np.abs(series.reciprocal(Series(f.coeffs[1:]), n_max).coeffs))
-    out, power = [base[1] / 2.0], base
-    for n in range(2, n_max + 1):
-        power = series.multiply(power, base, n_max)
-        out.append(power[n] / (2.0 * n))
-    return np.abs(out)
+        n = order - 1
+        omega = blaschke(draw.theta, 0, draw.factors, max(order - 3, 0))
+        factor = ([1, 0] + [-spec.lam * w for w in omega] + [0] * n)[: n + 1]
+        lhs = [(k + 1) * f[k + 1] for k in range(n + 1)]
+        rhs = poly_mul(poly_mul(f[1:], f[1:], n), factor, n)
+        scale = [abs(x) + y for x, y in
+                 zip(lhs, poly_mul(poly_mul(_abs(f[1:]), _abs(f[1:]), n), _abs(factor), n))]
+        return np.abs(np.subtract(lhs, rhs)), np.array(scale)
+    a, b = spec.entry.subordination(spec)
+    n = order - 1 if spec.entry.derivative else order
+    phi = blaschke(draw.theta, draw.multiplicity, draw.factors, order - 1)
+    g = [(k + 1) * f[k + 1] for k in range(n + 1)] if spec.entry.derivative else f
+    q_num = [(k + 1) * g[k] if spec.entry.derivative else k * g[k] for k in range(n + 1)]
+    one_b = [1] + [b * p for p in phi[1 : n + 1]]
+    one_ab = [1] + [(a + b) * p for p in phi[1 : n + 1]]
+    resid = np.subtract(poly_mul(q_num, one_b, n), poly_mul(g, one_ab, n))
+    scale = np.add(poly_mul(_abs(q_num), _abs(one_b), n), poly_mul(_abs(g), _abs(one_ab), n))
+    return np.abs(resid), scale
 
 
 @pytest.mark.parametrize("order,radius_cap", [(16, 0.95), (40, 0.8)])
@@ -454,13 +466,38 @@ def test_member_rows_match_the_scalar_members(spec, order, radius_cap):
     gam = gammas.gamma_rows_via_bn(rows, order - 1)
     assert rows.shape == (24, order + 1) and gam.shape == (24, order - 1)
     for draw, row, g in zip(draws, rows, gam):
-        f = _scalar_member(spec, draw, order)
         assert row[0] == 0 and row[1] == 1
-        assert _worst_relative(row, f.coeffs, np.abs(f.coeffs)) <= 1e-12
-        # the top Gammas cancel: a member 1e-14 off moves Gamma_39 of an
-        # f-alpha(-0.5) member by 2e-10 of itself, whichever route order
-        want = gammas.gamma_via_bn(f, order - 1).gammas
-        assert _worst_relative(g, want, _bn_term_scale(f, order - 1)) <= 1e-12
+        if spec.entry.subordination is None:
+            assert row[2] == draw.a2  # f = z / (1 - a2 z + ...)
+        resid, scale = _oracle_residual(spec, draw, row, order)
+        assert np.all(resid[scale == 0] == 0)
+        assert np.max(resid[scale > 0] / scale[scale > 0]) <= 1e-12
+        # a row's bits do not depend on the rows stacked with it
+        alone = families.member_rows(spec, [draw], order)
+        assert np.array_equal(alone[0], row)
+        assert np.array_equal(gammas.gamma_rows_via_bn(alone, order - 1)[0], g)
+
+
+@pytest.mark.parametrize("spec", BATCH_CLASSES + [None],
+                         ids=lambda s: "cusp-map" if s is None else s.label())
+def test_bn_route_is_within_rounding_of_a_50_digit_oracle(spec):
+    # the scale-aware check of the float bn route: the 50-digit oracle runs
+    # the same identity on the same doubles, so what is left is rounding,
+    # bounded by the route's own term scale (the top Gammas cancel: at order
+    # 40 they move by 1e-9 of themselves when the member moves by 1e-14)
+    order, at = 40, 97
+    draws = [families.sample_member(spec or ClassSpec.full_s(), (29, i, 0), radius_cap=0.95)
+             for i in range(256)]
+    rows = families.member_rows(spec or ClassSpec.full_s(), draws, order)
+    if spec is None:
+        rows[at] = families.koebe(0.0, order).coeffs
+    stacked = gammas.gamma_rows_via_bn(rows, order - 1)[at]
+    one = gammas.gamma_via_bn(Series(rows[at]), order - 1).gammas
+    want = np.array(gamma_bn_mp(rows[at], order - 1))
+    scale = np.array(bn_term_scale(rows[at], order - 1))
+    for got in (one, stacked):
+        assert np.all(got[scale == 0] == want[scale == 0])
+        assert np.max(np.abs(got - want)[scale > 0] / scale[scale > 0]) <= 1e-12
 
 
 def test_blaschke_rows_match_the_scalar_series():
@@ -468,13 +505,17 @@ def test_blaschke_rows_match_the_scalar_series():
     thetas = rng.uniform(0, 2 * math.pi, size=5)
     factors = [tuple(0.9 * np.sqrt(rng.uniform(size=d)) * np.exp(2j * math.pi * rng.uniform(size=d)))
                for d in (0, 1, 4, 2, 3)]
-    rows = families.blaschke_rows(thetas, [0, 1, 2, 3, 20], factors, 12)
+    multiplicities = [0, 1, 2, 3, 20]
+    rows = families.blaschke_rows(thetas, multiplicities, factors, 12)
     for s in range(5):
-        want = families.blaschke_series(thetas[s], factors[s], 12).coeffs
-        if s:
-            want = families.schwarz_series(SchwarzFn(thetas[s], s if s < 4 else 20, factors[s]),
-                                           12).coeffs
+        want = blaschke(thetas[s], multiplicities[s], factors[s], 12)
         np.testing.assert_allclose(rows[s], want, rtol=0, atol=1e-14)
+        alone = families.blaschke_rows(thetas[s:s + 1], multiplicities[s:s + 1], factors[s:s + 1], 12)
+        assert np.array_equal(alone[0], rows[s])
+    assert np.array_equal(rows[0], families.blaschke_series(thetas[0], factors[0], 12).coeffs)
+    for s in range(1, 5):
+        phi = SchwarzFn(thetas[s], multiplicities[s], factors[s])
+        assert np.array_equal(rows[s], families.schwarz_series(phi, 12).coeffs)
 
 
 def test_sample_dilation_is_keyed_and_inside_the_class():
