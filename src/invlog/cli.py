@@ -212,10 +212,7 @@ def cmd_sharpness(args) -> int:
     n_max = args.n if args.n is not None else args.n_max
     abs_a = 0.5 if args.a is None else abs(args.a)
     report = harness.sharpness_check(spec, n_max, tol=args.tol, order=args.order,
-                                     abs_a=abs_a)
-    if args.n is not None:
-        report.rows = [r for r in report.rows if r["n"] == args.n]
-        report.violations = [v for v in report.violations if v["n"] == args.n]
+                                     abs_a=abs_a, n_min=n_max if args.n is not None else 1)
     return _finish_report(report, args)
 
 

@@ -274,15 +274,13 @@ def sample_schwarz(seed, degree_max: int = 4, *, radius_cap: float = 0.95,
     if degree_min < 0 or degree_max < degree_min:
         raise ValueError("need 0 <= degree_min <= degree_max")
     rng = np.random.default_rng(seed)
-    m = int(rng.choice([1, 1, 1, 2, 3]))
+    m = (1, 1, 1, 2, 3)[rng.integers(5)]
     d = int(rng.integers(degree_min, degree_max + 1))
-    theta = float(rng.uniform(0.0, 2.0 * math.pi))
-    factors = []
-    for _ in range(d):
-        r = radius_cap * math.sqrt(rng.uniform())
-        t = rng.uniform(0.0, 2.0 * math.pi)
-        factors.append(r * cmath.exp(1j * t))
-    return SchwarzFn(theta=theta, multiplicity=m, factors=tuple(factors))
+    # uniform(0, 2 pi) is 2 pi times the next double: one call draws them all
+    u = rng.random(2 * d + 1).tolist()
+    factors = tuple(radius_cap * math.sqrt(u[j]) * cmath.exp(1j * (2.0 * math.pi * u[j + 1]))
+                    for j in range(1, 2 * d, 2))
+    return SchwarzFn(theta=2.0 * math.pi * u[0], multiplicity=m, factors=factors)
 
 
 @dataclass(frozen=True)
@@ -304,18 +302,19 @@ def sample_dilation(seed, lam: float, *, radius_cap: float = 0.95) -> DilationDr
     a share of the largest |a2| the class allows at that omega(0)."""
     rng = np.random.default_rng(seed)
     nfac = int(rng.integers(0, 4))
-    theta = float(rng.uniform(0.0, 2.0 * math.pi))
+    # as in sample_schwarz, all the uniforms in one call
+    u = rng.random(2 * nfac + 3).tolist()
+    theta = 2.0 * math.pi * u[0]
     factors = []
-    for _ in range(nfac):
-        r = 0.95 * math.sqrt(rng.uniform())
-        t = rng.uniform(0.0, 2.0 * math.pi)
-        factors.append(r * complex(math.cos(t), math.sin(t)))
+    for j in range(1, 2 * nfac, 2):
+        t = 2.0 * math.pi * u[j + 1]
+        factors.append(0.95 * math.sqrt(u[j]) * complex(math.cos(t), math.sin(t)))
     omega0 = cmath.exp(1j * theta)
     for a in factors:
         omega0 *= a
     abs_a = abs(omega0)
-    radius = radius_cap * (1.0 + lam * v_of_x(abs_a)) * math.sqrt(rng.uniform())
-    ang = rng.uniform(0.0, 2.0 * math.pi)
+    radius = radius_cap * (1.0 + lam * v_of_x(abs_a)) * math.sqrt(u[-2])
+    ang = 2.0 * math.pi * u[-1]
     a2 = radius * complex(math.cos(ang), math.sin(ang))
     return DilationDraw(theta=theta, factors=tuple(factors), abs_a=abs_a, a2=a2)
 

@@ -11,11 +11,20 @@ check. The package's Series functions and its row kernels are one
 implementation; these are the reference both are held to.
 
 Lists hold coefficients low to high: p[k] multiplies z**k.
+
+The last sections keep earlier forms of package code that must not change
+its output: the keyed parameter draws, one Generator call per value, and
+the report serializers, the pure-Python indent encoder and one format per
+CSV cell. The package's draws and writers are held to them bit for bit and
+byte for byte.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
+import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -267,3 +276,82 @@ def analytic_draw(rng, order, rho=1.0):
         args = rng.uniform(0.0, 2.0 * np.pi, size=order - 1)
         c[2:] = mags * np.exp(1j * args)
     return c
+
+
+# ---------------------------------------------------------------------------
+# keyed parameter draws, one Generator call per value
+
+
+def sample_schwarz(seed, degree_max: int = 4, *, radius_cap: float = 0.95,
+                   degree_min: int = 1):
+    """families.sample_schwarz as first written: rng.choice for the
+    multiplicity and one uniform() call per angle and radius."""
+    from invlog.families import SchwarzFn
+
+    if not 0 <= radius_cap < 1:
+        raise ValueError("radius_cap must lie in [0, 1)")
+    if degree_min < 0 or degree_max < degree_min:
+        raise ValueError("need 0 <= degree_min <= degree_max")
+    rng = np.random.default_rng(seed)
+    m = int(rng.choice([1, 1, 1, 2, 3]))
+    d = int(rng.integers(degree_min, degree_max + 1))
+    theta = float(rng.uniform(0.0, 2.0 * math.pi))
+    factors = []
+    for _ in range(d):
+        r = radius_cap * math.sqrt(rng.uniform())
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        factors.append(r * cmath.exp(1j * t))
+    return SchwarzFn(theta=theta, multiplicity=m, factors=tuple(factors))
+
+
+def sample_dilation(seed, lam: float, *, radius_cap: float = 0.95):
+    """families.sample_dilation as first written, one uniform() per value."""
+    from invlog.bounds import v_of_x
+    from invlog.families import DilationDraw
+
+    rng = np.random.default_rng(seed)
+    nfac = int(rng.integers(0, 4))
+    theta = float(rng.uniform(0.0, 2.0 * math.pi))
+    factors = []
+    for _ in range(nfac):
+        r = 0.95 * math.sqrt(rng.uniform())
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        factors.append(r * complex(math.cos(t), math.sin(t)))
+    omega0 = cmath.exp(1j * theta)
+    for a in factors:
+        omega0 *= a
+    abs_a = abs(omega0)
+    radius = radius_cap * (1.0 + lam * v_of_x(abs_a)) * math.sqrt(rng.uniform())
+    ang = rng.uniform(0.0, 2.0 * math.pi)
+    a2 = radius * complex(math.cos(ang), math.sin(ang))
+    return DilationDraw(theta=theta, factors=tuple(factors), abs_a=abs_a, a2=a2)
+
+
+# ---------------------------------------------------------------------------
+# report serializers: the whole payload through json's indent encoder, and
+# one _fmt17 call per CSV cell
+
+
+def _fmt17(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
+
+
+def report_json(report) -> str:
+    """VerifyReport.to_json as first written."""
+    payload = {f.name: getattr(report, f.name) for f in fields(report)}
+    payload.update(counts=report.counts(), ok=report.ok)
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def report_csv(report) -> str:
+    """VerifyReport.to_csv as first written."""
+    from invlog.harness import CSV_COLUMNS
+
+    lines = [",".join(CSV_COLUMNS)]
+    for row in report.rows:
+        lines.append(",".join(_fmt17(row[col]) for col in CSV_COLUMNS))
+    return "\n".join(lines) + "\n"

@@ -199,6 +199,27 @@ def test_sharpness_single_order_filter(capsys):
     assert {r["n"] for r in payload["rows"]} == {4}
 
 
+def test_sharpness_single_order_report_holds_that_order_only(capsys):
+    # spiral(0, 0.75): orders 2-4 sit on the endpoint clause, each with a
+    # note and an asserted map; order 5 is a middle clause, report-only
+    params = ("sharpness", "--class", "spiral", "--alpha", "0", "--beta", "0.75")
+    assert run_cli(*params, "--n-max", "5") == 0
+    full = json.loads(capsys.readouterr().out)
+    assert run_cli(*params, "--n", "5") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rows"] == [r for r in full["rows"] if r["n"] == 5]
+    assert payload["summary"] == [s for s in full["summary"] if s["n"] == 5]
+    assert [note for note in full["notes"] if note.startswith("n=")]
+    assert payload["notes"] == []
+    assert full["max_discrepancy"] is not None
+    assert payload["max_discrepancy"] is None  # nothing asserted at n = 5
+    assert run_cli("sharpness", "--class", "full-s", "--n", "3") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["n"] for r in payload["rows"]] == [3]
+    assert [s["n"] for s in payload["summary"]] == [3]
+    assert payload["max_discrepancy"] == payload["rows"][0]["excess"]
+
+
 @pytest.mark.parametrize("cls", [("u-lambda", "--lambda", "0.5"),
                                  ("f-alpha", "--alpha", "0")], ids=lambda c: c[0])
 def test_sharpness_open_orders_serialize(capsys, cls):

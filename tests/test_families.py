@@ -12,6 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
+import _oracles
 from _oracles import blaschke, bn_term_scale, gamma_bn_mp, poly_mul
 from invlog import bounds, families, gammas, series
 from invlog.families import ClassSpec, SchwarzFn
@@ -215,6 +216,25 @@ def test_sample_schwarz_validation():
         families.sample_schwarz(1, radius_cap=1.0)
     with pytest.raises(ValueError):
         families.sample_schwarz(1, degree_max=2, degree_min=3)
+
+
+@pytest.mark.parametrize("seed", [3, 131, 2**40 + 7])
+def test_keyed_draws_match_the_reference_draws(seed):
+    # the draws take fewer Generator calls than _oracles' one-call-per-value
+    # form; every value must keep its bits (repr tells -0.0 from 0.0)
+    keys = [(seed, i, attempt) for i in range(2000) for attempt in (0, 1)]
+    cases = [(families.sample_schwarz, _oracles.sample_schwarz, {}),
+             (families.sample_schwarz, _oracles.sample_schwarz, {"degree_min": 0}),
+             (families.sample_schwarz, _oracles.sample_schwarz, {"radius_cap": 0.0}),
+             (families.sample_dilation, _oracles.sample_dilation, {"lam": 0.5}),
+             (families.sample_dilation, _oracles.sample_dilation,
+              {"lam": 0.75, "radius_cap": 0.0})]
+    for draw, reference, kwargs in cases:
+        keyed = keys if kwargs in ({}, {"lam": 0.5}) else keys[:400]
+        got = [draw(key, **kwargs) for key in keyed]
+        want = [reference(key, **kwargs) for key in keyed]
+        assert got == want, (draw.__name__, kwargs)
+        assert list(map(repr, got)) == list(map(repr, want)), (draw.__name__, kwargs)
 
 
 # ---------------------------------------------------------------------------

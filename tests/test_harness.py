@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import _oracles
 from invlog import families, harness
 from invlog.families import ClassSpec
 from invlog.harness import (
@@ -23,6 +24,10 @@ from invlog.harness import (
 
 SUMMARY_KEYS = {"n", "empirical_max_abs_gamma", "bound", "margin", "sharpness_gap",
                 "branch"}
+
+EVERY_CLASS = [ClassSpec.full_s(), ClassSpec.star_ab(0.6, -1.0), ClassSpec.spiral(0.5, 0.2),
+               ClassSpec.gc(0.5), ClassSpec.u_lambda(0.5), ClassSpec.f_alpha(0.0),
+               ClassSpec.f_alpha(-0.5)]
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +83,100 @@ def test_flag_grading_thresholds():
     assert harness._flag(5 * tol, tol) == "numerical"
     assert harness._flag(10 * tol, tol) == "numerical"
     assert harness._flag(11 * tol, tol) == "mathematical"
+
+
+def test_flag_grades_an_array_as_each_element():
+    tol = 1e-9
+    excess = np.array([[0.0, tol, 5 * tol], [10 * tol, 11 * tol, math.nan],
+                       [-math.inf, math.inf, -1.0]])
+    flags = harness._flag(excess, tol)
+    assert flags.tolist() == [[harness._flag(float(x), tol) for x in row] for row in excess]
+    assert flags[1, 2] == "mathematical"  # NaN fails, as in the scalar comparison
+    assert all(type(f) is str for f in flags.ravel())
+
+
+# ---------------------------------------------------------------------------
+# writers: byte for byte the reference serializers of tests/_oracles.py
+
+
+def _hand_built_report(with_violations: bool) -> VerifyReport:
+    # strings that would fool a row-boundary search that did not rest on the
+    # C encoder escaping newlines: quotes, backslashes, braces, "}, {", a raw
+    # newline and tab, the boundary text itself, and a non-ASCII letter
+    tricky = 'q"uo\\te {x} }, { \n\t \u03c9 },\n      {'
+    rows = [
+        {"sample_id": tricky, "n": 1, "abs_gamma": 0.1, "bound": None, "branch": "}",
+         "margin": -0.0, "flag": "ok", "excess": 5e-324},
+        {"sample_id": 7, "n": 2, "abs_gamma": 1e300, "bound": 2.5, "branch": tricky,
+         "margin": -1e300, "flag": "mathematical", "excess": 1e300, "asserted": True,
+         "note": "{", "{key}": None, "z, {": "}, {"},
+        {"sample_id": "none", "n": 3, "abs_gamma": None, "bound": None, "branch": "open",
+         "margin": None, "flag": "open", "asserted": False, "note": "\u03c9 \\ \""},
+        {"sample_id": 2**70, "n": 4, "abs_gamma": 1 / 3, "bound": 1, "branch": "{}",
+         "margin": 2 / 3, "flag": "numerical", "excess": -(1 / 3)},
+    ]
+    rep = VerifyReport(kind="verify", label="spiral(\u03c9=\"1\")",
+                       params={"A": 0.5, "B": -1.0},
+                       n_max=4, order=12, samples=3, seed=5, tol=1e-9, rows=rows,
+                       summary=[{"n": 1, "best_candidate": tricky, "best_gap": 0.0},
+                                {"n": 2, "bound": None}],
+                       notes=[tricky, "tab\there", "plain"], max_discrepancy=1e-17)
+    if with_violations:
+        rep.violations = [dict(rows[1]), dict(rows[3])]
+    return rep
+
+
+def _writer_cases():
+    cases = [(f"verify {spec.label()} CHUNK {chunk}", chunk,
+              lambda spec=spec, samples=samples: verify_bounds(spec, 8, samples, 3))
+             for chunk, samples in ((1, 40), (256, 260)) for spec in EVERY_CLASS]
+    cases += [(f"sharpness {spec.label()}", 256, lambda spec=spec: sharpness_check(spec, 6))
+              for spec in EVERY_CLASS]
+    cases += [("cross-check", 256, lambda: cross_check(30, 5, 12, tol=1e-14)),
+              ("explore", 256, lambda: explore_convex_large_n(1, 9, 300, 3)),
+              ("hand-built", 256, lambda: _hand_built_report(False)),
+              ("hand-built with violations", 256, lambda: _hand_built_report(True))]
+    return [pytest.param(chunk, make, id=name) for name, chunk, make in cases]
+
+
+@pytest.mark.parametrize("chunk, make", _writer_cases())
+def test_writers_match_the_reference_serializers(monkeypatch, chunk, make):
+    monkeypatch.setattr(harness, "CHUNK", chunk)
+    rep = make()
+    assert rep.to_json() == _oracles.report_json(rep)
+    assert rep.to_csv() == _oracles.report_csv(rep)
+
+
+@pytest.mark.parametrize("planted, named", [
+    ([("row", "discrepancy", math.inf)], "inf"),
+    ([("row", "discrepancy", -math.inf)], "-inf"),
+    ([("row", "discrepancy", math.nan)], "nan"),
+    ([("summary", "max_discrepancy", math.inf)], "inf"),
+    ([("summary", "max_discrepancy", math.nan)], "nan"),
+    ([("violation", "discrepancy", math.nan)], "nan"),
+    # the first value out of range in the reference's order is named: keys
+    # sort within a row; rows come before summary, summary before violations
+    ([("row", "discrepancy", math.inf), ("row", "abs_gamma", math.nan)], "nan"),
+    ([("row", "discrepancy", math.nan), ("summary", "max_discrepancy", math.inf)], "nan"),
+    ([("summary", "max_discrepancy", -math.inf), ("violation", "discrepancy", math.nan)],
+     "-inf"),
+], ids=lambda p: "+".join(f"{where}.{key}:{value!r}" for where, key, value in p)
+   if isinstance(p, list) else p)
+def test_a_non_finite_value_raises_the_reference_message(planted, named):
+    # the C encoder names no value; the message must stay the one the
+    # indent encoder gives, which the CLI prints after "error:"
+    rep = cross_check(4, 5, 3, tol=1e-17)
+    assert rep.violations
+    for where, key, value in planted:
+        target = {"row": rep.rows[5], "summary": rep.summary[1],
+                  "violation": rep.violations[0]}[where]
+        target[key] = value
+    with pytest.raises(ValueError) as want:
+        _oracles.report_json(rep)
+    with pytest.raises(ValueError) as got:
+        rep.to_json()
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"Out of range float values are not JSON compliant: {named}"
 
 
 def test_report_ok_logic():
@@ -324,11 +423,6 @@ def _campaign_bytes():
     reports = [verify_bounds(spec, 8, 12, 3) for spec in EVERY_CLASS]
     reports += [cross_check(12, 3, 8), explore_convex_large_n(1, 9, 12, 3)]
     return [rep.to_json() + rep.to_csv() for rep in reports]
-
-
-EVERY_CLASS = [ClassSpec.full_s(), ClassSpec.star_ab(0.6, -1.0), ClassSpec.spiral(0.5, 0.2),
-               ClassSpec.gc(0.5), ClassSpec.u_lambda(0.5), ClassSpec.f_alpha(0.0),
-               ClassSpec.f_alpha(-0.5)]
 
 
 def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
