@@ -71,6 +71,16 @@ def _check_input(f: Series, n_max: int):
         raise ValueError("input must be normalized: f(0) = 0, f'(0) = 1")
 
 
+def _check_rows(f: np.ndarray, n_max: int):
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if f.ndim != 2 or f.shape[1] < n_max + 2:
+        raise ValueError(f"Gamma_{n_max} needs rows known through a_{n_max + 1}, "
+                         f"got shape {f.shape}")
+    if np.any(f[:, 0] != 0) or np.any(f[:, 1] != 1):
+        raise ValueError("input must be normalized: f(0) = 0, f'(0) = 1")
+
+
 def inverse_coeffs(f: Series, n_max: int) -> np.ndarray:
     """A_2..A_{n_max} of the inverse, by series reversion."""
     if n_max < 2:
@@ -86,13 +96,28 @@ def inverse_coeffs(f: Series, n_max: int) -> np.ndarray:
 
 
 def gamma_via_reversion(f: Series, n_max: int) -> GammaVector:
-    """Revert f, then read Gamma_n off log(F(w)/w)/2."""
+    """Revert f, then read Gamma_n off log(F(w)/w)/2: the reversion route
+    on one row."""
     _check_input(f, n_max)
-    F = series.revert(f, n_max + 1)
-    unit = Series(F.coeffs[1:])  # F/w, constant term exactly 1
-    ell = series.log_unit(unit, n_max)
-    return GammaVector(gammas=ell.coeffs[1:] / 2.0, source="reversion",
-                       inverse_coeffs=F.coeffs[2:])
+    F, g = _reversion_rows(f.coeffs[None], n_max)
+    if not np.isfinite(g).all():  # F or its logarithm overflowed
+        raise ValueError("coefficients must be finite")
+    return GammaVector(gammas=g[0], source="reversion", inverse_coeffs=F[0, 2:])
+
+
+def gamma_rows_via_reversion(f: np.ndarray, n_max: int) -> np.ndarray:
+    """The reversion route on every row of an (S, order+1) array of
+    normalized members at once: row s of the (S, n_max) result holds
+    Gamma_1..Gamma_{n_max} of member s. It runs series.revert_rows and
+    series.log_unit_rows, no kernel the bn route runs."""
+    _check_rows(f, n_max)
+    return _reversion_rows(f, n_max)[1]
+
+
+def _reversion_rows(f: np.ndarray, n_max: int):
+    # F to order n_max + 1, then half the log of F/w (constant term exactly 1)
+    F = series.revert_rows(f, n_max + 1)
+    return F, series.log_unit_rows(F[:, 1:], n_max)[:, 1:] / 2.0
 
 
 def gamma_via_bn(f: Series, n_max: int) -> GammaVector:
@@ -107,13 +132,7 @@ def gamma_rows_via_bn(f: np.ndarray, n_max: int) -> np.ndarray:
     of member s. One reciprocal gives u = z/f, successive products on the
     whole stack give u^m for m <= ceil(n_max/2), and [z^n] u^n is the z^n
     coefficient of u^{n - n//2} u^{n//2}: one sum of n + 1 terms."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if f.ndim != 2 or f.shape[1] < n_max + 2:
-        raise ValueError(f"Gamma_{n_max} needs rows known through a_{n_max + 1}, "
-                         f"got shape {f.shape}")
-    if np.any(f[:, 0] != 0) or np.any(f[:, 1] != 1):
-        raise ValueError("input must be normalized: f(0) = 0, f'(0) = 1")
+    _check_rows(f, n_max)
     base = series.reciprocal_rows(f[:, 1:], n_max)  # z/f, one row per member
     powers = [None, base]
     for _ in range(2, (n_max + 1) // 2 + 1):

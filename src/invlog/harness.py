@@ -25,8 +25,9 @@ rows are built in index order. A row's bits do not depend on the rows
 computed with it, so reports do not depend on CHUNK. The Series API
 (member_from_schwarz, u_lambda_member, gamma_via_bn) is a validating
 one-row wrapper over the same row functions; tests/_oracles.py is the
-reference both are held to. cross_check still runs the reversion route
-sample by sample, on a Series of each member row.
+reference both are held to. cross_check runs the reversion route on the
+same chunk arrays too (gammas.gamma_rows_via_reversion), one Horner table
+per member but the whole chunk in one loop over the orders.
 
 Violation grading: with excess the amount by which a sample oversteps
 (|Gamma| - bound, or the route discrepancy), excess <= tol is "ok",
@@ -47,7 +48,6 @@ import numpy as np
 from . import families, gammas
 from .bounds import bound_for
 from .families import ClassSpec
-from .series import AnalyticSeries
 
 CSV_COLUMNS = ("sample_id", "n", "abs_gamma", "bound", "branch", "margin", "flag")
 
@@ -222,13 +222,15 @@ def _draw_chunk(spec: ClassSpec, seed, ids, order: int, radius_cap: float):
     return rows, draws, attempts
 
 
-def _resolve_order(n_max: int, order, tol: float = 0.0) -> int:
+def _resolve_order(n_max: int, order, tol: float = 0.0, seed=0) -> int:
     """The series order a campaign up to Gamma_{n_max} runs at. Every
     campaign calls this before any sampling, so it also rejects a tolerance
-    that cannot grade: a negative one flags every row, a NaN or infinite one
-    cannot be serialized."""
+    that cannot grade (a negative one flags every row, a NaN or infinite one
+    cannot be serialized) and a seed no draw can be keyed by."""
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if order is None:
         return n_max + DEFAULT_ORDER_MARGIN
     order = int(order)
@@ -292,13 +294,16 @@ def cross_check(samples: int, seed: int, n_max: int, tol: float = 1e-10, *,
     spec = spec if spec is not None else ClassSpec.star_ab(1.0, -1.0)
     if samples < 1 or n_max < 1:
         raise ValueError("samples and n_max must be >= 1")
-    order = _resolve_order(n_max, order, tol)
+    order = _resolve_order(n_max, order, tol, seed)
 
     per_n_max = np.zeros(n_max)
 
     def rows_of(ids, members, gams, draws):
-        rev = np.array([gammas.gamma_via_reversion(AnalyticSeries(f), n_max).gammas
-                        for f in members])
+        rev = gammas.gamma_rows_via_reversion(members, n_max)
+        overflowed = ~np.isfinite(rev).all(axis=1)
+        if overflowed.any():  # a bad argument, not a disagreement of the routes
+            raise ValueError(f"sample {ids[int(np.argmax(overflowed))]}: the reversion "
+                             f"route overflows by Gamma_{n_max}; lower n_max")
         disc = np.abs(rev - gams)
         # a NaN discrepancy is flagged in its row; fmax keeps it out of the summary
         np.fmax(per_n_max, np.fmax.reduce(disc, axis=0), out=per_n_max)
@@ -330,7 +335,7 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
     """
     if samples < 1 or n_max < 1:
         raise ValueError("samples and n_max must be >= 1")
-    order = _resolve_order(n_max, order, tol)
+    order = _resolve_order(n_max, order, tol, seed)
 
     def applicable(abs_a):
         results = (bound_for(spec, n, abs_a=abs_a) for n in range(1, n_max + 1))
@@ -455,7 +460,7 @@ def explore_convex_large_n(n_min: int, n_max: int, samples: int, seed: int, *,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     spec = ClassSpec.f_alpha(0.0)
-    order = _resolve_order(n_max, order, tol)
+    order = _resolve_order(n_max, order, tol, seed)
     ns = range(n_min, n_max + 1)
     proved = {n: bound_for(spec, n) for n in ns if n <= 3}
     bound = np.array([proved[n].value if n in proved else 1.0 / (2.0 * n) for n in ns])

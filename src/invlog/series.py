@@ -209,15 +209,9 @@ def reciprocal(a: Series, order: int) -> UnitSeries:
 def log_unit(a: Series, order: int) -> Series:
     """Logarithm of a series with c0 == 1; result has c0 == 0."""
     _need(a, order)
-    c = a.coeffs
-    if c[0] != 1:
+    if a.coeffs[0] != 1:
         raise ValueError("log_unit requires c0 == 1 exactly")
-    ell = np.zeros(order + 1, dtype=np.complex128)
-    for k in range(1, order + 1):
-        # k l_k = k c_k - sum_{m=1..k-1} m l_m c_{k-m}
-        s = np.dot(np.arange(1, k) * ell[1:k], c[k - 1 : 0 : -1]) if k > 1 else 0.0
-        ell[k] = c[k] - s / k
-    return Series(ell)
+    return Series(log_unit_rows(a.coeffs[None], order)[0])
 
 
 def exp_zero(a: Series, order: int) -> UnitSeries:
@@ -249,64 +243,36 @@ def compose(outer: Series, inner: Series, order: int) -> Series:
 
 
 def revert(f: Series, order: int) -> AnalyticSeries:
-    """Compositional inverse: compose(f, revert(f)) == identity mod z^{order+1}.
-
-    Triangular back-substitution on [w^n] f(F(w)) = 0; the normalization
-    c0 = 0, c1 = 1 makes each step's pivot exactly 1. Instead of
-    recomposing f(F) for every new coefficient, the Horner nesting
-    H_k = f_k + F H_{k+1} (so f(F) = H_0) is kept as a table,
-    H[k, m] = [w^m] H_k. Column m of H_k needs only columns < m of
-    H_{k+1} and A_1..A_m, so step n reads the defect [w^n] H_0 off row 1
-    with one dot, sets A_n, then fills column n of every row a later step
-    reads (k + n <= order) with one elementwise product and one row sum.
-    That is about order^3/6 multiply-adds in ``order`` loop steps, and an
-    (order+1) x order table: O(order^2) memory.
-
-    The row sum is numpy's pairwise ``sum(axis=1)``, not a BLAS matvec.
-    Both solve the same triangular system, but the matvec's rounding
-    measured 1.7e-11 on the order-32 double-reversion round trip, against
-    8.6e-12 here and a 1e-11 tolerance. Each row is also summed on its own,
-    so a row's bits do not depend on how many rows the table has and the
-    result stays bit-exact triangular in ``order``.
-    """
+    """Compositional inverse: compose(f, revert(f)) == identity mod z^{order+1};
+    revert_rows on one row."""
     _need(f, order)
     if order < 1:
         raise ValueError("revert needs order >= 1")
-    fc = f.coeffs
-    if fc[0] != 0 or fc[1] != 1:
+    if f.coeffs[0] != 0 or f.coeffs[1] != 1:
         raise ValueError("revert requires a normalized series (c0 == 0, c1 == 1)")
-    inv = np.zeros(order + 1, dtype=np.complex128)
-    inv[1] = 1.0
-    # H[k, 0] = f_k because F has zero constant term. Row 0, f(F) itself,
-    # is never filled: only its column-n entry, the defect, is needed. No
-    # step reads column ``order``, so the table stops before it.
-    H = np.zeros((order + 1, order), dtype=np.complex128)
-    H[:, 0] = fc[: order + 1]
-    for n in range(1, order + 1):
-        if n > 1:
-            # with A_n still zero, [w^n] H_0 = sum_{0<m<n} [w^m] H_1 A_{n-m}
-            # is the defect; the A_n term enters linearly with coefficient
-            # [w^0] H_1 = f1 == 1
-            inv[n] = -np.dot(H[1, 1:n], inv[n - 1 : 0 : -1])
-        if n < order:
-            # [w^n] H_k = sum_{m<n} [w^m] H_{k+1} A_{n-m}, for k = 1..order-n
-            H[1 : order + 1 - n, n] = (H[2 : order + 2 - n, :n] * inv[n:0:-1]).sum(axis=1)
-    return AnalyticSeries(inv)
+    return AnalyticSeries(revert_rows(f.coeffs[None], order)[0])
 
 
 # ---------------------------------------------------------------------------
 # row layer: many series at once, one per row of an (S, order+1) array
 #
-# The one implementation of the product, reciprocal and exponential; the
-# Series functions above validate and call these on one row. Each result
-# coefficient is one sum over a row's own terms, never BLAS: exactly the
-# terms it needs, or (the product) those in turn and then exact zeros. So
-# its bits depend neither on the rows stacked with it nor on the order.
+# The one implementation of the product, reciprocal, exponential, logarithm
+# and reversion; the Series functions above validate and call these on one
+# row. Each result coefficient is one sum over a row's own terms: exactly
+# the terms it needs, or (the product) those in turn and then exact zeros.
+# Most are numpy's pairwise sum over the last axis. The defect sums of
+# log_unit_rows and revert_rows are instead BLAS dots (zdotu), the routine
+# np.dot has always called for them, run once per row by _dot_rows. The
+# reversion round trip sits at its rounding floor (order 32: 8.6e-12 against
+# a 1e-11 tolerance), and a pairwise sum or einsum there, or a dot whose
+# operand is not contiguous (matmul then skips BLAS), measured 1.55e-11 to
+# 1.76e-11. Either way a row's bits depend neither on the rows stacked with
+# it nor on the order.
 
 
 def _compose_raw(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
     # Horner: o_0 + g (o_1 + g (o_2 + ...)); g has zero constant term.
-    # Only compose uses it; revert keeps the same nesting as a table.
+    # Only compose uses it; revert_rows keeps the same nesting as a table.
     acc = np.zeros((1, order + 1), dtype=np.complex128)
     acc[0, 0] = outer[-1]
     for k in range(len(outer) - 2, -1, -1):
@@ -346,6 +312,77 @@ def exp_zero_rows(c: np.ndarray, order: int) -> np.ndarray:
     for k in range(1, order + 1):
         e[:, k] = (weighted[:, 1 : k + 1] * e[:, k - 1 :: -1]).sum(axis=-1) / k
     return e
+
+
+def _dot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_j x[s, j] y[s, j] for every row s, by one BLAS zdotu call per row:
+    a stacked matmul of (1, m) by (m, 1) calls the same routine as np.dot on
+    one pair of rows, provided both rows are contiguous."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def log_unit_rows(c: np.ndarray, order: int) -> np.ndarray:
+    """Row-wise logarithm of series whose constant terms are all 1:
+    k l_k = k c_k - sum_{m=1..k-1} m l_m c_{k-m}, one defect dot per step."""
+    ell = np.zeros((c.shape[0], order + 1), dtype=np.complex128)
+    if order < 1:
+        return ell
+    # reversed once, so each step's c_{k-1}, ..., c_1 is a contiguous slice
+    rev = np.ascontiguousarray(c[:, order::-1])
+    weights = np.arange(order + 1)
+    ell[:, 1] = c[:, 1]
+    for k in range(2, order + 1):
+        s = _dot_rows(weights[1:k] * ell[:, 1:k], rev[:, order + 1 - k : order])
+        ell[:, k] = c[:, k] - s / k
+    return ell
+
+
+def revert_rows(f: np.ndarray, order: int) -> np.ndarray:
+    """Row-wise compositional inverse of normalized series (c0 = 0, c1 = 1).
+
+    Triangular back-substitution on [w^n] f(F(w)) = 0; the normalization
+    makes each step's pivot exactly 1. Instead of recomposing f(F) for
+    every new coefficient, the Horner nesting H_k = f_k + F H_{k+1} (so
+    f(F) = H_0) is kept as a table per row, H[s, k, m] = [w^m] H_k. Column m
+    of H_k needs only columns < m of H_{k+1} and A_1..A_m, so step n reads
+    the defect [w^n] H_0 off row 1 with one dot, sets A_n, then fills column
+    n of every row a later step reads (k + n <= order) with one elementwise
+    product and one row sum. That is about order^3/6 multiply-adds per
+    series in ``order`` loop steps, and an (order+1) x order table each.
+    The row sum is numpy's pairwise sum, not a BLAS matvec: both solve the
+    same triangular system, but the matvec measured 1.7e-11 on the order-32
+    round trip.
+
+    The stack goes through in blocks of max(1, 2**21 // (16 (order+1) order))
+    rows, whose tables total about 2 MiB, so a block stays in cache across
+    the steps that sweep it. On 256 rows at order 129 (2-vCPU x86 VM) that
+    took 360 ms, against 651 ms for one table of all 256 rows and 559 ms
+    one row at a time.
+    """
+    inv = np.empty((f.shape[0], order + 1), dtype=np.complex128)
+    inv[:, 0], inv[:, 1] = 0.0, 1.0
+    block = max(1, 2 ** 21 // (16 * (order + 1) * order))
+    # Column 0 is H[s, k, 0] = f_k because F has zero constant term. Row 0,
+    # f(F) itself, is never filled: only its column-n entry, the defect, is
+    # needed. No step reads column ``order``, so the table stops before it.
+    # Every entry a step reads was written earlier in the same block, so
+    # one table serves every block.
+    H = np.empty((min(block, f.shape[0]), order + 1, order), dtype=np.complex128)
+    for lo in range(0, f.shape[0], block):
+        A = inv[lo : lo + block]
+        T = H[: len(A)]
+        T[:, :, 0] = f[lo : lo + block, : order + 1]
+        for n in range(1, order + 1):
+            if n > 1:
+                # without its A_n term, [w^n] H_0 = sum_{0<m<n} [w^m] H_1 A_{n-m}
+                # is the defect; the A_n term enters linearly with coefficient
+                # [w^0] H_1 = f1 == 1
+                A[:, n] = -_dot_rows(T[:, 1, 1:n], np.ascontiguousarray(A[:, n - 1 : 0 : -1]))
+            if n < order:
+                # [w^n] H_k = sum_{m<n} [w^m] H_{k+1} A_{n-m}, for k = 1..order-n
+                T[:, 1 : order + 1 - n, n] = (T[:, 2 : order + 2 - n, :n]
+                                              * A[:, None, n:0:-1]).sum(axis=-1)
+    return inv
 
 
 # ---------------------------------------------------------------------------

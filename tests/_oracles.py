@@ -13,10 +13,11 @@ implementation; these are the reference both are held to.
 Lists hold coefficients low to high: p[k] multiplies z**k.
 
 The last sections keep earlier forms of package code that must not change
-its output: the keyed parameter draws, one Generator call per value, and
-the report serializers, the pure-Python indent encoder and one format per
-CSV cell. The package's draws and writers are held to them bit for bit and
-byte for byte.
+its output: the logarithm and reversion kernels one row at a time, the
+keyed parameter draws, one Generator call per value, and the report
+serializers, the pure-Python indent encoder and one format per CSV cell.
+The package's row kernels, draws and writers are held to them bit for bit
+and byte for byte.
 """
 
 from __future__ import annotations
@@ -276,6 +277,43 @@ def analytic_draw(rng, order, rho=1.0):
         args = rng.uniform(0.0, 2.0 * np.pi, size=order - 1)
         c[2:] = mags * np.exp(1j * args)
     return c
+
+
+# ---------------------------------------------------------------------------
+# series kernels one row at a time, as they were before the row layer held
+# them; arrays in and out, bodies unchanged
+
+
+def log_unit_one_row(c, order):
+    """series.log_unit's recurrence on one coefficient array, c[0] == 1."""
+    ell = np.zeros(order + 1, dtype=np.complex128)
+    for k in range(1, order + 1):
+        # k l_k = k c_k - sum_{m=1..k-1} m l_m c_{k-m}
+        s = np.dot(np.arange(1, k) * ell[1:k], c[k - 1 : 0 : -1]) if k > 1 else 0.0
+        ell[k] = c[k] - s / k
+    return ell
+
+
+def revert_one_row(fc, order):
+    """series.revert's Horner-table back-substitution on one normalized
+    coefficient array."""
+    inv = np.zeros(order + 1, dtype=np.complex128)
+    inv[1] = 1.0
+    # H[k, 0] = f_k because F has zero constant term. Row 0, f(F) itself,
+    # is never filled: only its column-n entry, the defect, is needed. No
+    # step reads column ``order``, so the table stops before it.
+    H = np.zeros((order + 1, order), dtype=np.complex128)
+    H[:, 0] = fc[: order + 1]
+    for n in range(1, order + 1):
+        if n > 1:
+            # with A_n still zero, [w^n] H_0 = sum_{0<m<n} [w^m] H_1 A_{n-m}
+            # is the defect; the A_n term enters linearly with coefficient
+            # [w^0] H_1 = f1 == 1
+            inv[n] = -np.dot(H[1, 1:n], inv[n - 1 : 0 : -1])
+        if n < order:
+            # [w^n] H_k = sum_{m<n} [w^m] H_{k+1} A_{n-m}, for k = 1..order-n
+            H[1 : order + 1 - n, n] = (H[2 : order + 2 - n, :n] * inv[n:0:-1]).sum(axis=1)
+    return inv
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,19 @@ def test_bad_tolerance_is_a_bad_argument(capsys, tol):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--class", "gc", "--c", "0.5", "--seed", "-3", "--samples", "2"),
+    ("cross-check", "--seed", "-1", "--samples", "2"),
+    ("explore", "--seed", "-1", "--samples", "2"),
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_a_bad_argument(capsys, argv):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    seed = argv[argv.index("--seed") + 1]
+    assert captured.err == f"error: seed must be a non-negative integer, got {seed}\n"
+    assert captured.out == ""
+
+
 def test_exact_star_parameters_reach_every_command(capsys):
     # 5 delta sits 5e-14 above the seam at 1: only exact arithmetic sees it
     params = ("--class", "star-ab", "--A", "0.59999999999998", "--B=-1", "--n-max", "5")

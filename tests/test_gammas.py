@@ -74,6 +74,42 @@ def test_routes_agree_with_pure_python_oracle():
             assert float(np.max(np.abs(got - want))) < 1e-11
 
 
+def test_reversion_rows_agree_with_pure_python_oracle():
+    # the stacked route against Lagrange reversion plus a Mercator log, at
+    # the tolerance of the one-row oracle test above
+    rng = RNG("oracle-rows")
+    f = np.array([analytic_draw(rng, 9, rho=0.7) for _ in range(25)])
+    got = gammas.gamma_rows_via_reversion(f, 8)
+    for row, member in zip(got, f):
+        want = np.array(gamma_oracle(list(member), 8))
+        assert float(np.max(np.abs(row - want))) < 1e-11
+
+
+def test_one_row_reversion_route_is_its_row_of_a_stack():
+    rng = RNG("reversion-rows")
+    f = np.array([analytic_draw(rng, 18, rho=0.5) for _ in range(256)])
+    stacked = gammas.gamma_rows_via_reversion(f, 16)
+    assert stacked.shape == (256, 16)
+    for s in range(256):
+        assert np.array_equal(gammas.gamma_via_reversion(Series(f[s]), 16).gammas, stacked[s])
+
+
+def test_reversion_route_runs_without_the_bn_route(monkeypatch):
+    # the routes share only the logarithm and reversion kernels: with every
+    # bn-route step disabled the reversion route still gives the same bits
+    f = np.array([analytic_draw(RNG("independent"), 12, rho=0.6) for _ in range(3)])
+    want = gammas.gamma_rows_via_reversion(f, 10)
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("the reversion route called a bn-route step")
+
+    for name in ("reciprocal_rows", "multiply_rows", "exp_zero_rows"):
+        monkeypatch.setattr(series, name, disabled)
+    monkeypatch.setattr(gammas, "gamma_rows_via_bn", disabled)
+    assert np.array_equal(gammas.gamma_rows_via_reversion(f, 10), want)
+    assert np.array_equal(gammas.gamma_via_reversion(Series(f[0]), 10).gammas, want[0])
+
+
 def test_inverse_coefficient_closed_forms():
     rng = RNG("inverse")
     for _ in range(30):
@@ -174,6 +210,17 @@ def test_routes_demand_normalization():
         gammas.gamma_via_bn(Series([0.0, 2.0, 0.0]), 1)
     with pytest.raises(ValueError):
         gammas.gamma_via_reversion(Series([1.0, 1.0, 0.0]), 1)
+
+
+def test_reversion_rows_validate_like_the_bn_rows():
+    f = np.array([series.identity(5).coeffs])
+    for route in (gammas.gamma_rows_via_reversion, gammas.gamma_rows_via_bn):
+        with pytest.raises(ValueError, match="needs rows known"):
+            route(f, 5)
+        with pytest.raises(ValueError, match="n_max"):
+            route(f, 0)
+        with pytest.raises(ValueError, match="normalized"):
+            route(2.0 * f, 3)
 
 
 def test_inverse_coeffs_validation():

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import _oracles
-from invlog import families, harness
+from invlog import families, gammas, harness
 from invlog.families import ClassSpec
+from invlog.series import AnalyticSeries
 from invlog.harness import (
     CSV_COLUMNS,
     VerifyReport,
@@ -209,6 +210,31 @@ def test_cross_check_routes_agree(spec):
     assert [row["n"] for row in rep.summary] == list(range(1, 11))
 
 
+def test_cross_check_discrepancies_are_those_of_the_one_row_routes():
+    # the chunk is reverted as one stack; each row keeps the bits of the
+    # member reverted on its own
+    rep = cross_check(20, 5, 6)
+    members, _, _ = harness._draw_chunk(ClassSpec.star_ab(1.0, -1.0), 5, range(20),
+                                        rep.order, 0.8)
+    for i, f in enumerate(members):
+        g = AnalyticSeries(f)
+        disc = np.abs(gammas.gamma_via_reversion(g, 6).gammas - gammas.gamma_via_bn(g, 6).gammas)
+        assert [row["discrepancy"] for row in rep.rows if row["sample_id"] == i] == disc.tolist()
+
+
+def test_cross_check_overflow_is_a_bad_argument(monkeypatch):
+    real = gammas.gamma_rows_via_reversion
+
+    def overflowing(f, n_max):
+        out = real(f, n_max)
+        out[3, -1] = np.inf
+        return out
+
+    monkeypatch.setattr(gammas, "gamma_rows_via_reversion", overflowing)
+    with pytest.raises(ValueError, match="sample 3: the reversion route overflows"):
+        cross_check(6, 1, 4)
+
+
 def test_cross_check_validation():
     with pytest.raises(ValueError):
         cross_check(0, 1, 4)
@@ -402,6 +428,20 @@ def test_every_campaign_rejects_a_bad_tolerance_before_sampling(monkeypatch, tol
                  lambda: explore_convex_large_n(1, 4, 5, 1, tol=tol)]
     for campaign in campaigns:
         with pytest.raises(ValueError, match="tol must be finite"):
+            campaign()
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "3"])
+def test_sampled_campaigns_reject_a_bad_seed_before_sampling(monkeypatch, seed):
+    def no_draw(*args):
+        raise AssertionError("sampled before the seed was checked")
+
+    monkeypatch.setattr(harness, "_draw_chunk", no_draw)
+    campaigns = [lambda: cross_check(5, seed, 4),
+                 lambda: verify_bounds(ClassSpec.gc(0.5), 4, 5, seed),
+                 lambda: explore_convex_large_n(1, 4, 5, seed)]
+    for campaign in campaigns:
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             campaign()
 
 

@@ -20,11 +20,13 @@ from _oracles import (
     compose_direct,
     exp_taylor,
     log_mercator,
+    log_unit_one_row,
     poly_mul,
     pow_binomial,
     recip_neumann,
     revert_lagrange,
     revert_lagrange_exact,
+    revert_one_row,
     revert_triangular,
     unit_draw,
 )
@@ -97,6 +99,30 @@ def test_row_kernels_match_the_scalar_kernels(order):
         for name in alone:
             assert np.array_equal(alone[name], got[name][s]), name
             assert np.array_equal(wrapped[name].coeffs, got[name][s]), name
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 16, 33, 64, 129])
+def test_log_and_revert_rows_are_the_one_row_kernels_bit_for_bit(order):
+    # stacks of 1, 7, 60 and 256 rows led by the cusp map; revert_rows works
+    # in blocks of max(1, 2**21 // (16 (order+1) order)) rows, so at orders
+    # 33, 64 and 129 some stacks cross a block boundary
+    rng = RNG(f"rows-log-revert-{order}")
+    cusp = np.arange(order + 1, dtype=np.complex128)
+    f = np.array([cusp] + [analytic_draw(rng, order, rho=0.3) for _ in range(255)])
+    u = np.array([np.concatenate([[1.0], cusp[1:]])]
+                 + [unit_draw(rng, order, rho=0.9) for _ in range(255)])
+    want_inv = np.array([revert_one_row(row, order) for row in f])
+    want_log = np.array([log_unit_one_row(row, order) for row in u])
+    assert np.isfinite(want_inv).all() and np.isfinite(want_log).all()
+    for size in (1, 7, 60, 256):
+        assert np.array_equal(series.revert_rows(f[:size], order), want_inv[:size]), size
+        assert np.array_equal(series.log_unit_rows(u[:size], order), want_log[:size]), size
+    for s in range(256):
+        assert np.array_equal(series.revert_rows(f[s:s + 1], order)[0], want_inv[s]), s
+        assert np.array_equal(series.log_unit_rows(u[s:s + 1], order)[0], want_log[s]), s
+    for s in (0, 255):  # the Series functions are the one-row case
+        assert np.array_equal(series.revert(_series(f[s]), order).coeffs, want_inv[s])
+        assert np.array_equal(series.log_unit(_series(u[s]), order).coeffs, want_log[s])
 
 
 def test_log_matches_mercator_series():
