@@ -95,20 +95,23 @@ def inverse_coeffs(f: Series, n_max: int) -> np.ndarray:
     return out
 
 
-def gamma_via_reversion(f: Series, n_max: int) -> GammaVector:
-    """Revert f, then read Gamma_n off log(F(w)/w)/2: the reversion route
-    on one row."""
+def gamma_via_reversion(f: Series | np.ndarray, n_max: int) -> GammaVector | np.ndarray:
+    """Revert f, then read Gamma_n off log(F(w)/w)/2. f is one Series, giving
+    a GammaVector, or an (S, order+1) array of normalized member rows, giving
+    the (S, n_max) array of gamma_rows_via_reversion. cross_check passes
+    whole chunks, so perfbench's tracer, which wraps this name and
+    series.revert, times the route."""
+    if not isinstance(f, Series):
+        return gamma_rows_via_reversion(f, n_max)
     _check_input(f, n_max)
     F, g = _reversion_rows(f.coeffs[None], n_max)
-    if not np.isfinite(g).all():  # F or its logarithm overflowed
-        raise ValueError("coefficients must be finite")
     return GammaVector(gammas=g[0], source="reversion", inverse_coeffs=F[0, 2:])
 
 
 def gamma_rows_via_reversion(f: np.ndarray, n_max: int) -> np.ndarray:
     """The reversion route on every row of an (S, order+1) array of
     normalized members at once: row s of the (S, n_max) result holds
-    Gamma_1..Gamma_{n_max} of member s. It runs series.revert_rows and
+    Gamma_1..Gamma_{n_max} of member s. It runs series.revert and
     series.log_unit_rows, no kernel the bn route runs."""
     _check_rows(f, n_max)
     return _reversion_rows(f, n_max)[1]
@@ -116,8 +119,15 @@ def gamma_rows_via_reversion(f: np.ndarray, n_max: int) -> np.ndarray:
 
 def _reversion_rows(f: np.ndarray, n_max: int):
     # F to order n_max + 1, then half the log of F/w (constant term exactly 1)
-    F = series.revert_rows(f, n_max + 1)
-    return F, series.log_unit_rows(F[:, 1:], n_max)[:, 1:] / 2.0
+    F = _finite(series.revert(f, n_max + 1))
+    return F, _finite(series.log_unit_rows(F[:, 1:], n_max)[:, 1:] / 2.0)
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    # the check Series applies to one row, on a whole stack
+    if not np.isfinite(a).all():
+        raise ValueError("coefficients must be finite")
+    return a
 
 
 def gamma_via_bn(f: Series, n_max: int) -> GammaVector:

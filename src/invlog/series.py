@@ -242,15 +242,27 @@ def compose(outer: Series, inner: Series, order: int) -> Series:
     return Series(_compose_raw(outer.coeffs[: order + 1], inner.coeffs[: order + 1], order))
 
 
-def revert(f: Series, order: int) -> AnalyticSeries:
-    """Compositional inverse: compose(f, revert(f)) == identity mod z^{order+1};
-    revert_rows on one row."""
-    _need(f, order)
+def revert(f: Series | np.ndarray, order: int) -> AnalyticSeries | np.ndarray:
+    """Compositional inverse: compose(f, revert(f)) == identity mod z^{order+1}.
+
+    f is one Series, giving an AnalyticSeries, or an (S, >= order+1) array
+    of series rows, giving the (S, order+1) array of their inverses; either
+    way revert_rows does the work. The reversion route passes whole chunks
+    through this name, so perfbench's tracer (series.revert) times them."""
+    if isinstance(f, Series):
+        _need(f, order)
+        rows = f.coeffs[None]
+    else:
+        _check_order(order)
+        rows = f
+        if rows.ndim != 2 or rows.shape[1] < order + 1:
+            raise ValueError(f"rows of shape {rows.shape} not known to order {order}")
     if order < 1:
         raise ValueError("revert needs order >= 1")
-    if f.coeffs[0] != 0 or f.coeffs[1] != 1:
+    if np.any(rows[:, 0] != 0) or np.any(rows[:, 1] != 1):
         raise ValueError("revert requires a normalized series (c0 == 0, c1 == 1)")
-    return AnalyticSeries(revert_rows(f.coeffs[None], order)[0])
+    inv = revert_rows(rows, order)
+    return AnalyticSeries(inv[0]) if isinstance(f, Series) else inv
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +270,9 @@ def revert(f: Series, order: int) -> AnalyticSeries:
 #
 # The one implementation of the product, reciprocal, exponential, logarithm
 # and reversion; the Series functions above validate and call these on one
-# row. Each result coefficient is one sum over a row's own terms: exactly
-# the terms it needs, or (the product) those in turn and then exact zeros.
+# row (revert takes a whole stack too). Each result coefficient is one sum
+# over a row's own terms: exactly the terms it needs, or (the product) those
+# in turn and then exact zeros.
 # Most are numpy's pairwise sum over the last axis. The defect sums of
 # log_unit_rows and revert_rows are instead BLAS dots (zdotu), the routine
 # np.dot has always called for them, run once per row by _dot_rows. The
@@ -329,7 +342,7 @@ def log_unit_rows(c: np.ndarray, order: int) -> np.ndarray:
         return ell
     # reversed once, so each step's c_{k-1}, ..., c_1 is a contiguous slice
     rev = np.ascontiguousarray(c[:, order::-1])
-    weights = np.arange(order + 1)
+    weights = np.arange(order + 1, dtype=np.complex128)  # cast once, not per step
     ell[:, 1] = c[:, 1]
     for k in range(2, order + 1):
         s = _dot_rows(weights[1:k] * ell[:, 1:k], rev[:, order + 1 - k : order])

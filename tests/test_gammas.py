@@ -212,6 +212,24 @@ def test_routes_demand_normalization():
         gammas.gamma_via_reversion(Series([1.0, 1.0, 0.0]), 1)
 
 
+def test_reversion_overflow_is_a_bad_argument():
+    # z + 1e200 z^2 reverts to A_n of about 1e200^(n-1): A_3 already overflows
+    f = np.array([[0.0, 1.0, 1e200, 0.0, 0.0, 0.0]])
+    for route in (lambda: gammas.gamma_via_reversion(Series(f[0]), 4),
+                  lambda: gammas.gamma_via_reversion(f, 4),
+                  lambda: gammas.gamma_rows_via_reversion(f, 4)):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            route()
+
+
+def test_stacked_reversion_route_is_gamma_rows_via_reversion():
+    f = np.array([analytic_draw(RNG("stacked-entry"), 9, rho=0.6) for _ in range(4)])
+    assert np.array_equal(gammas.gamma_via_reversion(f, 8), gammas.gamma_rows_via_reversion(f, 8))
+    inv = series.revert(f, 9)
+    assert inv.shape == (4, 10)
+    assert np.array_equal(inv[2], series.revert(Series(f[2]), 9).coeffs)
+
+
 def test_reversion_rows_validate_like_the_bn_rows():
     f = np.array([series.identity(5).coeffs])
     for route in (gammas.gamma_rows_via_reversion, gammas.gamma_rows_via_bn):

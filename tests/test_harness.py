@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from invlog import families, gammas, harness
+from invlog import families, gammas, harness, series
 from invlog.families import ClassSpec
 from invlog.series import AnalyticSeries
 from invlog.harness import (
@@ -223,16 +223,29 @@ def test_cross_check_discrepancies_are_those_of_the_one_row_routes():
 
 
 def test_cross_check_overflow_is_a_bad_argument(monkeypatch):
-    real = gammas.gamma_rows_via_reversion
+    real = series.revert_rows
 
-    def overflowing(f, n_max):
-        out = real(f, n_max)
+    def overflowing(f, order):
+        out = real(f, order)
         out[3, -1] = np.inf
         return out
 
-    monkeypatch.setattr(gammas, "gamma_rows_via_reversion", overflowing)
-    with pytest.raises(ValueError, match="sample 3: the reversion route overflows"):
+    monkeypatch.setattr(series, "revert_rows", overflowing)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
         cross_check(6, 1, 4)
+
+
+def test_cross_check_reverts_each_chunk_in_one_call_of_the_public_names(monkeypatch):
+    # perfbench's tracer times the reversion route through these two names
+    calls = []
+    for owner, name in ((gammas, "gamma_via_reversion"), (series, "revert")):
+        def spy(f, n, real=getattr(owner, name), name=name):
+            calls.append((name, f.shape[0]))
+            return real(f, n)
+        monkeypatch.setattr(owner, name, spy)
+    cross_check(harness.CHUNK + 5, 2, 4)
+    assert calls == [("gamma_via_reversion", harness.CHUNK), ("revert", harness.CHUNK),
+                     ("gamma_via_reversion", 5), ("revert", 5)]
 
 
 def test_cross_check_validation():
