@@ -151,8 +151,7 @@ def cmd_bounds(args) -> int:
     spec = _spec_from_args(args)
     abs_a = None
     if spec.entry.per_sample_bound:
-        a = 0.5 if args.a is None else args.a
-        abs_a = abs(a)
+        abs_a = harness.DEFAULT_ABS_A if args.a is None else abs(args.a)
     lines = [f"bounds for {spec.label()}" + (f" at |omega(0)| = {abs_a:g}" if abs_a is not None else "")]
     rows = []
     for n in range(1, args.n_max + 1):
@@ -210,7 +209,7 @@ def cmd_cross_check(args) -> int:
 def cmd_sharpness(args) -> int:
     spec = _spec_from_args(args)
     n_max = args.n if args.n is not None else args.n_max
-    abs_a = 0.5 if args.a is None else abs(args.a)
+    abs_a = harness.DEFAULT_ABS_A if args.a is None else abs(args.a)
     report = harness.sharpness_check(spec, n_max, tol=args.tol, order=args.order,
                                      abs_a=abs_a, n_min=n_max if args.n is not None else 1)
     return _finish_report(report, args)

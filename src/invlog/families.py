@@ -260,22 +260,21 @@ def blaschke_series(theta: float, factors, order: int) -> Series:
     return Series(blaschke_rows([theta], [0], [tuple(factors)], order)[0])
 
 
-def sample_schwarz(seed, degree_max: int = 4, *, radius_cap: float = 0.95,
-                   degree_min: int = 1) -> SchwarzFn:
+def sample_schwarz(seed, *, radius_cap: float = 0.95) -> SchwarzFn:
     """Draw a random Schwarz function, deterministically in the seed.
 
     seed may be an int or a tuple (campaign seed, sample index, ...); the
-    generator is counter-based so parallel draws never share state. Radii are
-    sqrt-uniform in [0, radius_cap] (area-uniform in the disk of that radius);
-    multiplicity favors simple zeros but exercises the c1 = 0 branches too.
+    generator is counter-based so parallel draws never share state. One to
+    four Blaschke factors, with radii sqrt-uniform in [0, radius_cap]
+    (area-uniform in the disk of that radius); multiplicity favors simple
+    zeros but exercises the c1 = 0 branches too. Raises ValueError only for
+    a radius_cap outside [0, 1).
     """
     if not 0 <= radius_cap < 1:
         raise ValueError("radius_cap must lie in [0, 1)")
-    if degree_min < 0 or degree_max < degree_min:
-        raise ValueError("need 0 <= degree_min <= degree_max")
     rng = np.random.default_rng(seed)
     m = (1, 1, 1, 2, 3)[rng.integers(5)]
-    d = int(rng.integers(degree_min, degree_max + 1))
+    d = int(rng.integers(1, 5))
     # uniform(0, 2 pi) is 2 pi times the next double: one call draws them all
     u = rng.random(2 * d + 1).tolist()
     factors = tuple(radius_cap * math.sqrt(u[j]) * cmath.exp(1j * (2.0 * math.pi * u[j + 1]))
@@ -300,6 +299,8 @@ def sample_dilation(seed, lam: float, *, radius_cap: float = 0.95) -> DilationDr
     the seed: zero to three Blaschke factors of radius below 0.95, then a2
     sqrt-uniform in the disk of radius radius_cap (1 + lam v(|omega(0)|)),
     a share of the largest |a2| the class allows at that omega(0)."""
+    if not 0 <= radius_cap < 1:
+        raise ValueError("radius_cap must lie in [0, 1)")
     rng = np.random.default_rng(seed)
     nfac = int(rng.integers(0, 4))
     # as in sample_schwarz, all the uniforms in one call
@@ -326,7 +327,7 @@ def sample_member(spec: ClassSpec, seed, *, radius_cap: float):
     either into members."""
     if spec.entry.subordination is None:
         return sample_dilation(seed, spec.lam, radius_cap=radius_cap)
-    return sample_schwarz(seed, 4, radius_cap=radius_cap)
+    return sample_schwarz(seed, radius_cap=radius_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,14 @@ from . import series
 from .bounds import check_f_alpha, check_u_lambda
 from .series import AnalyticSeries, Series
 
-SOURCES = ("reversion", "bn-identity", "closed-form")
+SOURCES = ("reversion", "bn-identity")
 
 
 @dataclass(frozen=True)
 class GammaVector:
     """Gamma_1..Gamma_{n_max} plus which route produced them. The reversion
     route also carries the inverse coefficients A_2..A_{n_max+1} it passed
-    through; the other routes leave that field None."""
+    through; the bn route leaves that field None."""
 
     gammas: np.ndarray
     source: str
@@ -60,17 +60,6 @@ class GammaVector:
         return complex(self.gammas[n - 1])
 
 
-def _check_input(f: Series, n_max: int):
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if f.order < n_max + 1:
-        raise ValueError(
-            f"Gamma_{n_max} depends on coefficients through a_{n_max + 1}; "
-            f"input of order {f.order} is not known that far")
-    if f.coeffs[0] != 0 or f.coeffs[1] != 1:
-        raise ValueError("input must be normalized: f(0) = 0, f'(0) = 1")
-
-
 def _check_rows(f: np.ndarray, n_max: int):
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -85,10 +74,6 @@ def inverse_coeffs(f: Series, n_max: int) -> np.ndarray:
     """A_2..A_{n_max} of the inverse, by series reversion."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if f.order < n_max:
-        raise ValueError(f"A_{n_max} needs f through order {n_max}, only {f.order} known")
-    if f.coeffs[0] != 0 or f.coeffs[1] != 1:
-        raise ValueError("input must be normalized: f(0) = 0, f'(0) = 1")
     F = series.revert(f, n_max)
     out = F.coeffs[2:].copy()
     out.setflags(write=False)
@@ -96,31 +81,23 @@ def inverse_coeffs(f: Series, n_max: int) -> np.ndarray:
 
 
 def gamma_via_reversion(f: Series | np.ndarray, n_max: int) -> GammaVector | np.ndarray:
-    """Revert f, then read Gamma_n off log(F(w)/w)/2. f is one Series, giving
-    a GammaVector, or an (S, order+1) array of normalized member rows, giving
-    the (S, n_max) array of gamma_rows_via_reversion. cross_check passes
-    whole chunks, so perfbench's tracer, which wraps this name and
-    series.revert, times the route."""
-    if not isinstance(f, Series):
-        return gamma_rows_via_reversion(f, n_max)
-    _check_input(f, n_max)
-    F, g = _reversion_rows(f.coeffs[None], n_max)
-    return GammaVector(gammas=g[0], source="reversion", inverse_coeffs=F[0, 2:])
+    """Revert f, then read Gamma_n off log(F(w)/w)/2.
 
-
-def gamma_rows_via_reversion(f: np.ndarray, n_max: int) -> np.ndarray:
-    """The reversion route on every row of an (S, order+1) array of
-    normalized members at once: row s of the (S, n_max) result holds
-    Gamma_1..Gamma_{n_max} of member s. It runs series.revert and
-    series.log_unit_rows, no kernel the bn route runs."""
-    _check_rows(f, n_max)
-    return _reversion_rows(f, n_max)[1]
-
-
-def _reversion_rows(f: np.ndarray, n_max: int):
+    f is one Series, giving a GammaVector that also carries A_2..A_{n_max+1},
+    or an (S, order+1) array of normalized member rows, giving the
+    (S, n_max) array whose row s holds Gamma_1..Gamma_{n_max} of member s.
+    Either way the rows go through series.revert and series.log_unit_rows
+    as one stack, no kernel the bn route runs. cross_check passes whole
+    chunks, so perfbench's tracer, which wraps this name and series.revert,
+    times the route."""
+    rows = f.coeffs[None] if isinstance(f, Series) else f
+    _check_rows(rows, n_max)
     # F to order n_max + 1, then half the log of F/w (constant term exactly 1)
-    F = _finite(series.revert(f, n_max + 1))
-    return F, _finite(series.log_unit_rows(F[:, 1:], n_max)[:, 1:] / 2.0)
+    F = _finite(series.revert(rows, n_max + 1))
+    g = _finite(series.log_unit_rows(F[:, 1:], n_max)[:, 1:] / 2.0)
+    if isinstance(f, Series):
+        return GammaVector(gammas=g[0], source="reversion", inverse_coeffs=F[0, 2:])
+    return g
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
@@ -132,7 +109,6 @@ def _finite(a: np.ndarray) -> np.ndarray:
 
 def gamma_via_bn(f: Series, n_max: int) -> GammaVector:
     """Reversion-free route, 2 n Gamma_n = [z^n] (z/f)^n: gamma_rows_via_bn on one row."""
-    _check_input(f, n_max)
     return GammaVector(gammas=gamma_rows_via_bn(f.coeffs[None], n_max)[0], source="bn-identity")
 
 

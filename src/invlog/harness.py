@@ -8,7 +8,10 @@ Four entry points, all deterministic in (seed, sample index):
   explore_convex_large_n -- probe the open orders of the convex class
 
 Per-sample randomness comes from numpy's counter-style seeding with the key
-(seed, index, attempt), so a campaign gives byte-identical reports.
+(seed, index, attempt), so a campaign gives byte-identical reports. Every
+argument a draw uses (seed, radius_cap) is checked before sampling, so the
+one reason to redraw, under the next attempt, is a member that is not
+finite; a draw that raises is a fault and its error propagates.
 VerifyReport.to_json and to_csv are byte-identical to the reference writers
 in tests/_oracles.py (the whole payload through json's indent encoder, one
 format per CSV cell). to_json encodes the rows, flat dicts of JSON scalars,
@@ -52,6 +55,7 @@ from .families import ClassSpec
 CSV_COLUMNS = ("sample_id", "n", "abs_gamma", "bound", "branch", "margin", "flag")
 
 DEFAULT_ORDER_MARGIN = 8  # campaign order = n_max + this, unless overridden
+DEFAULT_ABS_A = 0.5  # |omega(0)| the bounded-distortion bounds are taken at, unless given
 
 
 def _flag(excess, tol: float):
@@ -186,51 +190,46 @@ def _draw_chunk(spec: ClassSpec, seed, ids, order: int, radius_cap: float):
     """Members for the sample indices ids, as rows of one array, plus each
     index's parameter draw and attempt count.
 
-    Each index draws its parameters under the key (seed, index, attempt);
-    a draw that raises, or whose member row is not finite, is retried under
-    the next attempt rather than perturbed, so results stay reproducible.
+    Each index draws its parameters under the key (seed, index, attempt).
+    A draw whose member row is not finite (an overflow) is redrawn under the
+    next attempt rather than perturbed, so results stay reproducible; four
+    attempts are allowed. The campaign's arguments are checked before any
+    draw, so a draw that raises anyway is a fault, and its error propagates.
     Each pass turns all pending draws into members as one batch.
     """
     rows = np.empty((len(ids), order + 1), dtype=np.complex128)
     draws = [None] * len(ids)
     attempts = [0] * len(ids)
-    last = [None] * len(ids)
     todo = list(range(len(ids)))
     while todo:
         for j in todo:
-            while draws[j] is None:
-                if attempts[j] == 4:
-                    raise RuntimeError(f"sample {ids[j]}: no usable draw in 4 attempts "
-                                       f"({last[j]})")
-                try:
-                    draws[j] = families.sample_member(spec, (seed, ids[j], attempts[j]),
-                                                      radius_cap=radius_cap)
-                except (ValueError, FloatingPointError) as exc:
-                    last[j] = str(exc)
-                    attempts[j] += 1
+            draws[j] = families.sample_member(spec, (seed, ids[j], attempts[j]),
+                                              radius_cap=radius_cap)
         # overflow shows up as a non-finite row, caught below
         with np.errstate(all="ignore"):
             batch = families.member_rows(spec, [draws[j] for j in todo], order)
-        finite = np.isfinite(batch).all(axis=1)
         rows[todo] = batch
-        redo = [j for j, ok in zip(todo, finite) if not ok]
-        for j in redo:
-            draws[j] = None
-            last[j] = "non-finite coefficients"
+        todo = [j for j, ok in zip(todo, np.isfinite(batch).all(axis=1)) if not ok]
+        for j in todo:
             attempts[j] += 1
-        todo = redo
+            if attempts[j] == 4:
+                raise RuntimeError(f"sample {ids[j]}: no usable draw in 4 attempts "
+                                   "(non-finite coefficients)")
     return rows, draws, attempts
 
 
-def _resolve_order(n_max: int, order, tol: float = 0.0, seed=0) -> int:
+def _resolve_order(n_max: int, order, tol: float = 0.0, seed=0, radius_cap=0.0) -> int:
     """The series order a campaign up to Gamma_{n_max} runs at. Every
     campaign calls this before any sampling, so it also rejects a tolerance
     that cannot grade (a negative one flags every row, a NaN or infinite one
-    cannot be serialized) and a seed no draw can be keyed by."""
+    cannot be serialized), a seed no draw can be keyed by and a radius cap
+    that would draw members outside the class."""
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if not 0 <= radius_cap < 1:
+        raise ValueError(f"radius_cap must lie in [0, 1), got {radius_cap}")
     if order is None:
         return n_max + DEFAULT_ORDER_MARGIN
     order = int(order)
@@ -294,7 +293,7 @@ def cross_check(samples: int, seed: int, n_max: int, tol: float = 1e-10, *,
     spec = spec if spec is not None else ClassSpec.star_ab(1.0, -1.0)
     if samples < 1 or n_max < 1:
         raise ValueError("samples and n_max must be >= 1")
-    order = _resolve_order(n_max, order, tol, seed)
+    order = _resolve_order(n_max, order, tol, seed, radius_cap)
 
     per_n_max = np.zeros(n_max)
 
@@ -331,7 +330,7 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
     """
     if samples < 1 or n_max < 1:
         raise ValueError("samples and n_max must be >= 1")
-    order = _resolve_order(n_max, order, tol, seed)
+    order = _resolve_order(n_max, order, tol, seed, radius_cap)
 
     def applicable(abs_a):
         results = (bound_for(spec, n, abs_a=abs_a) for n in range(1, n_max + 1))
@@ -371,9 +370,9 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
                           n_max=n_max, order=order, samples=samples, seed=seed, tol=tol)
     sharp_gaps: dict[int, float | None] = {}
     for n, res in (static or {}).items():
+        candidates = spec.entry.candidates(spec, n, res.branch, order, DEFAULT_ABS_A)
         reached = [float(abs(gammas.gamma_via_bn(f, n).gammas[n - 1]))
-                   for _, f, asserted, _ in spec.entry.candidates(spec, n, res.branch, order, 0.5)
-                   if asserted]
+                   for _, f, asserted, _ in candidates if asserted]
         sharp_gaps[n] = res.value - max(reached) if reached else None
     _sample_rows(report, spec, radius_cap, rows_of)
     report.summary = [{"n": n, **stats[n], "sharpness_gap": sharp_gaps.get(n)}
@@ -391,7 +390,7 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
 
 
 def sharpness_check(spec: ClassSpec, n_max: int, tol: float = 1e-9, *,
-                    order: int | None = None, abs_a: float = 0.5,
+                    order: int | None = None, abs_a: float = DEFAULT_ABS_A,
                     n_min: int = 1) -> VerifyReport:
     """Evaluate each bound's named equality function at orders n_min..n_max
     and report the gap bound - |Gamma_n|. Candidates marked asserted must
@@ -456,7 +455,7 @@ def explore_convex_large_n(n_min: int, n_max: int, samples: int, seed: int, *,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     spec = ClassSpec.f_alpha(0.0)
-    order = _resolve_order(n_max, order, tol, seed)
+    order = _resolve_order(n_max, order, tol, seed, radius_cap)
     ns = range(n_min, n_max + 1)
     proved = {n: bound_for(spec, n) for n in ns if n <= 3}
     bound = np.array([proved[n].value if n in proved else 1.0 / (2.0 * n) for n in ns])

@@ -320,19 +320,16 @@ def revert_one_row(fc, order):
 # keyed parameter draws, one Generator call per value
 
 
-def sample_schwarz(seed, degree_max: int = 4, *, radius_cap: float = 0.95,
-                   degree_min: int = 1):
+def sample_schwarz(seed, *, radius_cap: float = 0.95):
     """families.sample_schwarz as first written: rng.choice for the
     multiplicity and one uniform() call per angle and radius."""
     from invlog.families import SchwarzFn
 
     if not 0 <= radius_cap < 1:
         raise ValueError("radius_cap must lie in [0, 1)")
-    if degree_min < 0 or degree_max < degree_min:
-        raise ValueError("need 0 <= degree_min <= degree_max")
     rng = np.random.default_rng(seed)
     m = int(rng.choice([1, 1, 1, 2, 3]))
-    d = int(rng.integers(degree_min, degree_max + 1))
+    d = int(rng.integers(1, 5))
     theta = float(rng.uniform(0.0, 2.0 * math.pi))
     factors = []
     for _ in range(d):

@@ -212,10 +212,11 @@ def test_sample_schwarz_is_deterministic_and_capped():
 
 
 def test_sample_schwarz_validation():
-    with pytest.raises(ValueError):
-        families.sample_schwarz(1, radius_cap=1.0)
-    with pytest.raises(ValueError):
-        families.sample_schwarz(1, degree_max=2, degree_min=3)
+    for cap in (1.0, 1.5, -0.1, math.nan):
+        for draw in (lambda: families.sample_schwarz(1, radius_cap=cap),
+                     lambda: families.sample_dilation(1, 0.5, radius_cap=cap)):
+            with pytest.raises(ValueError, match="radius_cap"):
+                draw()
 
 
 @pytest.mark.parametrize("seed", [3, 131, 2**40 + 7])
@@ -224,7 +225,6 @@ def test_keyed_draws_match_the_reference_draws(seed):
     # form; every value must keep its bits (repr tells -0.0 from 0.0)
     keys = [(seed, i, attempt) for i in range(2000) for attempt in (0, 1)]
     cases = [(families.sample_schwarz, _oracles.sample_schwarz, {}),
-             (families.sample_schwarz, _oracles.sample_schwarz, {"degree_min": 0}),
              (families.sample_schwarz, _oracles.sample_schwarz, {"radius_cap": 0.0}),
              (families.sample_dilation, _oracles.sample_dilation, {"lam": 0.5}),
              (families.sample_dilation, _oracles.sample_dilation,

@@ -79,7 +79,7 @@ def test_reversion_rows_agree_with_pure_python_oracle():
     # the tolerance of the one-row oracle test above
     rng = RNG("oracle-rows")
     f = np.array([analytic_draw(rng, 9, rho=0.7) for _ in range(25)])
-    got = gammas.gamma_rows_via_reversion(f, 8)
+    got = gammas.gamma_via_reversion(f, 8)
     for row, member in zip(got, f):
         want = np.array(gamma_oracle(list(member), 8))
         assert float(np.max(np.abs(row - want))) < 1e-11
@@ -88,7 +88,7 @@ def test_reversion_rows_agree_with_pure_python_oracle():
 def test_one_row_reversion_route_is_its_row_of_a_stack():
     rng = RNG("reversion-rows")
     f = np.array([analytic_draw(rng, 18, rho=0.5) for _ in range(256)])
-    stacked = gammas.gamma_rows_via_reversion(f, 16)
+    stacked = gammas.gamma_via_reversion(f, 16)
     assert stacked.shape == (256, 16)
     for s in range(256):
         assert np.array_equal(gammas.gamma_via_reversion(Series(f[s]), 16).gammas, stacked[s])
@@ -98,7 +98,7 @@ def test_reversion_route_runs_without_the_bn_route(monkeypatch):
     # the routes share only the logarithm and reversion kernels: with every
     # bn-route step disabled the reversion route still gives the same bits
     f = np.array([analytic_draw(RNG("independent"), 12, rho=0.6) for _ in range(3)])
-    want = gammas.gamma_rows_via_reversion(f, 10)
+    want = gammas.gamma_via_reversion(f, 10)
 
     def disabled(*args, **kwargs):
         raise AssertionError("the reversion route called a bn-route step")
@@ -106,7 +106,7 @@ def test_reversion_route_runs_without_the_bn_route(monkeypatch):
     for name in ("reciprocal_rows", "multiply_rows", "exp_zero_rows"):
         monkeypatch.setattr(series, name, disabled)
     monkeypatch.setattr(gammas, "gamma_rows_via_bn", disabled)
-    assert np.array_equal(gammas.gamma_rows_via_reversion(f, 10), want)
+    assert np.array_equal(gammas.gamma_via_reversion(f, 10), want)
     assert np.array_equal(gammas.gamma_via_reversion(Series(f[0]), 10).gammas, want[0])
 
 
@@ -216,15 +216,13 @@ def test_reversion_overflow_is_a_bad_argument():
     # z + 1e200 z^2 reverts to A_n of about 1e200^(n-1): A_3 already overflows
     f = np.array([[0.0, 1.0, 1e200, 0.0, 0.0, 0.0]])
     for route in (lambda: gammas.gamma_via_reversion(Series(f[0]), 4),
-                  lambda: gammas.gamma_via_reversion(f, 4),
-                  lambda: gammas.gamma_rows_via_reversion(f, 4)):
+                  lambda: gammas.gamma_via_reversion(f, 4)):
         with pytest.raises(ValueError, match="coefficients must be finite"):
             route()
 
 
-def test_stacked_reversion_route_is_gamma_rows_via_reversion():
+def test_stacked_revert_is_the_one_row_revert():
     f = np.array([analytic_draw(RNG("stacked-entry"), 9, rho=0.6) for _ in range(4)])
-    assert np.array_equal(gammas.gamma_via_reversion(f, 8), gammas.gamma_rows_via_reversion(f, 8))
     inv = series.revert(f, 9)
     assert inv.shape == (4, 10)
     assert np.array_equal(inv[2], series.revert(Series(f[2]), 9).coeffs)
@@ -232,7 +230,7 @@ def test_stacked_reversion_route_is_gamma_rows_via_reversion():
 
 def test_reversion_rows_validate_like_the_bn_rows():
     f = np.array([series.identity(5).coeffs])
-    for route in (gammas.gamma_rows_via_reversion, gammas.gamma_rows_via_bn):
+    for route in (gammas.gamma_via_reversion, gammas.gamma_rows_via_bn):
         with pytest.raises(ValueError, match="needs rows known"):
             route(f, 5)
         with pytest.raises(ValueError, match="n_max"):

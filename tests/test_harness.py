@@ -6,6 +6,7 @@ full-size runs live in the acceptance tests.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -429,6 +430,33 @@ def test_resolve_order_default_margin():
         harness._resolve_order(8, 8)
 
 
+# Gamma_n reads a_2..a_{n+1} only, so the order margin must change nothing
+# but the report's order field
+_AT_ORDER = (
+    [(f"verify-{spec.label()}", 8,
+      lambda order, spec=spec: verify_bounds(spec, 8, 40, 3, order=order)) for spec in EVERY_CLASS]
+    + [(f"sharpness-{spec.label()}", 8,
+        lambda order, spec=spec: sharpness_check(spec, 8, order=order)) for spec in EVERY_CLASS]
+    + [("cross-check-12", 12, lambda order: cross_check(40, 3, 12, order=order)),
+       ("cross-check-32", 32, lambda order: cross_check(20, 3, 32, order=order)),
+       ("explore", 9, lambda order: explore_convex_large_n(1, 9, 60, 3, order=order))])
+
+
+@pytest.mark.parametrize("n_max, campaign", [case[1:] for case in _AT_ORDER],
+                         ids=[case[0] for case in _AT_ORDER])
+def test_the_order_margin_changes_only_the_order_field(n_max, campaign):
+    default, tight = campaign(None), campaign(n_max + 1)
+    assert (default.order, tight.order) == (n_max + harness.DEFAULT_ORDER_MARGIN, n_max + 1)
+
+    def without_order(rep):
+        text, found = re.subn(rf'\n  "order": {rep.order},', "", rep.to_json())
+        assert found == 1
+        return text
+
+    assert without_order(default) == without_order(tight)
+    assert default.to_csv() == tight.to_csv()
+
+
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
 def test_every_campaign_rejects_a_bad_tolerance_before_sampling(monkeypatch, tol):
     def no_draw(*args):
@@ -485,7 +513,17 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
         assert _campaign_bytes() == reference, f"CHUNK = {chunk}"
 
 
-def test_a_non_finite_member_is_redrawn(monkeypatch):
+# every sampled campaign redraws a member that is not finite under a fresh
+# key; real campaigns almost never do, so the draw is made to fail on purpose
+SAMPLED_CAMPAIGNS = pytest.mark.parametrize("campaign", [
+    lambda: cross_check(5, 3, 4),
+    lambda: verify_bounds(ClassSpec.gc(0.5), 4, 5, 3),
+    lambda: explore_convex_large_n(1, 4, 5, 3),
+], ids=["cross-check", "verify", "explore"])
+
+
+@SAMPLED_CAMPAIGNS
+def test_a_non_finite_member_is_redrawn(monkeypatch, campaign):
     draw = families.sample_schwarz
 
     def first_attempt_of_sample_2_overflows(key, *args, **kwargs):
@@ -496,43 +534,43 @@ def test_a_non_finite_member_is_redrawn(monkeypatch):
 
     monkeypatch.setattr(families, "sample_schwarz", first_attempt_of_sample_2_overflows)
     monkeypatch.setattr(harness, "CHUNK", 3)
-    rep = verify_bounds(ClassSpec.gc(0.5), 4, 5, 3)
-    assert [n for n in rep.notes if "resampled" in n] == ["sample 2: resampled 1 time(s)"]
-    assert len(rep.rows) == 5 * 4
-    assert all(math.isfinite(row["abs_gamma"]) for row in rep.rows)
-
-
-# every sampled campaign retries a degenerate draw under a fresh key; real
-# campaigns almost never do, so the draw is made to fail on purpose
-
-
-@pytest.mark.parametrize("campaign", [
-    lambda: cross_check(5, 3, 4),
-    lambda: verify_bounds(ClassSpec.gc(0.5), 4, 5, 3),
-    lambda: explore_convex_large_n(1, 4, 5, 3),
-], ids=["cross-check", "verify", "explore"])
-def test_campaigns_resample_a_failed_draw(monkeypatch, campaign):
-    draw = families.sample_schwarz
-
-    def first_attempt_of_sample_2_fails(key, *args, **kwargs):
-        if key[1:] == (2, 0):
-            raise ValueError("degenerate draw")
-        return draw(key, *args, **kwargs)
-
-    monkeypatch.setattr(families, "sample_schwarz", first_attempt_of_sample_2_fails)
     rep = campaign()
     assert [n for n in rep.notes if "resampled" in n] == ["sample 2: resampled 1 time(s)"]
     assert len(rep.rows) == 5 * 4
     assert [row["sample_id"] for row in rep.rows[::4]] == [0, 1, 2, 3, 4]
+    assert all(math.isfinite(row["abs_gamma"]) for row in rep.rows)
 
 
-def test_draw_gives_up_after_four_attempts(monkeypatch):
-    def always_fails(key, *args, **kwargs):
-        raise ValueError("degenerate draw")
+@SAMPLED_CAMPAIGNS
+def test_a_draw_that_raises_is_not_retried(monkeypatch, campaign):
+    # arguments are checked before sampling, so a raising draw is a bug to
+    # surface as it is, not a degenerate draw to retry
+    calls = []
 
-    monkeypatch.setattr(families, "sample_schwarz", always_fails)
-    with pytest.raises(RuntimeError, match="no usable draw in 4 attempts"):
-        verify_bounds(ClassSpec.gc(0.5), 4, 5, 3)
+    def broken_draw(key, *args, **kwargs):
+        calls.append(key)
+        raise ValueError("boom")
+
+    monkeypatch.setattr(families, "sample_schwarz", broken_draw)
+    with pytest.raises(ValueError, match="^boom$"):
+        campaign()
+    assert calls == [(3, 0, 0)]
+
+
+@pytest.mark.parametrize("radius_cap", [1.0, 1.5, -0.1, math.nan])
+def test_sampled_campaigns_reject_a_bad_radius_cap_before_sampling(monkeypatch, radius_cap):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before radius_cap was checked")
+
+    monkeypatch.setattr(families, "sample_member", no_draw)
+    campaigns = [lambda spec: cross_check(5, 3, 4, spec=spec, radius_cap=radius_cap),
+                 lambda spec: verify_bounds(spec, 4, 5, 3, radius_cap=radius_cap)]
+    for spec in (ClassSpec.gc(0.5), ClassSpec.u_lambda(0.5)):
+        for campaign in campaigns:
+            with pytest.raises(ValueError, match=r"radius_cap must lie in \[0, 1\)"):
+                campaign(spec)
+    with pytest.raises(ValueError, match=r"radius_cap must lie in \[0, 1\)"):
+        explore_convex_large_n(1, 4, 5, 3, radius_cap=radius_cap)
 
 
 def test_draw_gives_up_on_four_non_finite_members(monkeypatch):
