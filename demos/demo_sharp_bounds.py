@@ -19,7 +19,7 @@ from invlog.families import ClassSpec
 
 
 def gap_line(n, res, f, label):
-    ag = abs(gammas.gamma_via_bn(f, n)[n])
+    ag = abs(gammas.gamma_via_bn(f, n)[n - 1])
     print(f"  n={n}  bound {res.value:<12.9f} |Gamma_n| {ag:<12.9f} "
           f"gap {res.value - ag:>10.2e}   {res.branch:<20} {label}")
 

@@ -15,11 +15,11 @@ from invlog.families import ClassSpec
 def show(name, f, n_max=8):
     rev = gammas.gamma_via_reversion(f, n_max)
     bn = gammas.gamma_via_bn(f, n_max)
-    disc = np.max(np.abs(rev.gammas - bn.gammas))
+    disc = np.max(np.abs(rev - bn))
     print(f"\n{name}")
     print(f"  {'n':>2}  {'|Gamma_n| (reversion)':>22}  {'|Gamma_n| (bn identity)':>23}")
     for n in range(1, n_max + 1):
-        print(f"  {n:>2}  {abs(rev[n]):>22.15f}  {abs(bn[n]):>23.15f}")
+        print(f"  {n:>2}  {abs(rev[n - 1]):>22.15f}  {abs(bn[n - 1]):>23.15f}")
     print(f"  max route discrepancy: {disc:.3e}")
 
 

@@ -46,12 +46,10 @@ from .families import (
     u_lambda_member,
 )
 from .gammas import (
-    GammaVector,
     gamma12_U,
     gamma123_F_alpha,
     gamma_via_bn,
     gamma_via_reversion,
-    inverse_coeffs,
 )
 from .bounds import (
     BoundResult,
@@ -93,8 +91,7 @@ __all__ = [
     "ClassSpec", "SchwarzFn", "blaschke_series", "f_alpha_extremal",
     "gc_extremal", "k_AB_n", "koebe", "member_from_schwarz", "sample_schwarz",
     "schwarz_series", "spiral_extremal", "u_extremal", "u_lambda_member",
-    "GammaVector", "gamma12_U", "gamma123_F_alpha", "gamma_via_bn",
-    "gamma_via_reversion", "inverse_coeffs",
+    "gamma12_U", "gamma123_F_alpha", "gamma_via_bn", "gamma_via_reversion",
     "BoundResult", "bound_F_gamma1", "bound_F_gamma2", "bound_F_gamma3",
     "bound_Gc", "bound_U_gamma1", "bound_U_gamma2", "bound_bn_Gc",
     "bound_class_S", "bound_for", "bound_spiral", "bound_star_AB",

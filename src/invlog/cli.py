@@ -123,12 +123,12 @@ def cmd_gamma(args) -> int:
     order = args.order if args.order is not None else n_max + 1
     f = _gamma_function(args, order)
     with np.errstate(all="ignore"):  # an overflow is reported below, at its first n
-        gv = gammas.gamma_via_bn(f, n_max)
+        gams = gammas.gamma_via_bn(f, n_max)
     lines_csv = ["n,re,im,abs"]
     human = [f"Gamma_n for family {args.family} (order {order}, route: bn-identity)"]
     payload = []
     for n in range(1, n_max + 1):
-        g = gv[n]
+        g = complex(gams[n - 1])
         _require(np.isfinite(g), f"Gamma at n={n} is {g}, beyond double precision; lower n_max")
         payload.append({"n": n, "re": g.real, "im": g.imag, "abs": abs(g)})
         lines_csv.append(",".join((str(n), harness._fmt17(g.real), harness._fmt17(g.imag),
@@ -148,6 +148,7 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    _require(args.n_max >= 1, f"--n-max must be >= 1, got {args.n_max}")
     spec = _spec_from_args(args)
     abs_a = None
     if spec.entry.per_sample_bound:

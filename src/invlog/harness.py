@@ -21,16 +21,18 @@ _rows_json for why that finds exactly the row boundaries.
 The sampled campaigns share one chunked loop, _sample_rows. It takes CHUNK
 sample indices at a time; each index draws its parameters under its own
 key, then the chunk's members and their bn-route Gammas are computed as
-(samples x order) arrays (families.member_rows, gammas.gamma_rows_via_bn on
-the row kernels of series). Each chunk is graded by one vectorized
-comparison, folded into the per-order summary by numpy reductions, and its
-rows are built in index order. A row's bits do not depend on the rows
-computed with it, so reports do not depend on CHUNK. The Series API
-(member_from_schwarz, u_lambda_member, gamma_via_bn) is a validating
-one-row wrapper over the same row functions; tests/_oracles.py is the
+(samples x order) arrays (families.member_rows, then one call of
+gammas.gamma_via_bn on the chunk's rows). Each chunk is graded by one
+vectorized comparison, folded into the per-order summary by numpy
+reductions, and its rows are built in index order. A row's bits do not
+depend on the rows computed with it, so reports do not depend on CHUNK. The
+Series API (member_from_schwarz, u_lambda_member, and both routes on a
+Series) runs the same row functions on one row; tests/_oracles.py is the
 reference both are held to. cross_check runs the reversion route on the
 same chunk arrays too (gammas.gamma_via_reversion of the member rows), one
 Horner table per member but the whole chunk in one loop over the orders.
+A campaign with no order given runs at n_max + 1: Gamma_n reads a_2..a_{n+1}
+only, so a higher order changes nothing but the report's order field.
 
 Violation grading: with excess the amount by which a sample oversteps
 (|Gamma| - bound, or the route discrepancy), excess <= tol is "ok",
@@ -54,7 +56,6 @@ from .families import ClassSpec
 
 CSV_COLUMNS = ("sample_id", "n", "abs_gamma", "bound", "branch", "margin", "flag")
 
-DEFAULT_ORDER_MARGIN = 8  # campaign order = n_max + this, unless overridden
 DEFAULT_ABS_A = 0.5  # |omega(0)| the bounded-distortion bounds are taken at, unless given
 
 
@@ -231,7 +232,7 @@ def _resolve_order(n_max: int, order, tol: float = 0.0, seed=0, radius_cap=0.0) 
     if not 0 <= radius_cap < 1:
         raise ValueError(f"radius_cap must lie in [0, 1), got {radius_cap}")
     if order is None:
-        return n_max + DEFAULT_ORDER_MARGIN
+        return n_max + 1
     order = int(order)
     if order < n_max + 1:
         raise ValueError(f"order {order} cannot support Gamma_{n_max}; need >= {n_max + 1}")
@@ -268,7 +269,7 @@ def _sample_rows(report: VerifyReport, spec: ClassSpec, radius_cap: float, rows_
         ids = range(start, min(start + CHUNK, report.samples))
         members, draws, attempts = _draw_chunk(spec, report.seed, ids, report.order,
                                                radius_cap)
-        gams = gammas.gamma_rows_via_bn(members, report.n_max)
+        gams = gammas.gamma_via_bn(members, report.n_max)  # one stacked call per chunk
         report.notes += [f"sample {i}: resampled {tries} time(s)"
                          for i, tries in zip(ids, attempts) if tries]
         rows = rows_of(ids, members, gams, draws)
@@ -371,7 +372,7 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
     sharp_gaps: dict[int, float | None] = {}
     for n, res in (static or {}).items():
         candidates = spec.entry.candidates(spec, n, res.branch, order, DEFAULT_ABS_A)
-        reached = [float(abs(gammas.gamma_via_bn(f, n).gammas[n - 1]))
+        reached = [float(abs(gammas.gamma_via_bn(f, n)[n - 1]))
                    for _, f, asserted, _ in candidates if asserted]
         sharp_gaps[n] = res.value - max(reached) if reached else None
     _sample_rows(report, spec, radius_cap, rows_of)
@@ -415,8 +416,7 @@ def sharpness_check(spec: ClassSpec, n_max: int, tol: float = 1e-9, *,
         if res.note:
             report.notes.append(f"n={n}: {res.note}")
         for name, f, asserted, note in spec.entry.candidates(spec, n, res.branch, order, abs_a):
-            gv = gammas.gamma_via_bn(f, n)
-            ag = float(abs(gv.gammas[n - 1]))
+            ag = float(abs(gammas.gamma_via_bn(f, n)[n - 1]))
             gap = res.value - ag
             # both sides of the bound: an equality function must reach it
             flag = _flag(abs(gap), tol) if asserted else "report-only"

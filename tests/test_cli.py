@@ -143,6 +143,16 @@ def test_bounds_missing_parameters(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_bounds_rejects_n_max_below_one(capsys, n_max, fmt):
+    # like every other subcommand, rather than printing an empty table
+    assert run_cli("bounds", "--class", "full-s", f"--n-max={n_max}", "--format", fmt) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --n-max must be >= 1, got {n_max}\n"
+
+
 # ---------------------------------------------------------------------------
 # campaigns through the CLI
 

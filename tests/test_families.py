@@ -483,7 +483,7 @@ def test_member_rows_match_the_scalar_members(spec, order, radius_cap):
     draws = [families.sample_member(spec, (11, i, 0), radius_cap=radius_cap)
              for i in range(24)]
     rows = families.member_rows(spec, draws, order)
-    gam = gammas.gamma_rows_via_bn(rows, order - 1)
+    gam = gammas.gamma_via_bn(rows, order - 1)
     assert rows.shape == (24, order + 1) and gam.shape == (24, order - 1)
     for draw, row, g in zip(draws, rows, gam):
         assert row[0] == 0 and row[1] == 1
@@ -495,7 +495,7 @@ def test_member_rows_match_the_scalar_members(spec, order, radius_cap):
         # a row's bits do not depend on the rows stacked with it
         alone = families.member_rows(spec, [draw], order)
         assert np.array_equal(alone[0], row)
-        assert np.array_equal(gammas.gamma_rows_via_bn(alone, order - 1)[0], g)
+        assert np.array_equal(gammas.gamma_via_bn(alone, order - 1)[0], g)
 
 
 @pytest.mark.parametrize("spec", BATCH_CLASSES + [None],
@@ -511,8 +511,8 @@ def test_bn_route_is_within_rounding_of_a_50_digit_oracle(spec):
     rows = families.member_rows(spec or ClassSpec.full_s(), draws, order)
     if spec is None:
         rows[at] = families.koebe(0.0, order).coeffs
-    stacked = gammas.gamma_rows_via_bn(rows, order - 1)[at]
-    one = gammas.gamma_via_bn(Series(rows[at]), order - 1).gammas
+    stacked = gammas.gamma_via_bn(rows, order - 1)[at]
+    one = gammas.gamma_via_bn(Series(rows[at]), order - 1)
     want = np.array(gamma_bn_mp(rows[at], order - 1))
     scale = np.array(bn_term_scale(rows[at], order - 1))
     for got in (one, stacked):

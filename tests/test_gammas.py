@@ -23,7 +23,7 @@ def RNG(tag):
 def test_identity_has_zero_gammas():
     f = series.identity(8)
     for route in (gammas.gamma_via_reversion, gammas.gamma_via_bn):
-        assert np.all(route(f, 7).gammas == 0)
+        assert np.all(route(f, 7) == 0)
 
 
 def test_half_plane_map_gammas_alternate():
@@ -33,21 +33,21 @@ def test_half_plane_map_gammas_alternate():
     for route in (gammas.gamma_via_reversion, gammas.gamma_via_bn):
         gv = route(f, 12)
         for n in range(1, 13):
-            assert abs(gv[n] - (-1.0) ** n / (2.0 * n)) < 1e-12
+            assert abs(gv[n - 1] - (-1.0) ** n / (2.0 * n)) < 1e-12
 
 
 def test_cusp_map_gamma_magnitudes():
     gv = gammas.gamma_via_bn(families.koebe(0.0, 11), 10)
     for n in range(1, 11):
         want = math.comb(2 * n, n) / (2.0 * n)
-        assert abs(abs(gv[n]) - want) <= 1e-12 * want
+        assert abs(abs(gv[n - 1]) - want) <= 1e-12 * want
 
 
 def test_rotation_covariance():
     # rotating the function by theta multiplies Gamma_n by e^{i n theta}
     theta = 0.9
-    base = gammas.gamma_via_bn(families.koebe(0.0, 9), 8).gammas
-    rot = gammas.gamma_via_bn(families.koebe(theta, 9), 8).gammas
+    base = gammas.gamma_via_bn(families.koebe(0.0, 9), 8)
+    rot = gammas.gamma_via_bn(families.koebe(theta, 9), 8)
     n = np.arange(1, 9)
     err = np.abs(rot - base * np.exp(1j * n * theta)) / (1.0 + np.abs(base))
     assert float(np.max(err)) < 1e-12
@@ -59,8 +59,8 @@ def test_routes_agree_on_random_normalized_series():
     rng = RNG("routes")
     for _ in range(40):
         f = Series(analytic_draw(rng, 17, rho=0.5))
-        a = gammas.gamma_via_reversion(f, 16).gammas
-        b = gammas.gamma_via_bn(f, 16).gammas
+        a = gammas.gamma_via_reversion(f, 16)
+        b = gammas.gamma_via_bn(f, 16)
         assert float(np.max(np.abs(a - b))) < 1e-10
 
 
@@ -70,7 +70,7 @@ def test_routes_agree_with_pure_python_oracle():
         f = analytic_draw(rng, 9, rho=0.7)
         want = np.array(gamma_oracle(list(f), 8))
         for route in (gammas.gamma_via_reversion, gammas.gamma_via_bn):
-            got = route(Series(f), 8).gammas
+            got = route(Series(f), 8)
             assert float(np.max(np.abs(got - want))) < 1e-11
 
 
@@ -86,12 +86,16 @@ def test_reversion_rows_agree_with_pure_python_oracle():
 
 
 def test_one_row_reversion_route_is_its_row_of_a_stack():
+    # and likewise the bn route: a Series gets the bits of its row
     rng = RNG("reversion-rows")
     f = np.array([analytic_draw(rng, 18, rho=0.5) for _ in range(256)])
-    stacked = gammas.gamma_via_reversion(f, 16)
-    assert stacked.shape == (256, 16)
-    for s in range(256):
-        assert np.array_equal(gammas.gamma_via_reversion(Series(f[s]), 16).gammas, stacked[s])
+    for route in (gammas.gamma_via_reversion, gammas.gamma_via_bn):
+        stacked = route(f, 16)
+        assert stacked.shape == (256, 16)
+        for s in range(256):
+            one = route(Series(f[s]), 16)
+            assert one.shape == (16,)
+            assert np.array_equal(one, stacked[s])
 
 
 def test_reversion_route_runs_without_the_bn_route(monkeypatch):
@@ -105,9 +109,25 @@ def test_reversion_route_runs_without_the_bn_route(monkeypatch):
 
     for name in ("reciprocal_rows", "multiply_rows", "exp_zero_rows"):
         monkeypatch.setattr(series, name, disabled)
-    monkeypatch.setattr(gammas, "gamma_rows_via_bn", disabled)
+    monkeypatch.setattr(gammas, "gamma_via_bn", disabled)
     assert np.array_equal(gammas.gamma_via_reversion(f, 10), want)
-    assert np.array_equal(gammas.gamma_via_reversion(Series(f[0]), 10).gammas, want[0])
+    assert np.array_equal(gammas.gamma_via_reversion(Series(f[0]), 10), want[0])
+
+
+def test_bn_route_runs_without_the_reversion_route(monkeypatch):
+    # the mirror image: with every reversion-route step disabled the bn
+    # route still gives the same bits
+    f = np.array([analytic_draw(RNG("independent"), 12, rho=0.6) for _ in range(3)])
+    want = gammas.gamma_via_bn(f, 10)
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("the bn route called a reversion-route step")
+
+    for name in ("revert_rows", "log_unit_rows"):
+        monkeypatch.setattr(series, name, disabled)
+    monkeypatch.setattr(gammas, "gamma_via_reversion", disabled)
+    assert np.array_equal(gammas.gamma_via_bn(f, 10), want)
+    assert np.array_equal(gammas.gamma_via_bn(Series(f[0]), 10), want[0])
 
 
 def test_inverse_coefficient_closed_forms():
@@ -115,7 +135,7 @@ def test_inverse_coefficient_closed_forms():
     for _ in range(30):
         f = analytic_draw(rng, 6, rho=0.9)
         a2, a3, a4 = f[2], f[3], f[4]
-        got = gammas.inverse_coeffs(Series(f), 4)
+        got = series.revert(Series(f), 4).coeffs[2:]
         assert abs(got[0] - (-a2)) < 1e-12
         assert abs(got[1] - (2.0 * a2 * a2 - a3)) < 1e-12
         assert abs(got[2] - (-a4 + 5.0 * a2 * a3 - 5.0 * a2 ** 3)) < 1e-12
@@ -126,20 +146,11 @@ def test_gammas_from_inverse_coefficients():
     rng = RNG("gamma-inv")
     for _ in range(30):
         f = Series(analytic_draw(rng, 5, rho=0.9))
-        gv = gammas.gamma_via_reversion(f, 4)
-        A = {n: gv.inverse_coeffs[n - 2] for n in (2, 3, 4)}
-        assert abs(2.0 * gv[1] - A[2]) < 1e-12
-        assert abs(2.0 * gv[2] - (A[3] - A[2] ** 2 / 2.0)) < 1e-12
-        assert abs(2.0 * gv[3] - (A[4] - A[2] * A[3] + A[2] ** 3 / 3.0)) < 1e-12
-
-
-def test_reversion_route_carries_inverse_coeffs():
-    f = Series(analytic_draw(RNG("carry"), 8, rho=0.8))
-    gv = gammas.gamma_via_reversion(f, 6)
-    direct = gammas.inverse_coeffs(f, 7)
-    assert gv.inverse_coeffs is not None
-    assert float(np.max(np.abs(gv.inverse_coeffs - direct))) < 1e-13
-    assert gammas.gamma_via_bn(f, 6).inverse_coeffs is None
+        g1, g2, g3 = gammas.gamma_via_reversion(f, 3)
+        A = series.revert(f, 4).coeffs
+        assert abs(2.0 * g1 - A[2]) < 1e-12
+        assert abs(2.0 * g2 - (A[3] - A[2] ** 2 / 2.0)) < 1e-12
+        assert abs(2.0 * g3 - (A[4] - A[2] * A[3] + A[2] ** 3 / 3.0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +169,8 @@ def test_bounded_distortion_closed_forms_match_generic_route():
         f = families.u_lambda_member(a2, omega, lam, 12)
         g1, g2 = gammas.gamma12_U(a2, a, lam)
         gv = gammas.gamma_via_bn(f, 2)
-        assert abs(gv[1] - g1) < 1e-10
-        assert abs(gv[2] - g2) < 1e-10
+        assert abs(gv[0] - g1) < 1e-10
+        assert abs(gv[1] - g2) < 1e-10
 
 
 def test_gamma12_U_validation():
@@ -183,7 +194,7 @@ def test_half_plane_convexity_closed_forms_match_generic_route():
         want = gammas.gamma123_F_alpha(cs[0], cs[1], cs[2], alpha)
         gv = gammas.gamma_via_bn(f, 3)
         for n in (1, 2, 3):
-            assert abs(gv[n] - want[n - 1]) < 1e-10
+            assert abs(gv[n - 1] - want[n - 1]) < 1e-10
 
 
 def test_gamma123_F_alpha_validation():
@@ -192,7 +203,7 @@ def test_gamma123_F_alpha_validation():
 
 
 # ---------------------------------------------------------------------------
-# input checking and the result container
+# input checking
 
 
 def test_routes_demand_enough_order():
@@ -229,32 +240,13 @@ def test_stacked_revert_is_the_one_row_revert():
 
 
 def test_reversion_rows_validate_like_the_bn_rows():
+    # both routes, on a stack of rows and on one Series
     f = np.array([series.identity(5).coeffs])
-    for route in (gammas.gamma_via_reversion, gammas.gamma_rows_via_bn):
-        with pytest.raises(ValueError, match="needs rows known"):
-            route(f, 5)
-        with pytest.raises(ValueError, match="n_max"):
-            route(f, 0)
-        with pytest.raises(ValueError, match="normalized"):
-            route(2.0 * f, 3)
-
-
-def test_inverse_coeffs_validation():
-    with pytest.raises(ValueError):
-        gammas.inverse_coeffs(series.identity(8), 1)
-    with pytest.raises(ValueError):
-        gammas.inverse_coeffs(series.identity(3), 4)
-
-
-def test_gamma_vector_container():
-    gv = gammas.gamma_via_bn(series.identity(5), 4)
-    assert gv.n_max == 4
-    assert gv.source == "bn-identity"
-    with pytest.raises(IndexError):
-        gv[0]
-    with pytest.raises(IndexError):
-        gv[5]
-    with pytest.raises(ValueError):
-        gammas.GammaVector(gammas=np.zeros(2), source="guesswork")
-    with pytest.raises((ValueError, RuntimeError)):
-        gv.gammas[0] = 1.0
+    for route in (gammas.gamma_via_reversion, gammas.gamma_via_bn):
+        for form in (np.asarray, lambda rows: Series(rows[0])):
+            with pytest.raises(ValueError, match="needs rows known"):
+                route(form(f), 5)
+            with pytest.raises(ValueError, match="n_max"):
+                route(form(f), 0)
+            with pytest.raises(ValueError, match="normalized"):
+                route(form(2.0 * f), 3)

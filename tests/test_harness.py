@@ -219,7 +219,7 @@ def test_cross_check_discrepancies_are_those_of_the_one_row_routes():
                                         rep.order, 0.8)
     for i, f in enumerate(members):
         g = AnalyticSeries(f)
-        disc = np.abs(gammas.gamma_via_reversion(g, 6).gammas - gammas.gamma_via_bn(g, 6).gammas)
+        disc = np.abs(gammas.gamma_via_reversion(g, 6) - gammas.gamma_via_bn(g, 6))
         assert [row["discrepancy"] for row in rep.rows if row["sample_id"] == i] == disc.tolist()
 
 
@@ -247,6 +247,27 @@ def test_cross_check_reverts_each_chunk_in_one_call_of_the_public_names(monkeypa
     cross_check(harness.CHUNK + 5, 2, 4)
     assert calls == [("gamma_via_reversion", harness.CHUNK), ("revert", harness.CHUNK),
                      ("gamma_via_reversion", 5), ("revert", 5)]
+
+
+@pytest.mark.parametrize("campaign", [
+    lambda n: cross_check(n, 2, 4),
+    lambda n: verify_bounds(ClassSpec.gc(0.5), 4, n, 2),
+    lambda n: explore_convex_large_n(1, 4, n, 2),
+], ids=["cross-check", "verify", "explore"])
+def test_sampled_campaigns_run_the_bn_route_once_per_chunk(monkeypatch, campaign):
+    # perfbench's tracer times the bn route through this name; verify's
+    # sharp gaps call it on one Series each, which is not a chunk
+    stacks = []
+    real = gammas.gamma_via_bn
+
+    def spy(f, n_max):
+        if isinstance(f, np.ndarray):
+            stacks.append((f.shape, n_max))
+        return real(f, n_max)
+
+    monkeypatch.setattr(gammas, "gamma_via_bn", spy)
+    rep = campaign(harness.CHUNK + 5)
+    assert stacks == [((harness.CHUNK, rep.order + 1), 4), ((5, rep.order + 1), 4)]
 
 
 def test_cross_check_validation():
@@ -424,14 +445,15 @@ def test_explore_validation():
 
 
 def test_resolve_order_default_margin():
-    assert harness._resolve_order(8, None) == 8 + harness.DEFAULT_ORDER_MARGIN
+    # Gamma_8 reads a_2..a_9, so order 9 is enough
+    assert harness._resolve_order(8, None) == 9
     assert harness._resolve_order(8, 9) == 9
     with pytest.raises(ValueError):
         harness._resolve_order(8, 8)
 
 
-# Gamma_n reads a_2..a_{n+1} only, so the order margin must change nothing
-# but the report's order field
+# Gamma_n reads a_2..a_{n+1} only, so running above the default order
+# n_max + 1 must change nothing but the report's order field
 _AT_ORDER = (
     [(f"verify-{spec.label()}", 8,
       lambda order, spec=spec: verify_bounds(spec, 8, 40, 3, order=order)) for spec in EVERY_CLASS]
@@ -445,16 +467,16 @@ _AT_ORDER = (
 @pytest.mark.parametrize("n_max, campaign", [case[1:] for case in _AT_ORDER],
                          ids=[case[0] for case in _AT_ORDER])
 def test_the_order_margin_changes_only_the_order_field(n_max, campaign):
-    default, tight = campaign(None), campaign(n_max + 1)
-    assert (default.order, tight.order) == (n_max + harness.DEFAULT_ORDER_MARGIN, n_max + 1)
+    default, wide = campaign(None), campaign(n_max + 8)
+    assert (default.order, wide.order) == (n_max + 1, n_max + 8)
 
     def without_order(rep):
         text, found = re.subn(rf'\n  "order": {rep.order},', "", rep.to_json())
         assert found == 1
         return text
 
-    assert without_order(default) == without_order(tight)
-    assert default.to_csv() == tight.to_csv()
+    assert without_order(default) == without_order(wide)
+    assert default.to_csv() == wide.to_csv()
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
