@@ -2,7 +2,7 @@
 
 Subcommands:
 
-  gamma        Gamma_1..Gamma_{n_max} of a named function, both routes agreeing
+  gamma        Gamma_1..Gamma_{n_max} of a named function, by the bn identity
   bounds       the bound table of a class
   verify       random-member bound verification campaign
   sharpness    equality-function gap check
@@ -81,6 +81,17 @@ def _require(cond: bool, message: str):
         raise ValueError(message)
 
 
+_COUNTS = ("n_max", "n", "samples", "n_min")  # integer flags that must be >= 1
+
+
+def _require_counts(args):
+    """Reject a count flag below 1 by its own name, before any work starts."""
+    for name in _COUNTS:
+        value = getattr(args, name, None)
+        _require(value is None or value >= 1,
+                 f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
 def _gamma_function(args, order: int):
     fam = args.family
     if fam == "identity":
@@ -148,7 +159,6 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    _require(args.n_max >= 1, f"--n-max must be >= 1, got {args.n_max}")
     spec = _spec_from_args(args)
     abs_a = None
     if spec.entry.per_sample_bound:
@@ -302,6 +312,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_counts(args)
         return args.fn(args)
     except (ValueError, MemoryError) as exc:
         # an order too large to allocate is a bad argument, not a finding

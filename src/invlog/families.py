@@ -2,10 +2,11 @@
 
 Members are produced from each class's defining subordination with a true
 Schwarz function, so membership holds by construction; there is no
-a-posteriori boundary checking of truncated series. The exception is the
-bounded-distortion class ("u-lambda"), whose members come from the structure
-formula f = z / (1 - a2 z + lam * z * int(omega)) with an analytic omega
-bounded by 1.
+a-posteriori boundary checking of truncated series. The named power-map
+extremals are the same subordination at phi = z^k. The exception is the
+bounded-distortion class ("u-lambda"), whose members and extremal come from
+the structure formula f = z / (1 - a2 z + lam * z * int(omega)) with an
+analytic omega bounded by 1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import bounds, series
 from .bounds import (BoundResult, check_f_alpha, check_gc, check_spiral, check_star_ab,
                      check_u_lambda, v_of_x)
-from .series import AnalyticSeries, Series, UnitSeries
+from .series import AnalyticSeries, Series
 
 F_ALPHA_VARIANTS = ("pow1", "pow2", "pow3", "halfconvex")
 
@@ -129,54 +130,33 @@ def koebe(theta: float, order: int) -> AnalyticSeries:
     return AnalyticSeries(coeffs)
 
 
-def _one_plus_monomial(k: int, coeff, order: int) -> UnitSeries:
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[0] = 1.0
-    if k <= order:
-        c[k] = coeff
-    return UnitSeries(c)
-
-
-def _z_times(u: Series, order: int) -> AnalyticSeries:
-    if u.order < order - 1:
-        raise ValueError(f"factor of order {u.order} not known to order {order - 1}")
-    return AnalyticSeries(np.concatenate(([0.0], u.coeffs[:order])))
+def _power_map(a, b, k: int, order: int, derivative: bool = False) -> AnalyticSeries:
+    """The subordination member at phi = z^k: f/z, or f' when derivative,
+    is (1 + b z^k)^{a/(kb)}, and exp(a z^k / k) at b = 0."""
+    if k < 1 or order < 1:
+        raise ValueError("k and order must be >= 1")
+    phi = np.zeros((1, order), dtype=np.complex128)
+    if k < order:
+        phi[0, k] = 1.0
+    return AnalyticSeries(subordination_rows(a, b, derivative, phi, order)[0])
 
 
 def k_AB_n(A: float, B: float, n: int, order: int) -> AnalyticSeries:
     """z (1 + B z^n)^{(A-B)/(nB)}; B = 0 takes the limit form z exp(A z^n / n)."""
     check_star_ab(A, B)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if B == 0:
-        expo = series.monomial(n, order - 1, A / n) if n <= order - 1 else series.constant(0.0, order - 1)
-        u = series.exp_zero(expo, order - 1)
-    else:
-        base = _one_plus_monomial(n, B, order - 1)
-        u = series.pow_scalar(base, (A - B) / (n * B), order - 1)
-    return _z_times(u, order)
+    return _power_map(A - B, B, n, order)
 
 
 def spiral_extremal(alpha: float, beta: float, n: int, order: int) -> AnalyticSeries:
     """z / (1 - z^n)^{gamma/n} with real exponent gamma = 2(1-beta)cos(alpha)."""
     check_spiral(alpha, beta)
-    if n < 1 or order < 1:
-        raise ValueError("n and order must be >= 1")
-    gamma = 2.0 * (1.0 - beta) * math.cos(alpha)
-    base = _one_plus_monomial(n, -1.0, order - 1)
-    return _z_times(series.pow_scalar(base, -gamma / n, order - 1), order)
+    return _power_map(2.0 * (1.0 - beta) * math.cos(alpha), -1.0, n, order)
 
 
 def gc_extremal(c: float, m: int, order: int) -> AnalyticSeries:
     """Antiderivative of (1 - z^m)^{c/m}: the function the bound is claimed sharp for."""
     check_gc(c)
-    if m < 1 or order < 1:
-        raise ValueError("m and order must be >= 1")
-    base = _one_plus_monomial(m, -1.0, order - 1)
-    deriv = series.pow_scalar(base, c / m, order - 1)
-    return AnalyticSeries(series.integrate_termwise(deriv, order).coeffs)
+    return _power_map(-c, -1.0, m, order, derivative=True)
 
 
 def u_lambda_member(a2, omega, lam: float, order: int) -> AnalyticSeries:
@@ -224,22 +204,16 @@ def f_alpha_extremal(alpha: float, variant: str, order: int) -> AnalyticSeries:
 
     pow1: f' = (1-z)^{-2(1-alpha)}     pow2: f' = (1-z^2)^{-(1-alpha)}
     pow3: f' = (1-z^3)^{-2(1-alpha)/3} halfconvex: (z - z^2/2)/(1-z)^2,
-    the pow1 function at alpha = -1/2 in closed form.
+    which is pow1 at alpha = -1/2. Each is the class subordination, with
+    q(phi) - 1 = 2(1-alpha) phi / (1 - phi), at phi = z^k.
     """
     check_f_alpha(alpha)
     if variant not in F_ALPHA_VARIANTS:
         raise ValueError(f"variant must be one of {F_ALPHA_VARIANTS}, got {variant!r}")
-    if order < 1:
-        raise ValueError("order must be >= 1")
     if variant == "halfconvex":
-        num = series.extend(Series([0.0, 1.0, -0.5]), order) if order >= 2 else series.identity(order)
-        recip_sq = series.pow_scalar(_one_plus_monomial(1, -1.0, order), -2.0, order)
-        return AnalyticSeries(series.multiply(num, recip_sq, order).coeffs)
-    k, mu = {"pow1": (1, -2.0 * (1 - alpha)),
-             "pow2": (2, -(1 - alpha)),
-             "pow3": (3, -2.0 * (1 - alpha) / 3.0)}[variant]
-    deriv = series.pow_scalar(_one_plus_monomial(k, -1.0, order - 1), mu, order - 1)
-    return AnalyticSeries(series.integrate_termwise(deriv, order).coeffs)
+        alpha, variant = -0.5, "pow1"
+    k = {"pow1": 1, "pow2": 2, "pow3": 3}[variant]
+    return _power_map(2.0 * (1.0 - alpha), -1.0, k, order, derivative=True)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +323,8 @@ def member_from_schwarz(spec: ClassSpec, phi, order: int) -> AnalyticSeries:
     if spec.entry.subordination is None:
         raise ValueError(f"{spec.tag} members come from u_lambda_member(a2, omega, lam), "
                          "not subordination")
-    return AnalyticSeries(subordination_rows(spec, s.coeffs[None], order)[0])
+    a, b = spec.entry.subordination(spec)
+    return AnalyticSeries(subordination_rows(a, b, spec.entry.derivative, s.coeffs[None], order)[0])
 
 
 def _phi_series(phi, order: int) -> Series:
@@ -383,7 +358,7 @@ def member_rows(spec: ClassSpec, draws: list, order: int) -> np.ndarray:
         return u_lambda_rows([d.a2 for d in draws], omega, spec.lam, order)
     phi = blaschke_rows([p.theta for p in draws], [p.multiplicity for p in draws],
                         [p.factors for p in draws], order - 1)
-    return subordination_rows(spec, phi, order)
+    return subordination_rows(*spec.entry.subordination(spec), spec.entry.derivative, phi, order)
 
 
 def blaschke_rows(thetas, multiplicities, factors, order: int) -> np.ndarray:
@@ -412,10 +387,10 @@ def blaschke_rows(thetas, multiplicities, factors, order: int) -> np.ndarray:
     return out
 
 
-def subordination_rows(spec: ClassSpec, phi: np.ndarray, order: int) -> np.ndarray:
+def subordination_rows(a, b, derivative: bool, phi: np.ndarray, order: int) -> np.ndarray:
     """member_from_schwarz on each row of phi, Schwarz functions known to
-    order - 1 with zero constant terms."""
-    a, b = spec.entry.subordination(spec)
+    order - 1 with zero constant terms: q(phi) - 1 = a phi / (1 + b phi),
+    solved for f' when derivative, for f/z otherwise."""
     den = phi * complex(b)  # 1 + b phi
     den[:, 0] += 1.0
     g = series.multiply_rows(phi * complex(a), series.reciprocal_rows(den, order - 1), order - 1)
@@ -424,7 +399,7 @@ def subordination_rows(spec: ClassSpec, phi: np.ndarray, order: int) -> np.ndarr
     log_unit[:, 1:] = g[:, 1:order] / np.arange(1, order)
     unit = series.exp_zero_rows(log_unit, order - 1)
     f = np.zeros((phi.shape[0], order + 1), dtype=np.complex128)
-    f[:, 1:] = unit / np.arange(1, order + 1) if spec.entry.derivative else unit
+    f[:, 1:] = unit / np.arange(1, order + 1) if derivative else unit
     return f
 
 
@@ -441,11 +416,6 @@ def u_lambda_rows(a2, omega: np.ndarray, lam: float, order: int) -> np.ndarray:
     f = np.zeros((len(a2), order + 1), dtype=np.complex128)
     f[:, 1:] = series.reciprocal_rows(den, dord)
     return f
-
-
-def _identity_phi(order: int) -> Series:
-    """phi(z) = z, the Schwarz function of the kernel ray of a subordination."""
-    return series.extend(series.identity(1), order - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +474,7 @@ def _star_ab_candidates(spec, n, branch, order, abs_a):
 
 
 def _spiral_candidates(spec, n, branch, order, abs_a):
-    line = ("tilted-line-map", member_from_schwarz(spec, _identity_phi(order), order), True, "")
+    line = ("tilted-line-map", _power_map(*spec.entry.subordination(spec), 1, order), True, "")
     real = ("real-power-map", spiral_extremal(spec.alpha, spec.beta, 1, order),
             spec.alpha == 0, "" if spec.alpha == 0 else "reaches the bound only at alpha = 0")
     sym = (f"{n}-symmetric-map", spiral_extremal(spec.alpha, spec.beta, n, order))
@@ -514,7 +484,7 @@ def _spiral_candidates(spec, n, branch, order, abs_a):
 def _gc_candidates(spec, n, branch, order, abs_a):
     note = "" if spec.c == 1 else "claimed equality function; reaches the bound only at c = 1"
     return [("claimed-derivative-map", gc_extremal(spec.c, 1, order), True, note),
-            ("kernel-ray-map", member_from_schwarz(spec, _identity_phi(order), order), True,
+            ("kernel-ray-map", _power_map(*spec.entry.subordination(spec), 1, order), True,
              "substitute equality function from the defining subordination")]
 
 

@@ -153,6 +153,23 @@ def test_bounds_rejects_n_max_below_one(capsys, n_max, fmt):
     assert captured.err == f"error: --n-max must be >= 1, got {n_max}\n"
 
 
+@pytest.mark.parametrize("argv,flag,value", [
+    (("gamma", "--family", "koebe", "--n-max", "-2"), "--n-max", -2),
+    (("gamma", "--family", "star-ab", "--A", "0.5", "--B", "-0.5", "--n", "0"), "--n", 0),
+    (("verify", "--class", "full-s", "--seed", "1", "--n-max", "0"), "--n-max", 0),
+    (("verify", "--class", "full-s", "--seed", "1", "--samples", "0"), "--samples", 0),
+    (("cross-check", "--seed", "1", "--n-max", "0"), "--n-max", 0),
+    (("sharpness", "--class", "full-s", "--n", "-1"), "--n", -1),
+    (("explore", "--seed", "1", "--n-min", "0"), "--n-min", 0),
+], ids=lambda v: v[0] if isinstance(v, tuple) else None)
+def test_count_flags_below_one_are_named(capsys, argv, flag, value):
+    # the error names the flag, not the library parameter it becomes
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
+
+
 # ---------------------------------------------------------------------------
 # campaigns through the CLI
 

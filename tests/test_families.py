@@ -46,6 +46,14 @@ def _phi(phi_fn: SchwarzFn, order: int) -> Series:
     return families.schwarz_series(phi_fn, order)
 
 
+def _is_z(f: Series) -> bool:
+    """f is exactly the identity z: what a power map leaves when its z^k
+    term lies past the order."""
+    want = np.zeros(f.order + 1)
+    want[1] = 1.0
+    return np.array_equal(f.coeffs, want)
+
+
 # ---------------------------------------------------------------------------
 # named extremal functions
 
@@ -70,6 +78,12 @@ def test_k_AB_n_is_n_symmetric():
         if idx % 3 != 1:
             assert f.coeffs[idx] == 0
     assert abs(f.coeffs[4] - (0.4 + 0.6) / (3 * -0.6) * -0.6) < 1e-15  # (A-B)/n at z^4
+    # n = order - 1 keeps its z^{n+1} term; n >= order puts every nonzero
+    # term past the order, order 1 included
+    assert _maxabs(families.k_AB_n(0.4, -0.6, 3, 4).coeffs - f.coeffs[:5]) < 1e-15
+    for A, B, n, order in ((0.4, -0.6, 3, 3), (0.4, -0.6, 7, 3), (0.3, 0.0, 5, 5),
+                           (1.0, -1.0, 1, 1)):
+        assert _is_z(families.k_AB_n(A, B, n, order))
 
 
 def test_k_AB_n_limit_form_at_B_zero():
@@ -91,6 +105,13 @@ def test_k_AB_n_validation():
         families.k_AB_n(0.5, 0.5, 1, 5)
     with pytest.raises(ValueError):
         families.k_AB_n(1.0, -1.0, 0, 5)
+    with pytest.raises(ValueError):
+        families.k_AB_n(1.0, -1.0, 1, 0)
+    # the other power maps share k_AB_n's check of the symmetry index
+    with pytest.raises(ValueError):
+        families.spiral_extremal(0.5, 0.25, 0, 5)
+    with pytest.raises(ValueError):
+        families.gc_extremal(0.5, 0, 5)
 
 
 def test_spiral_extremal_with_no_tilt_reduces_to_real_family():
@@ -108,14 +129,19 @@ def test_gc_extremal_derivative_identity():
         want = series.pow_scalar(
             series.subtract(series.constant(1.0, 8), series.monomial(m, 8), 8), c / m, 8)
         assert _maxabs(dp.coeffs - want.coeffs) < 1e-13
+    # m >= order: f' = 1 to the order, so f = z
+    for c, m, order in ((0.5, 4, 4), (0.25, 6, 4), (1.0, 1, 1)):
+        assert _is_z(families.gc_extremal(c, m, order))
     g = families.gc_extremal(1.0, 1, 5)
     assert np.allclose(g.coeffs, [0, 1, -0.5, 0, 0, 0], atol=1e-15)
 
 
 def test_f_alpha_extremal_halfconvex_closed_form():
-    a = families.f_alpha_extremal(-0.5, "halfconvex", 10)
-    b = families.f_alpha_extremal(-0.5, "pow1", 10)
-    assert _maxabs(a.coeffs - b.coeffs) < 1e-12
+    # f = ((1-z)^{-2} - 1)/2 = (z - z^2/2)/(1-z)^2: a_n = (n+1)/2 for n >= 1
+    f = families.f_alpha_extremal(-0.5, "halfconvex", 12)
+    n = np.arange(13)
+    want = np.where(n >= 1, (n + 1) / 2.0, 0.0)
+    assert _maxabs(f.coeffs - want) < 1e-12
 
 
 def test_f_alpha_extremal_derivative_identities():
@@ -127,6 +153,9 @@ def test_f_alpha_extremal_derivative_identities():
         want = series.pow_scalar(
             series.subtract(series.constant(1.0, 8), series.monomial(k, 8), 8), mu, 8)
         assert _maxabs(dp.coeffs - want.coeffs) < 1e-13
+    # k >= order: f' = 1 to the order, so f = z
+    for variant, order in (("pow2", 2), ("pow3", 3), ("pow3", 2), ("pow1", 1), ("halfconvex", 1)):
+        assert _is_z(families.f_alpha_extremal(alpha, variant, order))
 
 
 def test_f_alpha_extremal_validation():
