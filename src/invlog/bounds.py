@@ -370,5 +370,11 @@ def verify_d1234(step: float = 1e-3) -> dict:
 def bound_for(spec, n: int, abs_a: float | None = None) -> BoundResult:
     """Route a ClassSpec to its class's bound. u-lambda needs abs_a =
     |omega(0)| of the sample at hand; classes with no bound at this n come
-    back applicable=False."""
-    return spec.entry.bound(spec, n, abs_a)
+    back applicable=False. An applicable bound that is not finite raises
+    ValueError: past double precision it can neither grade a row nor be
+    written to a report, so every caller gets the same refusal."""
+    res = spec.entry.bound(spec, n, abs_a)
+    if res.applicable and not math.isfinite(res.value):
+        raise ValueError(f"the bound at n={n} is {res.value}, beyond double precision; "
+                         "lower n_max")
+    return res

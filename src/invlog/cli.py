@@ -68,10 +68,15 @@ def _add_output_args(p: argparse.ArgumentParser):
 _FLAGS = {"lam": "--lambda"}  # ClassSpec fields whose flag is not --<field>
 
 
+def _require_flags(args, names, what: str):
+    """Reject a class or family missing any of its parameter flags, naming each."""
+    missing = [_FLAGS.get(name, f"--{name}") for name in names if getattr(args, name) is None]
+    _require(not missing, f"{what} needs {' and '.join(missing)}")
+
+
 def _spec_from_args(args) -> ClassSpec:
     names = families.CLASSES[args.cls].params
-    missing = [_FLAGS.get(name, f"--{name}") for name in names if getattr(args, name) is None]
-    _require(not missing, f"--class {args.cls} needs {' and '.join(missing)}")
+    _require_flags(args, names, f"--class {args.cls}")
     # --A and --B keep their exact Fractions for the bound's seam detection
     return ClassSpec(tag=args.cls, **{name: getattr(args, name) for name in names})
 
@@ -92,8 +97,14 @@ def _require_counts(args):
                  f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
+# the parameter flags each gamma family needs (--a is optional where read)
+_FAMILY_PARAMS = {"star-ab": ("A", "B"), "spiral": ("alpha", "beta"), "gc": ("c",),
+                  "u-extremal": ("lam",), "u-member": ("lam", "a2"), "f-alpha": ("alpha",)}
+
+
 def _gamma_function(args, order: int):
     fam = args.family
+    _require_flags(args, _FAMILY_PARAMS.get(fam, ()), f"--family {fam}")
     if fam == "identity":
         return series.identity(order)
     if fam == "koebe":
@@ -105,33 +116,24 @@ def _gamma_function(args, order: int):
     if fam == "halfconvex":
         return families.f_alpha_extremal(-0.5, "halfconvex", order)
     if fam == "star-ab":
-        _require(args.A is not None and args.B is not None, "--family star-ab needs --A and --B")
         return families.k_AB_n(float(args.A), float(args.B), args.n, order)
     if fam == "spiral":
-        _require(args.alpha is not None and args.beta is not None,
-                 "--family spiral needs --alpha and --beta")
         return families.spiral_extremal(args.alpha, args.beta, args.n, order)
     if fam == "gc":
-        _require(args.c is not None, "--family gc needs --c")
         return families.gc_extremal(args.c, args.n, order)
+    a = 0.0 if args.a is None else args.a
     if fam == "u-extremal":
-        _require(args.lam is not None, "--family u-extremal needs --lambda")
-        a = 0.0 if args.a is None else args.a
         _require(a.imag == 0 and 0 <= a.real < 1, "--family u-extremal needs real --a in [0,1)")
         return families.u_extremal(args.lam, a.real, order)
     if fam == "u-member":
-        _require(args.lam is not None and args.a2 is not None,
-                 "--family u-member needs --lambda and --a2 (and optionally --a)")
-        a = 0.0 if args.a is None else args.a
         return families.u_lambda_member(args.a2, a, args.lam, order)
     # f-alpha
-    _require(args.alpha is not None, "--family f-alpha needs --alpha")
     return families.f_alpha_extremal(args.alpha, args.variant, order)
 
 
 def cmd_gamma(args) -> int:
     n_max = args.n_max
-    order = args.order if args.order is not None else n_max + 1
+    order = harness._resolve_order(n_max, args.order)
     f = _gamma_function(args, order)
     with np.errstate(all="ignore"):  # an overflow is reported below, at its first n
         gams = gammas.gamma_via_bn(f, n_max)
@@ -167,8 +169,6 @@ def cmd_bounds(args) -> int:
     rows = []
     for n in range(1, args.n_max + 1):
         res = bound_for(spec, n, abs_a=abs_a)
-        _require(not res.applicable or np.isfinite(res.value),
-                 f"the bound at n={n} is {res.value}, beyond double precision; lower n_max")
         rows.append({"n": n, "value": res.value, "branch": res.branch,
                      "applicable": res.applicable, "note": res.note})
         if res.applicable:

@@ -204,14 +204,17 @@ def f_alpha_extremal(alpha: float, variant: str, order: int) -> AnalyticSeries:
 
     pow1: f' = (1-z)^{-2(1-alpha)}     pow2: f' = (1-z^2)^{-(1-alpha)}
     pow3: f' = (1-z^3)^{-2(1-alpha)/3} halfconvex: (z - z^2/2)/(1-z)^2,
-    which is pow1 at alpha = -1/2. Each is the class subordination, with
-    q(phi) - 1 = 2(1-alpha) phi / (1 - phi), at phi = z^k.
+    which is pow1 at alpha = -1/2 and takes no other alpha. Each is the
+    class subordination, with q(phi) - 1 = 2(1-alpha) phi / (1 - phi), at
+    phi = z^k.
     """
     check_f_alpha(alpha)
     if variant not in F_ALPHA_VARIANTS:
         raise ValueError(f"variant must be one of {F_ALPHA_VARIANTS}, got {variant!r}")
     if variant == "halfconvex":
-        alpha, variant = -0.5, "pow1"
+        if alpha != -0.5:
+            raise ValueError(f"variant 'halfconvex' is the alpha = -1/2 map, got alpha={alpha}")
+        variant = "pow1"
     k = {"pow1": 1, "pow2": 2, "pow3": 3}[variant]
     return _power_map(2.0 * (1.0 - alpha), -1.0, k, order, derivative=True)
 

@@ -8,10 +8,13 @@ Four entry points, all deterministic in (seed, sample index):
   explore_convex_large_n -- probe the open orders of the convex class
 
 Per-sample randomness comes from numpy's counter-style seeding with the key
-(seed, index, attempt), so a campaign gives byte-identical reports. Every
-argument a draw uses (seed, radius_cap) is checked before sampling, so the
-one reason to redraw, under the next attempt, is a member that is not
-finite; a draw that raises is a fault and its error propagates.
+(seed, index, attempt), so a campaign gives byte-identical reports. Each
+campaign check has one home: _resolve_order checks every argument before
+sampling, so the one reason to redraw, under the next attempt, is a member
+that is not finite (a draw that raises is a fault; its error propagates);
+bounds.bound_for refuses a bound beyond double precision; _candidate_rows
+evaluates the named equality functions for sharpness_check's rows and
+verify_bounds' sharpness_gap alike.
 VerifyReport.to_json and to_csv are byte-identical to the reference writers
 in tests/_oracles.py (the whole payload through json's indent encoder, one
 format per CSV cell). to_json encodes the rows, flat dicts of JSON scalars,
@@ -219,12 +222,18 @@ def _draw_chunk(spec: ClassSpec, seed, ids, order: int, radius_cap: float):
     return rows, draws, attempts
 
 
-def _resolve_order(n_max: int, order, tol: float = 0.0, seed=0, radius_cap=0.0) -> int:
+def _resolve_order(n_max: int, order, tol: float = 0.0, seed=0, radius_cap=0.0, *,
+                   samples: int = 1, n_min: int = 1) -> int:
     """The series order a campaign up to Gamma_{n_max} runs at. Every
-    campaign calls this before any sampling, so it also rejects a tolerance
-    that cannot grade (a negative one flags every row, a NaN or infinite one
-    cannot be serialized), a seed no draw can be keyed by and a radius cap
-    that would draw members outside the class."""
+    campaign calls this before any sampling, so it also rejects a sample
+    count below 1, an order range n_min..n_max that is empty or starts
+    below 1, a tolerance that cannot grade (a negative one flags every row,
+    a NaN or infinite one cannot be serialized), a seed no draw can be keyed
+    by and a radius cap that would draw members outside the class."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not 1 <= n_min <= n_max:
+        raise ValueError(f"need 1 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
@@ -277,6 +286,22 @@ def _sample_rows(report: VerifyReport, spec: ClassSpec, radius_cap: float, rows_
         report.violations += [dict(row) for row in rows if row["flag"] not in ("ok", "open")]
 
 
+def _candidate_rows(spec: ClassSpec, res, order: int, abs_a: float, tol: float) -> list:
+    """One sharpness row per named equality function of the clause that gave
+    the bound res, in the registry's order, with margin bound - |Gamma_n|.
+    An asserted candidate is graded on both sides of the bound (an equality
+    function must reach it); any other is "report-only"."""
+    n, rows = res.n, []
+    for name, f, asserted, note in spec.entry.candidates(spec, n, res.branch, order, abs_a):
+        ag = float(abs(gammas.gamma_via_bn(f, n)[n - 1]))
+        gap = res.value - ag
+        rows.append({"sample_id": name, "n": n, "abs_gamma": ag, "bound": res.value,
+                     "branch": res.branch, "margin": gap,
+                     "flag": _flag(abs(gap), tol) if asserted else "report-only",
+                     "excess": abs(gap), "asserted": asserted, "note": note})
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # campaigns
 
@@ -292,9 +317,7 @@ def cross_check(samples: int, seed: int, n_max: int, tol: float = 1e-10, *,
     below one ulp of the values compared.
     """
     spec = spec if spec is not None else ClassSpec.star_ab(1.0, -1.0)
-    if samples < 1 or n_max < 1:
-        raise ValueError("samples and n_max must be >= 1")
-    order = _resolve_order(n_max, order, tol, seed, radius_cap)
+    order = _resolve_order(n_max, order, tol, seed, radius_cap, samples=samples)
 
     per_n_max = np.zeros(n_max)
 
@@ -329,31 +352,21 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
     Bounds are per-class constants except for the bounded-distortion class,
     where the bound depends on the sample's own omega(0).
     """
-    if samples < 1 or n_max < 1:
-        raise ValueError("samples and n_max must be >= 1")
-    order = _resolve_order(n_max, order, tol, seed, radius_cap)
-
-    def applicable(abs_a):
-        results = (bound_for(spec, n, abs_a=abs_a) for n in range(1, n_max + 1))
-        found = {res.n: res for res in results if res.applicable}
-        for n, res in found.items():
-            if not math.isfinite(res.value):
-                raise ValueError(f"the bound at n={n} is {res.value}, beyond double "
-                                 "precision; lower n_max")
-        return found
-
-    per_sample = spec.entry.per_sample_bound
-    static = None if per_sample else applicable(None)
-    if static == {}:
+    order = _resolve_order(n_max, order, tol, seed, radius_cap, samples=samples)
+    # which orders have a bound does not depend on omega(0)
+    static = [res for res in (bound_for(spec, n, abs_a=DEFAULT_ABS_A)
+                              for n in range(1, n_max + 1)) if res.applicable]
+    if not static:
         raise ValueError(f"no applicable bounds for {spec.label()} with n_max={n_max}")
-
+    ns = [res.n for res in static]
+    per_sample = spec.entry.per_sample_bound
     stats: dict[int, dict] = {}
 
     def rows_of(ids, members, gams, draws):
-        results = [applicable(d.abs_a) for d in draws] if per_sample else [static]
-        ns = list(results[0])  # which orders have a bound does not depend on omega(0)
-        bound = np.array([[res[n].value for n in ns] for res in results])
-        branch = np.array([[res[n].branch for n in ns] for res in results], dtype=object)
+        results = ([[bound_for(spec, n, abs_a=d.abs_a) for n in ns] for d in draws]
+                   if per_sample else [static])
+        bound = np.array([[res.value for res in row] for row in results])
+        branch = np.array([[res.branch for res in row] for row in results], dtype=object)
         ag = np.abs(gams[:, np.subtract(ns, 1)])
         margin, excess = bound - ag, ag - bound
         # a NaN row is flagged; fmax and fmin keep it out of the summary
@@ -369,12 +382,10 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
 
     report = VerifyReport(kind="verify", label=spec.label(), params=spec.params(),
                           n_max=n_max, order=order, samples=samples, seed=seed, tol=tol)
-    sharp_gaps: dict[int, float | None] = {}
-    for n, res in (static or {}).items():
-        candidates = spec.entry.candidates(spec, n, res.branch, order, DEFAULT_ABS_A)
-        reached = [float(abs(gammas.gamma_via_bn(f, n)[n - 1]))
-                   for _, f, asserted, _ in candidates if asserted]
-        sharp_gaps[n] = res.value - max(reached) if reached else None
+    # bound - max |Gamma| as the least margin: rounding is monotone, so the bits agree
+    sharp_gaps = {} if per_sample else {
+        res.n: min((row["margin"] for row in _candidate_rows(spec, res, order, DEFAULT_ABS_A, tol)
+                    if row["asserted"]), default=None) for res in static}
     _sample_rows(report, spec, radius_cap, rows_of)
     report.summary = [{"n": n, **stats[n], "sharpness_gap": sharp_gaps.get(n)}
                       for n in sorted(stats)]
@@ -398,11 +409,7 @@ def sharpness_check(spec: ClassSpec, n_max: int, tol: float = 1e-9, *,
     close the gap to tol; report-only candidates never fail the run. abs_a
     selects the bounded-distortion bound's omega(0) (its bounds are a
     one-parameter family)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if not 1 <= n_min <= n_max:
-        raise ValueError("need 1 <= n_min <= n_max")
-    order = _resolve_order(n_max, order, tol)
+    order = _resolve_order(n_max, order, tol, n_min=n_min)
     report = VerifyReport(kind="sharpness", label=spec.label(), params=spec.params(),
                           n_max=n_max, order=order, samples=0, seed=None, tol=tol)
     gaps = []
@@ -415,29 +422,16 @@ def sharpness_check(spec: ClassSpec, n_max: int, tol: float = 1e-9, *,
             continue
         if res.note:
             report.notes.append(f"n={n}: {res.note}")
-        for name, f, asserted, note in spec.entry.candidates(spec, n, res.branch, order, abs_a):
-            ag = float(abs(gammas.gamma_via_bn(f, n)[n - 1]))
-            gap = res.value - ag
-            # both sides of the bound: an equality function must reach it
-            flag = _flag(abs(gap), tol) if asserted else "report-only"
-            row = {"sample_id": name, "n": n, "abs_gamma": ag, "bound": res.value,
-                   "branch": res.branch, "margin": gap, "flag": flag, "excess": abs(gap),
-                   "asserted": asserted, "note": note}
-            report.rows.append(row)
-            if asserted:
-                gaps.append(abs(gap))
-                if flag != "ok":
-                    report.violations.append(dict(row))
-    by_n: dict[int, dict] = {}
-    for row in report.rows:
-        if row["flag"] == "open":
-            continue
-        st = by_n.setdefault(row["n"], {"bound": row["bound"], "branch": row["branch"],
-                                        "best_gap": math.inf, "best_candidate": ""})
-        if row["margin"] < st["best_gap"]:
-            st["best_gap"] = row["margin"]
-            st["best_candidate"] = row["sample_id"]
-    report.summary = [{"n": n, **by_n[n]} for n in sorted(by_n)]
+        rows = _candidate_rows(spec, res, order, abs_a, tol)
+        report.rows += rows
+        asserted = [row for row in rows if row["asserted"]]
+        gaps += [row["excess"] for row in asserted]
+        report.violations += [dict(row) for row in asserted if row["flag"] != "ok"]
+        best = {"best_gap": math.inf, "best_candidate": ""}
+        for row in rows:  # a NaN gap never wins, and equal gaps go to the first
+            if row["margin"] < best["best_gap"]:
+                best = {"best_gap": row["margin"], "best_candidate": row["sample_id"]}
+        report.summary.append({"n": n, "bound": res.value, "branch": res.branch, **best})
     report.max_discrepancy = float(max(gaps)) if gaps else None
     return report
 
@@ -450,12 +444,8 @@ def explore_convex_large_n(n_min: int, n_max: int, samples: int, seed: int, *,
     against the proved bounds; beyond that, rows report the conjectured value
     1/(2n) and flag overshoots "open" instead of failing, since exceeding it
     there answers a question rather than revealing a bug."""
-    if not 1 <= n_min <= n_max:
-        raise ValueError("need 1 <= n_min <= n_max")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     spec = ClassSpec.f_alpha(0.0)
-    order = _resolve_order(n_max, order, tol, seed, radius_cap)
+    order = _resolve_order(n_max, order, tol, seed, radius_cap, samples=samples, n_min=n_min)
     ns = range(n_min, n_max + 1)
     proved = {n: bound_for(spec, n) for n in ns if n <= 3}
     bound = np.array([proved[n].value if n in proved else 1.0 / (2.0 * n) for n in ns])

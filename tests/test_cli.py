@@ -52,6 +52,14 @@ def test_gamma_half_convex_values(capsys):
     assert code == 0
     for (n, re, im, ab), w in zip(rows, (0.75, 11.0 / 16.0, 7.0 / 8.0)):
         assert abs(ab - w) < 1e-12
+    # the f-alpha variant is the same map, at alpha = -1/2 and at no other alpha
+    assert gamma_rows(capsys, "gamma", "--family", "f-alpha", "--alpha", "-0.5",
+                      "--variant", "halfconvex", "--n-max", "3") == (code, rows)
+    assert run_cli("gamma", "--family", "f-alpha", "--alpha", "0.3",
+                   "--variant", "halfconvex") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "halfconvex" in captured.err
 
 
 def test_gamma_half_plane_alternating(capsys):
@@ -61,9 +69,29 @@ def test_gamma_half_plane_alternating(capsys):
         assert abs(re - (-1.0) ** n / (2.0 * n)) < 1e-14
 
 
-def test_gamma_star_family_needs_parameters(capsys):
-    assert run_cli("gamma", "--family", "star-ab", "--n-max", "2") == 2
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("family, given, missing", [
+    ("star-ab", (), "--A and --B"),
+    ("star-ab", ("--A", "0.5"), "--B"),
+    ("spiral", ("--beta", "0.2"), "--alpha"),
+    ("gc", (), "--c"),
+    ("u-extremal", ("--a", "0.3"), "--lambda"),
+    ("u-member", ("--lambda", "0.5", "--a", "0.3"), "--a2"),
+    ("f-alpha", (), "--alpha"),
+], ids=["star-ab", "star-ab-B", "spiral", "gc", "u-extremal", "u-member", "f-alpha"])
+def test_gamma_star_family_needs_parameters(capsys, family, given, missing):
+    # the error names each missing flag, as --class does
+    assert run_cli("gamma", "--family", family, *given, "--n-max", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --family {family} needs {missing}\n"
+
+
+def test_gamma_order_below_n_max_plus_one_is_named(capsys):
+    # the campaigns' order rule: Gamma_n reads a_2..a_{n+1}
+    assert run_cli("gamma", "--family", "koebe", "--n-max", "5", "--order", "3") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order 3 cannot support Gamma_5; need >= 6\n"
 
 
 def test_gamma_json_format(capsys):
@@ -297,13 +325,20 @@ def test_exact_star_parameters_reach_every_command(capsys):
     assert payload["label"] == "star-ab(A=0.6,B=-1)"
 
 
-@pytest.mark.parametrize("argv", [
-    ("bounds", "--class", "full-s", "--n-max", "600"),
-    ("gamma", "--family", "koebe", "--n-max", "600"),
-], ids=["bounds", "gamma"])
+# (id, argv, the first order that overflows): the full-class bound and the
+# cusp map's Gammas overflow a double first at n = 515; sharpness --n 600
+# evaluates n = 600 only
+_OVERFLOWING = [
+    ("bounds", ("bounds", "--class", "full-s", "--n-max", "600"), 515),
+    ("gamma", ("gamma", "--family", "koebe", "--n-max", "600"), 515),
+    ("sharpness", ("sharpness", "--class", "full-s", "--n", "600"), 600),
+]
+
+
+@pytest.mark.parametrize("argv", [case[1] for case in _OVERFLOWING],
+                         ids=[case[0] for case in _OVERFLOWING])
 def test_overflowing_json_is_an_error_not_output(capsys, argv):
-    # the full-class bound and the cusp map's Gammas overflow a double
-    # near n = 515; JSON has no infinity
+    # JSON has no infinity
     with np.errstate(all="ignore"):
         assert run_cli(*argv, "--format", "json") == 2
     captured = capsys.readouterr()
@@ -311,17 +346,20 @@ def test_overflowing_json_is_an_error_not_output(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("fmt", ["human", "csv"])
-@pytest.mark.parametrize("argv", [
-    ("bounds", "--class", "full-s", "--n-max", "600"),
-    ("gamma", "--family", "koebe", "--n-max", "600"),
-], ids=["bounds", "gamma"])
-def test_a_value_beyond_double_precision_is_an_error_in_every_format(capsys, argv, fmt):
-    # both overflow first at n = 515: no earlier Gamma may turn NaN on the way
+# sharpness has no human format
+_IN_EVERY_FORMAT = [(name, argv, first, fmt) for name, argv, first in _OVERFLOWING
+                    for fmt in (("csv",) if name == "sharpness" else ("human", "csv"))]
+
+
+@pytest.mark.parametrize("argv, first, fmt", [case[1:] for case in _IN_EVERY_FORMAT],
+                         ids=[f"{case[0]}-{case[3]}" for case in _IN_EVERY_FORMAT])
+def test_a_value_beyond_double_precision_is_an_error_in_every_format(capsys, argv, first, fmt):
+    # no earlier Gamma may turn NaN on the way, and no row of an infinite
+    # bound may grade as a finding (exit 1)
     assert run_cli(*argv, "--format", fmt) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and " at n=515 is " in captured.err
+    assert captured.err.startswith("error: ") and f" at n={first} is " in captured.err
 
 
 def test_an_overflowing_bound_stops_verify_before_sampling(capsys, monkeypatch):

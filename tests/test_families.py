@@ -154,8 +154,9 @@ def test_f_alpha_extremal_derivative_identities():
             series.subtract(series.constant(1.0, 8), series.monomial(k, 8), 8), mu, 8)
         assert _maxabs(dp.coeffs - want.coeffs) < 1e-13
     # k >= order: f' = 1 to the order, so f = z
-    for variant, order in (("pow2", 2), ("pow3", 3), ("pow3", 2), ("pow1", 1), ("halfconvex", 1)):
+    for variant, order in (("pow2", 2), ("pow3", 3), ("pow3", 2), ("pow1", 1)):
         assert _is_z(families.f_alpha_extremal(alpha, variant, order))
+    assert _is_z(families.f_alpha_extremal(-0.5, "halfconvex", 1))
 
 
 def test_f_alpha_extremal_validation():
@@ -163,6 +164,10 @@ def test_f_alpha_extremal_validation():
         families.f_alpha_extremal(1.0, "pow1", 5)
     with pytest.raises(ValueError):
         families.f_alpha_extremal(0.0, "pow9", 5)
+    # the half-convex map is the alpha = -1/2 map only, never a stand-in for another
+    for alpha in (0.3, 0.0, -0.4999):
+        with pytest.raises(ValueError, match="halfconvex"):
+            families.f_alpha_extremal(alpha, "halfconvex", 5)
 
 
 # ---------------------------------------------------------------------------

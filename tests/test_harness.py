@@ -316,6 +316,31 @@ def test_verify_u_lambda_uses_per_sample_bounds():
     assert len(bounds_seen) > 1
 
 
+@pytest.mark.parametrize("spec", [spec for spec in EVERY_CLASS
+                                  if not spec.entry.per_sample_bound], ids=ClassSpec.label)
+def test_verify_sharpness_gap_is_the_least_asserted_margin_of_sharpness_check(spec):
+    # bound - max |Gamma| and min (bound - |Gamma|) round alike, bit for bit
+    verify, sharp = verify_bounds(spec, 8, 5, 1), sharpness_check(spec, 8, order=9)
+    bounded = [row["n"] for row in verify.summary]
+    assert bounded == [row["n"] for row in sharp.summary]
+    for row in verify.summary:
+        margins = [r["margin"] for r in sharp.rows if r["n"] == row["n"] and r["asserted"]]
+        assert row["sharpness_gap"] == min(margins, default=None)
+
+
+def test_verify_u_lambda_bounds_each_draw_at_the_bounded_orders_only(monkeypatch):
+    calls, real = [], harness.bound_for
+
+    def counting(spec, n, abs_a=None):
+        calls.append(n)
+        return real(spec, n, abs_a=abs_a)
+
+    monkeypatch.setattr(harness, "bound_for", counting)
+    verify_bounds(ClassSpec.u_lambda(0.5), 6, 5, 1)
+    # one scan for the orders with a bound, then Gamma_1 and Gamma_2 per draw
+    assert calls == [1, 2, 3, 4, 5, 6] + [1, 2] * 5
+
+
 def test_verify_validation():
     with pytest.raises(ValueError):
         verify_bounds(ClassSpec.gc(0.5), 0, 10, 1)
@@ -491,6 +516,33 @@ def test_every_campaign_rejects_a_bad_tolerance_before_sampling(monkeypatch, tol
                  lambda: explore_convex_large_n(1, 4, 5, 1, tol=tol)]
     for campaign in campaigns:
         with pytest.raises(ValueError, match="tol must be finite"):
+            campaign()
+
+
+_GC = ClassSpec.gc(0.5)
+# each out-of-range count, with every campaign that takes it
+_BAD_COUNTS = {
+    "samples=0": [lambda: cross_check(0, 1, 4), lambda: verify_bounds(_GC, 4, 0, 1),
+                  lambda: explore_convex_large_n(1, 4, 0, 1)],
+    "n_max=0": [lambda: cross_check(5, 1, 0), lambda: verify_bounds(_GC, 0, 5, 1),
+                lambda: sharpness_check(_GC, 0), lambda: explore_convex_large_n(1, 0, 5, 1)],
+    "n_min=0": [lambda: sharpness_check(_GC, 4, n_min=0),
+                lambda: explore_convex_large_n(0, 4, 5, 1)],
+    "n_min>n_max": [lambda: sharpness_check(_GC, 4, n_min=5),
+                    lambda: explore_convex_large_n(5, 4, 5, 1)],
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_COUNTS))
+def test_every_campaign_rejects_a_bad_count_before_sampling(monkeypatch, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled or bounded before the counts were checked")
+
+    monkeypatch.setattr(harness, "_draw_chunk", no_work)
+    monkeypatch.setattr(harness, "bound_for", no_work)
+    message = "samples must be >= 1" if bad == "samples=0" else "need 1 <= n_min <= n_max"
+    for campaign in _BAD_COUNTS[bad]:
+        with pytest.raises(ValueError, match=message):
             campaign()
 
 
