@@ -7,6 +7,12 @@ extremals are the same subordination at phi = z^k. The exception is the
 bounded-distortion class ("u-lambda"), whose members and extremal come from
 the structure formula f = z / (1 - a2 z + lam * z * int(omega)) with an
 analytic omega bounded by 1.
+
+Random members are drawn a chunk of keys at a time: draw_members gives
+each key, as columns, the bits numpy's default generator seeded with the
+key would (see invlog.keyed), and member_rows turns the columns into
+member rows. sample_schwarz and sample_dilation are the one-key views of
+that draw.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bounds, series
+from . import bounds, keyed, series
 from .bounds import (BoundResult, check_f_alpha, check_gc, check_spiral, check_star_ab,
                      check_u_lambda, v_of_x)
 from .series import AnalyticSeries, Series
@@ -225,38 +231,110 @@ def f_alpha_extremal(alpha: float, variant: str, order: int) -> AnalyticSeries:
 
 def schwarz_series(phi: SchwarzFn, order: int) -> Series:
     """Taylor coefficients of phi to the stated order; c0 is exactly zero."""
-    return Series(blaschke_rows([phi.theta], [phi.multiplicity], [phi.factors], order)[0])
+    return Series(blaschke_rows([phi.theta], [phi.multiplicity], [phi.factors],
+                                [len(phi.factors)], order)[0])
 
 
 def blaschke_series(theta: float, factors, order: int) -> Series:
     """e^{i theta} prod_j (z + a_j)/(1 + conj(a_j) z): unit-ball function,
     generally nonzero at the origin (no z^m factor)."""
+    factors = tuple(factors)
     for a in factors:
         if abs(a) >= 1:
             raise ValueError(f"Blaschke parameter {a!r} not inside the unit disk")
-    return Series(blaschke_rows([theta], [0], [tuple(factors)], order)[0])
+    return Series(blaschke_rows([theta], [0], [factors], [len(factors)], order)[0])
+
+
+@dataclass(frozen=True)
+class MemberDraws:
+    """The random parameters of a chunk of members, one row per key, as
+    columns: the rotation theta, the multiplicity m of the zero at 0 (0 for
+    a dilation, which has no z^m factor), the Blaschke parameters, zero past
+    each row's factor count, and for a bounded-distortion class
+    abs_a = |omega(0)| and a2 (None otherwise). member_rows turns them into
+    members."""
+
+    theta: np.ndarray  # (S,)
+    multiplicity: np.ndarray  # (S,) int
+    factors: np.ndarray  # (S, 4) complex
+    count: np.ndarray  # (S,) int
+    abs_a: np.ndarray | None = None  # (S,)
+    a2: np.ndarray | None = None  # (S,) complex
+
+
+def draw_members(spec: ClassSpec, keys, *, radius_cap: float) -> MemberDraws:
+    """The random parameters of one member of the class per key: the bits
+    numpy's default generator seeded with the key gives the one-key draw,
+    sample_schwarz for a subordination class and sample_dilation for the
+    class drawn from its structure formula, all keys drawn as one batch by
+    invlog.keyed."""
+    if spec.entry.subordination is None:
+        return _draw_dilations(keys, spec.lam, radius_cap)
+    return _draw_schwarz(keys, radius_cap)
+
+
+def _streams(keys, radius_cap: float) -> keyed.Streams:
+    if not 0 <= radius_cap < 1:
+        raise ValueError("radius_cap must lie in [0, 1)")
+    return keyed.Streams.seeded(keys)
+
+
+def _blaschke_factors(u, radius, count) -> np.ndarray:
+    """radius sqrt(u_r) e^{2 pi i u_t} from the uniform pairs (u_r, u_t) that
+    follow u[:, 0], zero past each row's count."""
+    factors = radius * np.sqrt(u[:, 1::2]) * np.exp(1j * (2.0 * math.pi * u[:, 2::2]))
+    factors[np.arange(factors.shape[1]) >= count[:, None]] = 0.0
+    return factors
+
+
+def _draw_schwarz(keys, radius_cap: float) -> MemberDraws:
+    streams = _streams(keys, radius_cap)
+    m = np.array((1, 1, 1, 2, 3))[streams.integers(0, 5)]
+    d = streams.integers(1, 5)
+    # uniform(0, 2 pi) is 2 pi times the next double; a row reads its first 2 d + 1
+    u = streams.random(9)
+    return MemberDraws(theta=2.0 * math.pi * u[:, 0], multiplicity=m,
+                       factors=_blaschke_factors(u, radius_cap, d), count=d)
+
+
+def _draw_dilations(keys, lam: float, radius_cap: float) -> MemberDraws:
+    streams = _streams(keys, radius_cap)
+    nfac = streams.integers(0, 4)
+    u = streams.random(9)  # a row reads its first 2 nfac + 3
+    theta = 2.0 * math.pi * u[:, 0]
+    factors = _blaschke_factors(u, 0.95, nfac)
+    # omega(0) = e^{i theta} prod_j a_j, one factor at a time on the rows that
+    # have it, in real arithmetic: numpy's complex product may round otherwise
+    rot = np.exp(1j * theta)
+    re, im = rot.real.copy(), rot.imag.copy()
+    for j in range(factors.shape[1]):
+        has = nfac > j
+        ar, ai = factors[has, j].real, factors[has, j].imag
+        re[has], im[has] = re[has] * ar - im[has] * ai, re[has] * ai + im[has] * ar
+    abs_a = np.hypot(re, im)
+    # v_of_x's series stops at a value-dependent term, so it runs per row
+    v = np.array([v_of_x(x) for x in abs_a.tolist()])
+    rows = np.arange(len(nfac))
+    radius = radius_cap * (1.0 + lam * v) * np.sqrt(u[rows, 2 * nfac + 1])
+    a2 = radius * np.exp(1j * (2.0 * math.pi * u[rows, 2 * nfac + 2]))
+    return MemberDraws(theta=theta, multiplicity=np.zeros_like(nfac), factors=factors,
+                       count=nfac, abs_a=abs_a, a2=a2)
 
 
 def sample_schwarz(seed, *, radius_cap: float = 0.95) -> SchwarzFn:
     """Draw a random Schwarz function, deterministically in the seed.
 
-    seed may be an int or a tuple (campaign seed, sample index, ...); the
-    generator is counter-based so parallel draws never share state. One to
-    four Blaschke factors, with radii sqrt-uniform in [0, radius_cap]
-    (area-uniform in the disk of that radius); multiplicity favors simple
-    zeros but exercises the c1 = 0 branches too. Raises ValueError only for
-    a radius_cap outside [0, 1).
+    seed may be an int or a tuple (campaign seed, sample index, ...); numpy's
+    seed sequence hashes it into the generator's starting state, so draws
+    under different keys share no state. One to four Blaschke factors, with
+    radii sqrt-uniform in [0, radius_cap] (area-uniform in the disk of that
+    radius); multiplicity favors simple zeros but exercises the c1 = 0
+    branches too. The one-key row of draw_members; raises ValueError only
+    for a radius_cap outside [0, 1).
     """
-    if not 0 <= radius_cap < 1:
-        raise ValueError("radius_cap must lie in [0, 1)")
-    rng = np.random.default_rng(seed)
-    m = (1, 1, 1, 2, 3)[rng.integers(5)]
-    d = int(rng.integers(1, 5))
-    # uniform(0, 2 pi) is 2 pi times the next double: one call draws them all
-    u = rng.random(2 * d + 1).tolist()
-    factors = tuple(radius_cap * math.sqrt(u[j]) * cmath.exp(1j * (2.0 * math.pi * u[j + 1]))
-                    for j in range(1, 2 * d, 2))
-    return SchwarzFn(theta=2.0 * math.pi * u[0], multiplicity=m, factors=factors)
+    d = _draw_schwarz([seed], radius_cap)
+    return SchwarzFn(theta=float(d.theta[0]), multiplicity=int(d.multiplicity[0]),
+                     factors=tuple(d.factors[0, : d.count[0]].tolist()))
 
 
 @dataclass(frozen=True)
@@ -275,36 +353,12 @@ def sample_dilation(seed, lam: float, *, radius_cap: float = 0.95) -> DilationDr
     """Draw a bounded-distortion member's parameters, deterministically in
     the seed: zero to three Blaschke factors of radius below 0.95, then a2
     sqrt-uniform in the disk of radius radius_cap (1 + lam v(|omega(0)|)),
-    a share of the largest |a2| the class allows at that omega(0)."""
-    if not 0 <= radius_cap < 1:
-        raise ValueError("radius_cap must lie in [0, 1)")
-    rng = np.random.default_rng(seed)
-    nfac = int(rng.integers(0, 4))
-    # as in sample_schwarz, all the uniforms in one call
-    u = rng.random(2 * nfac + 3).tolist()
-    theta = 2.0 * math.pi * u[0]
-    factors = []
-    for j in range(1, 2 * nfac, 2):
-        t = 2.0 * math.pi * u[j + 1]
-        factors.append(0.95 * math.sqrt(u[j]) * complex(math.cos(t), math.sin(t)))
-    omega0 = cmath.exp(1j * theta)
-    for a in factors:
-        omega0 *= a
-    abs_a = abs(omega0)
-    radius = radius_cap * (1.0 + lam * v_of_x(abs_a)) * math.sqrt(u[-2])
-    ang = 2.0 * math.pi * u[-1]
-    a2 = radius * complex(math.cos(ang), math.sin(ang))
-    return DilationDraw(theta=theta, factors=tuple(factors), abs_a=abs_a, a2=a2)
-
-
-def sample_member(spec: ClassSpec, seed, *, radius_cap: float):
-    """The random parameters of one member of the class, deterministically in
-    the seed: a SchwarzFn for a subordination class, a DilationDraw for the
-    class drawn from its structure formula. member_rows turns a list of
-    either into members."""
-    if spec.entry.subordination is None:
-        return sample_dilation(seed, spec.lam, radius_cap=radius_cap)
-    return sample_schwarz(seed, radius_cap=radius_cap)
+    a share of the largest |a2| the class allows at that omega(0). The
+    one-key row of draw_members."""
+    d = _draw_dilations([seed], lam, radius_cap)
+    return DilationDraw(theta=float(d.theta[0]),
+                        factors=tuple(d.factors[0, : d.count[0]].tolist()),
+                        abs_a=float(d.abs_a[0]), a2=complex(d.a2[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -351,40 +405,38 @@ def _phi_series(phi, order: int) -> Series:
 # finished rows, never an intermediate one.
 
 
-def member_rows(spec: ClassSpec, draws: list, order: int) -> np.ndarray:
-    """One member of the class per draw of sample_member, as rows."""
+def member_rows(spec: ClassSpec, draws: MemberDraws, order: int) -> np.ndarray:
+    """One member of the class per row of draw_members' columns, as rows."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    if spec.entry.subordination is None:
-        omega = blaschke_rows([d.theta for d in draws], [0] * len(draws),
-                              [d.factors for d in draws], max(order - 3, 0))
-        return u_lambda_rows([d.a2 for d in draws], omega, spec.lam, order)
-    phi = blaschke_rows([p.theta for p in draws], [p.multiplicity for p in draws],
-                        [p.factors for p in draws], order - 1)
-    return subordination_rows(*spec.entry.subordination(spec), spec.entry.derivative, phi, order)
+    dilation = spec.entry.subordination is None
+    # a dilation omega is known to order - 3, a Schwarz function phi to order - 1
+    ball = blaschke_rows(draws.theta, draws.multiplicity, draws.factors, draws.count,
+                         max(order - 3, 0) if dilation else order - 1)
+    if dilation:
+        return u_lambda_rows(draws.a2, ball, spec.lam, order)
+    return subordination_rows(*spec.entry.subordination(spec), spec.entry.derivative, ball, order)
 
 
-def blaschke_rows(thetas, multiplicities, factors, order: int) -> np.ndarray:
+def blaschke_rows(thetas, multiplicities, factors, counts, order: int) -> np.ndarray:
     """Row s is e^{i theta_s} z^{m_s} prod_j (z + a_j)/(1 + conj(a_j) z) over
-    the tuple factors[s]; m = 0 leaves out the z^m factor, as
-    blaschke_series does. Factor slot j multiplies only the rows that have a
-    j-th factor."""
-    counts = np.array([len(fs) for fs in factors], dtype=int)
-    a = np.zeros((len(factors), counts.max(initial=0)), dtype=np.complex128)
-    out = np.zeros((len(factors), order + 1), dtype=np.complex128)
-    for s, (theta, m, fs) in enumerate(zip(thetas, multiplicities, factors)):
-        a[s, : len(fs)] = fs
-        if m <= order:
-            out[s, m] = cmath.exp(1j * theta)
-    for j in range(a.shape[1]):
+    the a_j = factors[s, j] with j < counts[s]; m = 0 leaves out the z^m
+    factor, as blaschke_series does. Factor slot j multiplies only the rows
+    that have a j-th factor."""
+    thetas, m = np.asarray(thetas, dtype=np.float64), np.asarray(multiplicities)
+    factors, counts = np.asarray(factors, dtype=np.complex128), np.asarray(counts)
+    out = np.zeros((len(thetas), order + 1), dtype=np.complex128)
+    rows = np.flatnonzero(m <= order)
+    out[rows, m[rows]] = np.exp(1j * thetas[rows])
+    for j in range(counts.max(initial=0)):
         has = np.flatnonzero(counts > j)
         num = np.zeros((has.size, order + 1), dtype=np.complex128)  # z + a
         den = np.zeros((has.size, order + 1), dtype=np.complex128)  # 1 + conj(a) z
-        num[:, 0] = a[has, j]
+        num[:, 0] = factors[has, j]
         den[:, 0] = 1.0
         if order >= 1:
             num[:, 1] = 1.0
-            den[:, 1] = a[has, j].conj()
+            den[:, 1] = factors[has, j].conj()
         factor = series.multiply_rows(num, series.reciprocal_rows(den, order), order)
         out[has] = series.multiply_rows(out[has], factor, order)
     return out

@@ -7,11 +7,15 @@ Four entry points, all deterministic in (seed, sample index):
   sharpness_check -- the named equality functions actually reach the bounds
   explore_convex_large_n -- probe the open orders of the convex class
 
-Per-sample randomness comes from numpy's counter-style seeding with the key
-(seed, index, attempt), so a campaign gives byte-identical reports. Each
-campaign check has one home: _resolve_order checks every argument before
-sampling, so the one reason to redraw, under the next attempt, is a member
-that is not finite (a draw that raises is a fault; its error propagates);
+Each sample draws its parameters under its own key (seed, index, attempt),
+with the bits numpy's default generator seeded with the key would give, so
+a campaign gives byte-identical reports. families.draw_members draws a
+whole chunk of keys with one call (invlog.keyed runs numpy's seed-sequence
+hashing and PCG64 on one uint64 lane per key); sample_schwarz and
+sample_dilation replay one key. Each campaign check has one home:
+_resolve_order checks every argument before sampling, so the one reason to
+redraw, under the next attempt, is a member that is not finite (a draw
+that raises is a fault; its error propagates);
 bounds.bound_for refuses a bound beyond double precision; _candidate_rows
 evaluates the named equality functions for sharpness_check's rows and
 verify_bounds' sharpness_gap alike.
@@ -22,8 +26,8 @@ with one call of the C encoder and rewrites only the list level; see
 _rows_json for why that finds exactly the row boundaries.
 
 The sampled campaigns share one chunked loop, _sample_rows. It takes CHUNK
-sample indices at a time; each index draws its parameters under its own
-key, then the chunk's members and their bn-route Gammas are computed as
+sample indices at a time and draws their keys as one batch, then the
+chunk's members and their bn-route Gammas are computed as
 (samples x order) arrays (families.member_rows, then one call of
 gammas.gamma_via_bn on the chunk's rows). Each chunk is graded by one
 vectorized comparison, folded into the per-order summary by numpy
@@ -102,6 +106,11 @@ class VerifyReport:
     violations: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     max_discrepancy: float | None = None
+
+    def __post_init__(self):
+        # a numpy integer seed is recorded, and keys draws, as the Python int it is
+        if self.seed is not None:
+            self.seed = operator.index(self.seed)
 
     def counts(self) -> dict:
         out = {}
@@ -190,31 +199,36 @@ def _rows_json(rows: list) -> list:
 CHUNK = 256  # sample indices drawn and computed as one batch
 
 
-def _draw_chunk(spec: ClassSpec, seed, ids, order: int, radius_cap: float):
-    """Members for the sample indices ids, as rows of one array, plus each
-    index's parameter draw and attempt count.
+def _draw_chunk(spec: ClassSpec, seed: int, ids, order: int, radius_cap: float):
+    """Members for the sample indices ids, as rows of one array, plus the
+    columns of their parameter draws and each index's attempt count.
 
     Each index draws its parameters under the key (seed, index, attempt).
     A draw whose member row is not finite (an overflow) is redrawn under the
     next attempt rather than perturbed, so results stay reproducible; four
     attempts are allowed. The campaign's arguments are checked before any
     draw, so a draw that raises anyway is a fault, and its error propagates.
-    Each pass turns all pending draws into members as one batch.
+    Each pass draws all pending keys with one families.draw_members call and
+    turns them into members as one batch.
     """
     rows = np.empty((len(ids), order + 1), dtype=np.complex128)
-    draws = [None] * len(ids)
     attempts = [0] * len(ids)
-    todo = list(range(len(ids)))
-    while todo:
-        for j in todo:
-            draws[j] = families.sample_member(spec, (seed, ids[j], attempts[j]),
-                                              radius_cap=radius_cap)
+    todo, draws = np.arange(len(ids)), None
+    while todo.size:
+        batch = families.draw_members(spec, [(seed, ids[j], attempts[j]) for j in todo.tolist()],
+                                      radius_cap=radius_cap)
+        if draws is None:
+            draws = batch
+        else:  # the redrawn rows replace theirs in every column
+            for name, col in vars(batch).items():
+                if col is not None:
+                    getattr(draws, name)[todo] = col
         # overflow shows up as a non-finite row, caught below
         with np.errstate(all="ignore"):
-            batch = families.member_rows(spec, [draws[j] for j in todo], order)
-        rows[todo] = batch
-        todo = [j for j, ok in zip(todo, np.isfinite(batch).all(axis=1)) if not ok]
-        for j in todo:
+            members = families.member_rows(spec, batch, order)
+        rows[todo] = members
+        todo = todo[~np.isfinite(members).all(axis=1)]
+        for j in todo.tolist():
             attempts[j] += 1
             if attempts[j] == 4:
                 raise RuntimeError(f"sample {ids[j]}: no usable draw in 4 attempts "
@@ -229,14 +243,15 @@ def _resolve_order(n_max: int, order, tol: float = 0.0, seed=0, radius_cap=0.0, 
     count below 1, an order range n_min..n_max that is empty or starts
     below 1, a tolerance that cannot grade (a negative one flags every row,
     a NaN or infinite one cannot be serialized), a seed no draw can be keyed
-    by and a radius cap that would draw members outside the class."""
+    by (a bool is not taken for 0 or 1) and a radius cap that would draw
+    members outside the class."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0 <= radius_cap < 1:
         raise ValueError(f"radius_cap must lie in [0, 1), got {radius_cap}")
@@ -363,7 +378,7 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
     stats: dict[int, dict] = {}
 
     def rows_of(ids, members, gams, draws):
-        results = ([[bound_for(spec, n, abs_a=d.abs_a) for n in ns] for d in draws]
+        results = ([[bound_for(spec, n, abs_a=a) for n in ns] for a in draws.abs_a.tolist()]
                    if per_sample else [static])
         bound = np.array([[res.value for res in row] for row in results])
         branch = np.array([[res.branch for res in row] for row in results], dtype=object)

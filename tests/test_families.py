@@ -271,6 +271,53 @@ def test_keyed_draws_match_the_reference_draws(seed):
         assert list(map(repr, got)) == list(map(repr, want)), (draw.__name__, kwargs)
 
 
+def _draw_rows(draws) -> list:
+    """draw_members' columns as one tuple of Python scalars per row, in the
+    fields of the reference draw; the padding past each count must be zero."""
+    assert np.all(draws.factors[np.arange(4) >= draws.count[:, None]] == 0)
+    factors = [tuple(fs[:d]) for fs, d in zip(draws.factors.tolist(), draws.count.tolist())]
+    if draws.abs_a is None:
+        return list(zip(draws.theta.tolist(), draws.multiplicity.tolist(), factors))
+    assert not draws.multiplicity.any()
+    return list(zip(draws.theta.tolist(), factors, draws.abs_a.tolist(), draws.a2.tolist()))
+
+
+def _reference_rows(keys, spec, radius_cap) -> list:
+    if spec.entry.subordination is None:
+        ref = [_oracles.sample_dilation(key, spec.lam, radius_cap=radius_cap) for key in keys]
+        return [(d.theta, d.factors, d.abs_a, d.a2) for d in ref]
+    ref = [_oracles.sample_schwarz(key, radius_cap=radius_cap) for key in keys]
+    return [(p.theta, p.multiplicity, p.factors) for p in ref]
+
+
+_SCHWARZ_AND_DILATION = [ClassSpec.gc(0.5), ClassSpec.u_lambda(0.5)]
+
+
+@pytest.mark.parametrize("seed", [3, 2**32 + 5, 2**40 + 7, 2**96 + 11])
+@pytest.mark.parametrize("spec", _SCHWARZ_AND_DILATION, ids=lambda s: s.tag)
+def test_chunk_draw_matches_the_reference_draws_bit_for_bit(spec, seed):
+    # 2**96 + 11 makes a key of six 32-bit words, past SeedSequence's pool
+    for attempt in range(4):
+        keys = [(seed, i, attempt) for i in range(2000)]
+        got = _draw_rows(families.draw_members(spec, keys, radius_cap=0.95))
+        want = _reference_rows(keys, spec, 0.95)
+        assert list(map(repr, got)) == list(map(repr, want)), attempt
+
+
+@pytest.mark.parametrize("spec", _SCHWARZ_AND_DILATION, ids=lambda s: s.tag)
+def test_chunk_draw_matches_the_reference_on_odd_keys(spec):
+    # a zero radius cap (signed zeros), int keys, two-part keys, and one
+    # chunk whose key parts lie on both sides of 2**32 (1 to 7 words a key)
+    mixed = [(i, 2**32 + i, 2**64 - 1 - i) if i % 3 == 0 else (2**31 + i, i) if i % 3 == 1
+             else i for i in range(600)] + [(2**96 + 11, 1, 2)]
+    cases = [([(7, i, 0) for i in range(500)], 0.0), (list(range(500)), 0.95),
+             ([(99, i) for i in range(500)], 0.7), (mixed, 0.95)]
+    for keys, radius_cap in cases:
+        got = _draw_rows(families.draw_members(spec, keys, radius_cap=radius_cap))
+        want = _reference_rows(keys, spec, radius_cap)
+        assert list(map(repr, got)) == list(map(repr, want)), (keys[0], radius_cap)
+
+
 # ---------------------------------------------------------------------------
 # members by subordination: defining-relation residuals
 
@@ -514,12 +561,15 @@ def _oracle_residual(spec: ClassSpec, draw, row, order: int):
 @pytest.mark.parametrize("order,radius_cap", [(16, 0.95), (40, 0.8)])
 @pytest.mark.parametrize("spec", BATCH_CLASSES, ids=lambda s: s.label())
 def test_member_rows_match_the_scalar_members(spec, order, radius_cap):
-    draws = [families.sample_member(spec, (11, i, 0), radius_cap=radius_cap)
-             for i in range(24)]
-    rows = families.member_rows(spec, draws, order)
+    keys = [(11, i, 0) for i in range(24)]
+    rows = families.member_rows(spec, families.draw_members(spec, keys, radius_cap=radius_cap),
+                                order)
     gam = gammas.gamma_via_bn(rows, order - 1)
     assert rows.shape == (24, order + 1) and gam.shape == (24, order - 1)
-    for draw, row, g in zip(draws, rows, gam):
+    for key, row, g in zip(keys, rows, gam):
+        draw = (families.sample_dilation(key, spec.lam, radius_cap=radius_cap)
+                if spec.entry.subordination is None
+                else families.sample_schwarz(key, radius_cap=radius_cap))
         assert row[0] == 0 and row[1] == 1
         if spec.entry.subordination is None:
             assert row[2] == draw.a2  # f = z / (1 - a2 z + ...)
@@ -527,7 +577,8 @@ def test_member_rows_match_the_scalar_members(spec, order, radius_cap):
         assert np.all(resid[scale == 0] == 0)
         assert np.max(resid[scale > 0] / scale[scale > 0]) <= 1e-12
         # a row's bits do not depend on the rows stacked with it
-        alone = families.member_rows(spec, [draw], order)
+        alone = families.member_rows(
+            spec, families.draw_members(spec, [key], radius_cap=radius_cap), order)
         assert np.array_equal(alone[0], row)
         assert np.array_equal(gammas.gamma_via_bn(alone, order - 1)[0], g)
 
@@ -540,9 +591,9 @@ def test_bn_route_is_within_rounding_of_a_50_digit_oracle(spec):
     # bounded by the route's own term scale (the top Gammas cancel: at order
     # 40 they move by 1e-9 of themselves when the member moves by 1e-14)
     order, at = 40, 97
-    draws = [families.sample_member(spec or ClassSpec.full_s(), (29, i, 0), radius_cap=0.95)
-             for i in range(256)]
-    rows = families.member_rows(spec or ClassSpec.full_s(), draws, order)
+    spec_or_full = spec or ClassSpec.full_s()
+    draws = families.draw_members(spec_or_full, [(29, i, 0) for i in range(256)], radius_cap=0.95)
+    rows = families.member_rows(spec_or_full, draws, order)
     if spec is None:
         rows[at] = families.koebe(0.0, order).coeffs
     stacked = gammas.gamma_via_bn(rows, order - 1)[at]
@@ -560,11 +611,16 @@ def test_blaschke_rows_match_the_scalar_series():
     factors = [tuple(0.9 * np.sqrt(rng.uniform(size=d)) * np.exp(2j * math.pi * rng.uniform(size=d)))
                for d in (0, 1, 4, 2, 3)]
     multiplicities = [0, 1, 2, 3, 20]
-    rows = families.blaschke_rows(thetas, multiplicities, factors, 12)
+    counts = [len(fs) for fs in factors]
+    padded = np.zeros((5, 4), dtype=np.complex128)
+    for s, fs in enumerate(factors):
+        padded[s, : len(fs)] = fs
+    rows = families.blaschke_rows(thetas, multiplicities, padded, counts, 12)
     for s in range(5):
         want = blaschke(thetas[s], multiplicities[s], factors[s], 12)
         np.testing.assert_allclose(rows[s], want, rtol=0, atol=1e-14)
-        alone = families.blaschke_rows(thetas[s:s + 1], multiplicities[s:s + 1], factors[s:s + 1], 12)
+        alone = families.blaschke_rows(thetas[s:s + 1], multiplicities[s:s + 1],
+                                       padded[s:s + 1, : counts[s]], counts[s:s + 1], 12)
         assert np.array_equal(alone[0], rows[s])
     assert np.array_equal(rows[0], families.blaschke_series(thetas[0], factors[0], 12).coeffs)
     for s in range(1, 5):

@@ -4,6 +4,7 @@ Campaigns here run with sample counts small enough for a fast suite; the
 full-size runs live in the acceptance tests.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -546,7 +547,7 @@ def test_every_campaign_rejects_a_bad_count_before_sampling(monkeypatch, bad):
             campaign()
 
 
-@pytest.mark.parametrize("seed", [-1, 2.5, "3"])
+@pytest.mark.parametrize("seed", [-1, 2.5, "3", True])
 def test_sampled_campaigns_reject_a_bad_seed_before_sampling(monkeypatch, seed):
     def no_draw(*args):
         raise AssertionError("sampled before the seed was checked")
@@ -560,18 +561,57 @@ def test_sampled_campaigns_reject_a_bad_seed_before_sampling(monkeypatch, seed):
             campaign()
 
 
+def _columns(draws) -> dict:
+    return {name: col for name, col in vars(draws).items() if col is not None}
+
+
 def test_draw_member_is_reproducible_per_key():
     spec = ClassSpec.gc(0.5)
     f1, draws1, att1 = harness._draw_chunk(spec, 42, [7], 12, 0.9)
     f2, draws2, att2 = harness._draw_chunk(spec, 42, [7], 12, 0.9)
     assert np.array_equal(f1, f2)
-    assert draws1 == draws2 and att1 == att2 == [0]
+    cols1, cols2 = _columns(draws1), _columns(draws2)
+    assert cols1.keys() == cols2.keys() == {"theta", "multiplicity", "factors", "count"}
+    assert all(np.array_equal(cols1[name], cols2[name]) for name in cols1)
+    assert att1 == att2 == [0]
     f3, _, _ = harness._draw_chunk(spec, 42, [8], 12, 0.9)
     assert not np.array_equal(f1, f3)
     # a member's row does not depend on the indices drawn with it
-    rows, _, _ = harness._draw_chunk(spec, 42, range(5, 10), 12, 0.9)
+    rows, draws, _ = harness._draw_chunk(spec, 42, range(5, 10), 12, 0.9)
     assert np.array_equal(rows[2], f1[0])
     assert np.array_equal(rows[3], f3[0])
+    assert all(np.array_equal(col[2], cols1[name][0]) for name, col in _columns(draws).items())
+
+
+@pytest.mark.parametrize("spec", [ClassSpec.gc(0.5), ClassSpec.u_lambda(0.5)],
+                         ids=lambda s: s.label())
+def test_a_row_is_rebuilt_from_its_key(spec):
+    # replay: the one-key draw of (seed, index, attempt) gives the member,
+    # and the member the row's |Gamma_n|, with the campaign's bits
+    rep = verify_bounds(spec, 4, 300, 2**32 + 5)
+    assert not any("resampled" in note for note in rep.notes)
+    for i in (0, 137, 299):
+        key = (2**32 + 5, i, 0)
+        if spec.entry.subordination is None:
+            d = families.sample_dilation(key, spec.lam)
+            omega = families.blaschke_series(d.theta, d.factors, rep.order - 3)
+            f = families.u_lambda_member(d.a2, omega, spec.lam, rep.order)
+        else:
+            f = families.member_from_schwarz(spec, families.sample_schwarz(key), rep.order)
+        gams = np.abs(gammas.gamma_via_bn(f, rep.n_max)).tolist()
+        rows = [row for row in rep.rows if row["sample_id"] == i]
+        assert rows and [row["abs_gamma"] for row in rows] == [gams[row["n"] - 1] for row in rows]
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint32(3)], ids=lambda s: type(s).__name__)
+def test_a_numpy_integer_seed_is_recorded_as_an_int(seed):
+    campaigns = [lambda seed: cross_check(5, seed, 4),
+                 lambda seed: verify_bounds(ClassSpec.gc(0.5), 4, 5, seed),
+                 lambda seed: explore_convex_large_n(1, 4, 5, seed)]
+    for campaign in campaigns:
+        rep = campaign(seed)
+        assert type(rep.seed) is int and json.loads(rep.to_json())["seed"] == 3
+        assert rep.to_json() + rep.to_csv() == (lambda r: r.to_json() + r.to_csv())(campaign(3))
 
 
 def _campaign_bytes():
@@ -598,15 +638,15 @@ SAMPLED_CAMPAIGNS = pytest.mark.parametrize("campaign", [
 
 @SAMPLED_CAMPAIGNS
 def test_a_non_finite_member_is_redrawn(monkeypatch, campaign):
-    draw = families.sample_schwarz
+    draw = families.draw_members
 
-    def first_attempt_of_sample_2_overflows(key, *args, **kwargs):
-        phi = draw(key, *args, **kwargs)
-        if key[1:] == (2, 0):  # a NaN rotation makes every coefficient NaN
-            return families.SchwarzFn(math.nan, phi.multiplicity, phi.factors)
-        return phi
+    def first_attempt_of_sample_2_overflows(spec, keys, **kwargs):
+        draws = draw(spec, keys, **kwargs)
+        # a NaN rotation makes every coefficient NaN
+        theta = np.where([key[1:] == (2, 0) for key in keys], math.nan, draws.theta)
+        return dataclasses.replace(draws, theta=theta)
 
-    monkeypatch.setattr(families, "sample_schwarz", first_attempt_of_sample_2_overflows)
+    monkeypatch.setattr(families, "draw_members", first_attempt_of_sample_2_overflows)
     monkeypatch.setattr(harness, "CHUNK", 3)
     rep = campaign()
     assert [n for n in rep.notes if "resampled" in n] == ["sample 2: resampled 1 time(s)"]
@@ -621,14 +661,15 @@ def test_a_draw_that_raises_is_not_retried(monkeypatch, campaign):
     # surface as it is, not a degenerate draw to retry
     calls = []
 
-    def broken_draw(key, *args, **kwargs):
-        calls.append(key)
+    def broken_draw(spec, keys, **kwargs):
+        calls.append(keys)
         raise ValueError("boom")
 
-    monkeypatch.setattr(families, "sample_schwarz", broken_draw)
+    monkeypatch.setattr(families, "draw_members", broken_draw)
     with pytest.raises(ValueError, match="^boom$"):
         campaign()
-    assert calls == [(3, 0, 0)]
+    # one call, on the first chunk's attempt-0 keys
+    assert calls == [[(3, i, 0) for i in range(5)]]
 
 
 @pytest.mark.parametrize("radius_cap", [1.0, 1.5, -0.1, math.nan])
@@ -636,7 +677,7 @@ def test_sampled_campaigns_reject_a_bad_radius_cap_before_sampling(monkeypatch, 
     def no_draw(*args, **kwargs):
         raise AssertionError("sampled before radius_cap was checked")
 
-    monkeypatch.setattr(families, "sample_member", no_draw)
+    monkeypatch.setattr(families, "draw_members", no_draw)
     campaigns = [lambda spec: cross_check(5, 3, 4, spec=spec, radius_cap=radius_cap),
                  lambda spec: verify_bounds(spec, 4, 5, 3, radius_cap=radius_cap)]
     for spec in (ClassSpec.gc(0.5), ClassSpec.u_lambda(0.5)):
@@ -648,10 +689,13 @@ def test_sampled_campaigns_reject_a_bad_radius_cap_before_sampling(monkeypatch, 
 
 
 def test_draw_gives_up_on_four_non_finite_members(monkeypatch):
-    def always_nan(key, *args, **kwargs):
-        return families.SchwarzFn(math.nan)
+    draw = families.draw_members
 
-    monkeypatch.setattr(families, "sample_schwarz", always_nan)
+    def always_nan(spec, keys, **kwargs):
+        draws = draw(spec, keys, **kwargs)
+        return dataclasses.replace(draws, theta=np.full(len(keys), math.nan))
+
+    monkeypatch.setattr(families, "draw_members", always_nan)
     with pytest.raises(RuntimeError, match=r"sample 0: no usable draw in 4 attempts "
                                            r"\(non-finite coefficients\)"):
         verify_bounds(ClassSpec.gc(0.5), 4, 5, 3)
