@@ -49,9 +49,30 @@ def _key_words(key) -> list:
     return words
 
 
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The seed sequence's running hash constant: init, then times mult, count times."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _hash(values, const, first: int, count: int) -> np.ndarray:
+    """count hash calls, the k-th on column k of values (broadcast), each
+    call xoring in the running constant, advancing it and multiplying."""
+    out = (values ^ const[first : first + count]) * const[first + 1 : first + count + 1]
+    return out ^ (out >> np.uint32(16))
+
+
+def _mix(x, y):
+    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return out ^ (out >> np.uint32(16))
+
+
 def _seed_words(keys) -> list:
     """generate_state(4, uint64) of each key's seed sequence, as four
-    uint64 arrays."""
+    uint64 arrays. Within one pass of the mixing loop the source word is
+    fixed, so its three hashes are taken as one (S, 3) operation."""
     words = [_key_words(key) for key in keys]
     lengths = np.array([len(w) for w in words])
     width = max(4, lengths.max(initial=0))
@@ -60,35 +81,17 @@ def _seed_words(keys) -> list:
     for length in np.unique(lengths).tolist():  # one block per key length
         rows = np.flatnonzero(lengths == length)
         table[rows, :length] = [words[s] for s in rows.tolist()]
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _M32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return out ^ (out >> np.uint32(16))
-
-    pool = [hashmix(table[:, i]) for i in range(4)]
+    const = _hash_consts(_INIT_A, _MULT_A, 4 * width)  # 4 * width hash calls
+    pool = _hash(table[:, :4], const, 0, 4)
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = [d for d in range(4) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, [src]], const, 4 + 3 * src, 3))
     for src in range(4, width):  # the words past the pool, on the keys that have them
-        more = lengths > src
-        for dst in range(4):
-            pool[dst] = np.where(more, mix(pool[dst], hashmix(table[:, src])), pool[dst])
-    const, state = _INIT_B, []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(const)
-        const = const * _MULT_B & _M32
-        value = value * np.uint32(const)
-        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    return [lo | (hi << np.uint64(32)) for lo, hi in zip(state[::2], state[1::2])]
+        mixed = _mix(pool, _hash(table[:, [src]], const, 4 * src, 4))
+        pool = np.where((lengths > src)[:, None], mixed, pool)
+    state = _hash(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _hash_consts(_INIT_B, _MULT_B, 8), 0, 8)
+    state = state.astype(np.uint64)
+    return list((state[:, ::2] | state[:, 1::2] << np.uint64(32)).T)
 
 
 def _split(x: int) -> tuple:

@@ -255,8 +255,8 @@ def test_sample_schwarz_validation():
 
 @pytest.mark.parametrize("seed", [3, 131, 2**40 + 7])
 def test_keyed_draws_match_the_reference_draws(seed):
-    # the draws take fewer Generator calls than _oracles' one-call-per-value
-    # form; every value must keep its bits (repr tells -0.0 from 0.0)
+    # the one-key views of the chunk draw against _oracles' one Generator
+    # call per value; every value must keep its bits (repr tells -0.0 from 0.0)
     keys = [(seed, i, attempt) for i in range(2000) for attempt in (0, 1)]
     cases = [(families.sample_schwarz, _oracles.sample_schwarz, {}),
              (families.sample_schwarz, _oracles.sample_schwarz, {"radius_cap": 0.0}),
@@ -307,7 +307,7 @@ def test_chunk_draw_matches_the_reference_draws_bit_for_bit(spec, seed):
 @pytest.mark.parametrize("spec", _SCHWARZ_AND_DILATION, ids=lambda s: s.tag)
 def test_chunk_draw_matches_the_reference_on_odd_keys(spec):
     # a zero radius cap (signed zeros), int keys, two-part keys, and one
-    # chunk whose key parts lie on both sides of 2**32 (1 to 7 words a key)
+    # chunk whose key parts lie on both sides of 2**32 (1 to 6 words a key)
     mixed = [(i, 2**32 + i, 2**64 - 1 - i) if i % 3 == 0 else (2**31 + i, i) if i % 3 == 1
              else i for i in range(600)] + [(2**96 + 11, 1, 2)]
     cases = [([(7, i, 0) for i in range(500)], 0.0), (list(range(500)), 0.95),

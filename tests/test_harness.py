@@ -609,9 +609,9 @@ def test_a_numpy_integer_seed_is_recorded_as_an_int(seed):
                  lambda seed: verify_bounds(ClassSpec.gc(0.5), 4, 5, seed),
                  lambda seed: explore_convex_large_n(1, 4, 5, seed)]
     for campaign in campaigns:
-        rep = campaign(seed)
+        rep, want = campaign(seed), campaign(3)
         assert type(rep.seed) is int and json.loads(rep.to_json())["seed"] == 3
-        assert rep.to_json() + rep.to_csv() == (lambda r: r.to_json() + r.to_csv())(campaign(3))
+        assert rep.to_json() + rep.to_csv() == want.to_json() + want.to_csv()
 
 
 def _campaign_bytes():
