@@ -627,6 +627,107 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
         assert _campaign_bytes() == reference, f"CHUNK = {chunk}"
 
 
+# a sampled campaign's summary is a plain fold over its own rows, in which a
+# NaN value (a row graded "mathematical") never wins
+
+
+def _largest(values, start):
+    for value in values:
+        if value > start:  # NaN never compares greater
+            start = value
+    return start
+
+
+def _least(values, start):
+    for value in values:
+        if value < start:
+            start = value
+    return start
+
+
+def _rows_by_n(rep) -> dict:
+    by_n = {}
+    for row in rep.rows:
+        by_n.setdefault(row["n"], []).append(row)
+    return by_n
+
+
+def _verify_fold(rep):
+    summary = [{"n": n,
+                "empirical_max_abs_gamma": _largest((r["abs_gamma"] for r in rows), 0.0),
+                "margin": _least((r["margin"] for r in rows), math.inf),
+                "bound": _least((r["bound"] for r in rows), math.inf),
+                "branch": rows[0]["branch"]}
+               for n, rows in _rows_by_n(rep).items()]
+    worst = min(st["margin"] for st in summary)
+    return summary, max(0.0, -worst)
+
+
+def _cross_check_fold(rep):
+    summary = [{"n": n, "max_discrepancy": _largest((r["discrepancy"] for r in rows), 0.0)}
+               for n, rows in _rows_by_n(rep).items()]
+    return summary, max(st["max_discrepancy"] for st in summary)
+
+
+def _explore_fold(rep):
+    summary = []
+    for n, rows in _rows_by_n(rep).items():
+        top, first = 0.0, -1
+        for row in rows:  # a tie goes to the earliest sample
+            if row["abs_gamma"] > top:
+                top, first = row["abs_gamma"], row["sample_id"]
+        summary.append({"n": n, "max_abs_gamma": top,
+                        "max_ratio": _largest((2 * n * r["abs_gamma"] for r in rows), 0.0),
+                        "argmax_sample": first,
+                        "exceed_count": sum(r["flag"] in ("mathematical", "open") for r in rows)})
+    return summary, None
+
+
+FOLDED_CAMPAIGNS = {
+    "verify-gc": (lambda: verify_bounds(ClassSpec.gc(0.5), 6, 30, 3), _verify_fold),
+    "verify-u-lambda": (lambda: verify_bounds(ClassSpec.u_lambda(0.5), 6, 30, 3), _verify_fold),
+    "explore": (lambda: explore_convex_large_n(1, 6, 40, 3), _explore_fold),
+    "cross-check": (lambda: cross_check(30, 3, 6), _cross_check_fold),
+}
+
+
+def _assert_summary_is_the_fold(rep, fold):
+    summary, max_discrepancy = fold(rep)
+    assert [{key: st[key] for key in want} for st, want in zip(rep.summary, summary)] == summary
+    assert len(rep.summary) == len(summary)
+    assert rep.max_discrepancy == max_discrepancy
+
+
+@pytest.mark.parametrize("name", FOLDED_CAMPAIGNS)
+def test_sampled_summaries_are_folds_of_their_rows(monkeypatch, name):
+    monkeypatch.setattr(harness, "CHUNK", 7)  # several chunks, the last one short
+    campaign, fold = FOLDED_CAMPAIGNS[name]
+    _assert_summary_is_the_fold(campaign(), fold)
+
+
+@pytest.mark.parametrize("name", ["verify-gc", "verify-u-lambda", "cross-check"])
+def test_a_nan_gamma_row_is_flagged_and_left_out_of_the_summary(monkeypatch, name):
+    monkeypatch.setattr(harness, "CHUNK", 7)
+    real, seen = gammas.gamma_via_bn, []
+
+    def sample_8_is_nan(f, n_max):  # sample 8 is row 1 of the second chunk
+        out = real(f, n_max)
+        if isinstance(f, np.ndarray):
+            seen.append(len(f))
+            if len(seen) == 2:
+                out[1] = math.nan
+        return out
+
+    monkeypatch.setattr(gammas, "gamma_via_bn", sample_8_is_nan)
+    campaign, fold = FOLDED_CAMPAIGNS[name]
+    rep = campaign()
+    planted = [row for row in rep.rows if row["sample_id"] == 8]
+    assert planted and all(math.isnan(row["abs_gamma"]) for row in planted)
+    assert all(row["flag"] == "mathematical" for row in planted)
+    assert [v for v in rep.violations if v["sample_id"] == 8] == planted
+    _assert_summary_is_the_fold(rep, fold)
+
+
 # every sampled campaign redraws a member that is not finite under a fresh
 # key; real campaigns almost never do, so the draw is made to fail on purpose
 SAMPLED_CAMPAIGNS = pytest.mark.parametrize("campaign", [
