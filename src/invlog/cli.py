@@ -27,10 +27,6 @@ from . import families, gammas, harness, series
 from .bounds import bound_for
 from .families import ClassSpec
 
-GAMMA_FAMILIES = ("identity", "koebe", "halfplane", "halfconvex", "star-ab",
-                  "spiral", "gc", "u-extremal", "u-member", "f-alpha")
-
-
 def _rational(text: str):
     """Exact where possible: '1/3' and '0.25' become Fractions, '1e-3' a float."""
     try:
@@ -97,38 +93,42 @@ def _require_counts(args):
                  f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
-# the parameter flags each gamma family needs (--a is optional where read)
-_FAMILY_PARAMS = {"star-ab": ("A", "B"), "spiral": ("alpha", "beta"), "gc": ("c",),
-                  "u-extremal": ("lam",), "u-member": ("lam", "a2"), "f-alpha": ("alpha",)}
+def _omega0(args):
+    return 0.0 if args.a is None else args.a
+
+
+def _u_extremal(args, order: int):
+    a = _omega0(args)
+    _require(a.imag == 0 and 0 <= a.real < 1, "--family u-extremal needs real --a in [0,1)")
+    return families.u_extremal(args.lam, a.real, order)
+
+
+# each gamma family: the parameter flags it needs (--a is optional where
+# read) and its builder, called with the parsed arguments and the order
+GAMMA_FAMILIES = {
+    "identity": ((), lambda args, order: series.identity(order)),
+    "koebe": ((), lambda args, order: families.koebe(args.theta, order)),
+    # z/(1-z) = z + z^2 + ...
+    "halfplane": ((), lambda args, order: series.AnalyticSeries([0.0] + [1.0] * order)),
+    "halfconvex": ((), lambda args, order: families.f_alpha_extremal(-0.5, "halfconvex", order)),
+    "star-ab": (("A", "B"), lambda args, order: families.k_AB_n(float(args.A), float(args.B),
+                                                                args.n, order)),
+    "spiral": (("alpha", "beta"),
+               lambda args, order: families.spiral_extremal(args.alpha, args.beta, args.n, order)),
+    "gc": (("c",), lambda args, order: families.gc_extremal(args.c, args.n, order)),
+    "u-extremal": (("lam",), _u_extremal),
+    "u-member": (("lam", "a2"),
+                 lambda args, order: families.u_lambda_member(args.a2, _omega0(args), args.lam,
+                                                              order)),
+    "f-alpha": (("alpha",),
+                lambda args, order: families.f_alpha_extremal(args.alpha, args.variant, order)),
+}
 
 
 def _gamma_function(args, order: int):
-    fam = args.family
-    _require_flags(args, _FAMILY_PARAMS.get(fam, ()), f"--family {fam}")
-    if fam == "identity":
-        return series.identity(order)
-    if fam == "koebe":
-        return families.koebe(args.theta, order)
-    if fam == "halfplane":
-        coeffs = np.ones(order + 1, dtype=np.complex128)
-        coeffs[0] = 0.0
-        return series.AnalyticSeries(coeffs)
-    if fam == "halfconvex":
-        return families.f_alpha_extremal(-0.5, "halfconvex", order)
-    if fam == "star-ab":
-        return families.k_AB_n(float(args.A), float(args.B), args.n, order)
-    if fam == "spiral":
-        return families.spiral_extremal(args.alpha, args.beta, args.n, order)
-    if fam == "gc":
-        return families.gc_extremal(args.c, args.n, order)
-    a = 0.0 if args.a is None else args.a
-    if fam == "u-extremal":
-        _require(a.imag == 0 and 0 <= a.real < 1, "--family u-extremal needs real --a in [0,1)")
-        return families.u_extremal(args.lam, a.real, order)
-    if fam == "u-member":
-        return families.u_lambda_member(args.a2, a, args.lam, order)
-    # f-alpha
-    return families.f_alpha_extremal(args.alpha, args.variant, order)
+    params, build = GAMMA_FAMILIES[args.family]
+    _require_flags(args, params, f"--family {args.family}")
+    return build(args, order)
 
 
 def cmd_gamma(args) -> int:

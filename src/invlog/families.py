@@ -84,13 +84,6 @@ class ClassSpec:
     def f_alpha(cls, alpha):
         return cls(tag="f-alpha", alpha=float(alpha))
 
-    @property
-    def delta(self) -> float:
-        """(1-A)/(1-B) in [0,1); the dispatch variable for the A,B family."""
-        if self.entry.params != ("A", "B"):
-            raise ValueError("delta is defined for star-ab specs only")
-        return (1.0 - self.A) / (1.0 - self.B)
-
     def label(self) -> str:
         # float(): Fraction parameters reject the :g format
         inner = ",".join(f"{name}={float(getattr(self, name)):g}" for name in self.entry.params)

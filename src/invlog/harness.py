@@ -25,19 +25,20 @@ format per CSV cell). to_json encodes the rows, flat dicts of JSON scalars,
 with one call of the C encoder and rewrites only the list level; see
 _rows_json for why that finds exactly the row boundaries.
 
-The sampled campaigns share one chunked loop, _sample_rows. It takes CHUNK
-sample indices at a time and draws their keys as one batch, then the
-chunk's members and their bn-route Gammas are computed as
-(samples x order) arrays (families.member_rows, then one call of
-gammas.gamma_via_bn on the chunk's rows). Each chunk is graded by one
-vectorized comparison, folded into the per-order summary by numpy
-reductions, and its rows are built in index order. A row's bits do not
-depend on the rows computed with it, so reports do not depend on CHUNK. The
-Series API (member_from_schwarz, u_lambda_member, and both routes on a
-Series) runs the same row functions on one row; tests/_oracles.py is the
-reference both are held to. cross_check runs the reversion route on the
-same chunk arrays too (gammas.gamma_via_reversion of the member rows), one
-Horner table per member but the whole chunk in one loop over the orders.
+The sampled campaigns share one sample loop, _sample, and CHUNK bounds only
+the draw and the routes: it takes CHUNK sample indices at a time, draws
+their keys as one batch, builds their members as a (samples x order) array
+(families.member_rows) and runs each Gamma route the campaign asks for on
+it with one stacked call (gammas.gamma_via_bn; cross_check adds
+gammas.gamma_via_reversion, one Horner table per member but the whole
+chunk in one loop over the orders). The campaign gets each route's Gammas
+for all its samples and grades them with one vectorized comparison; its
+summary is numpy reductions over the samples axis, and _add_sample_rows
+builds its rows from those arrays CHUNK samples at a time, in index order.
+A row's bits do not depend on the rows computed with it, so reports do not
+depend on CHUNK. The Series API (member_from_schwarz, u_lambda_member, and
+both routes on a Series) runs the same row functions on one row;
+tests/_oracles.py is the reference both are held to.
 A campaign with no order given runs at n_max + 1: Gamma_n reads a_2..a_{n+1}
 only, so a higher order changes nothing but the report's order field.
 
@@ -45,7 +46,8 @@ Violation grading: with excess the amount by which a sample oversteps
 (|Gamma| - bound, or the route discrepancy), excess <= tol is "ok",
 excess <= 10 tol is "numerical" (a tolerance-scale artifact), and anything
 larger, NaN included, is "mathematical" (would falsify the claim being
-tested).
+tested). In every campaign, the rows flagged "numerical" or "mathematical"
+are the report's violations.
 """
 
 from __future__ import annotations
@@ -200,8 +202,9 @@ CHUNK = 256  # sample indices drawn and computed as one batch
 
 
 def _draw_chunk(spec: ClassSpec, seed: int, ids, order: int, radius_cap: float):
-    """Members for the sample indices ids, as rows of one array, plus the
-    columns of their parameter draws and each index's attempt count.
+    """Members for the sample indices ids, as rows of one array, plus each
+    member's |omega(0)| (0 for a Schwarz function, which fixes 0) and each
+    index's attempt count.
 
     Each index draws its parameters under the key (seed, index, attempt).
     A draw whose member row is not finite (an overflow) is redrawn under the
@@ -212,20 +215,17 @@ def _draw_chunk(spec: ClassSpec, seed: int, ids, order: int, radius_cap: float):
     turns them into members as one batch.
     """
     rows = np.empty((len(ids), order + 1), dtype=np.complex128)
+    abs_a = np.zeros(len(ids))
     attempts = [0] * len(ids)
-    todo, draws = np.arange(len(ids)), None
+    todo = np.arange(len(ids))
     while todo.size:
-        batch = families.draw_members(spec, [(seed, ids[j], attempts[j]) for j in todo.tolist()],
+        draws = families.draw_members(spec, [(seed, ids[j], attempts[j]) for j in todo.tolist()],
                                       radius_cap=radius_cap)
-        if draws is None:
-            draws = batch
-        else:  # the redrawn rows replace theirs in every column
-            for name, col in vars(batch).items():
-                if col is not None:
-                    getattr(draws, name)[todo] = col
+        if draws.abs_a is not None:
+            abs_a[todo] = draws.abs_a
         # overflow shows up as a non-finite row, caught below
         with np.errstate(all="ignore"):
-            members = families.member_rows(spec, batch, order)
+            members = families.member_rows(spec, draws, order)
         rows[todo] = members
         todo = todo[~np.isfinite(members).all(axis=1)]
         for j in todo.tolist():
@@ -233,7 +233,7 @@ def _draw_chunk(spec: ClassSpec, seed: int, ids, order: int, radius_cap: float):
             if attempts[j] == 4:
                 raise RuntimeError(f"sample {ids[j]}: no usable draw in 4 attempts "
                                    "(non-finite coefficients)")
-    return rows, draws, attempts
+    return rows, abs_a, attempts
 
 
 def _resolve_order(n_max: int, order, tol: float = 0.0, seed=0, radius_cap=0.0, *,
@@ -263,42 +263,59 @@ def _resolve_order(n_max: int, order, tol: float = 0.0, seed=0, radius_cap=0.0, 
     return order
 
 
-def _chunk_rows(ids, ns, abs_gamma, bound, branch, margin, flag, excess) -> list:
-    """One row per sample of ids and order of ns, in index order and by
-    ascending n within a sample. An array column gives row (s, k) its
-    [s, k] entry, broadcast to (len(ids), len(ns)); any other column gives
-    every row its value as is."""
-    shape = (len(ids), len(ns))
-
-    def cells(col):
-        col = col if isinstance(col, np.ndarray) else np.array(col, dtype=object)
-        return np.broadcast_to(col, shape).ravel().tolist()
-
-    # keys in sorted order: to_json's sort_keys pass then finds each row sorted
-    return [{"abs_gamma": ag, "bound": b, "branch": br, "excess": e, "flag": f,
-             "margin": m, "n": n, "sample_id": i}
-            for i, n, ag, b, br, m, f, e in zip(
-                *map(cells, (np.asarray(ids)[:, None], np.asarray(ns), abs_gamma, bound,
-                             branch, margin, flag, excess)))]
-
-
-def _sample_rows(report: VerifyReport, spec: ClassSpec, radius_cap: float, rows_of):
+def _sample(report: VerifyReport, spec: ClassSpec, radius_cap: float, *routes):
     """The sample loop of every sampled campaign. CHUNK indices at a time,
-    draw the members and compute their Gamma_1..Gamma_{n_max} by the bn route
-    as arrays; rows_of(ids, members, gammas, draws) grades the chunk, folds
-    it into the caller's summary and returns its rows in index order, which
-    are appended to the report. Rows flagged neither ok nor open become
-    violations; resampled draws leave a note."""
+    draw the members and run each Gamma route on them with one stacked call.
+    Returns each route's (samples, n_max) Gamma_1..Gamma_{n_max}, then the
+    |omega(0)| column; resampled draws leave a note."""
+    out = [np.empty((report.samples, report.n_max), dtype=np.complex128) for _ in routes]
+    abs_a = np.empty(report.samples)
     for start in range(0, report.samples, CHUNK):
-        ids = range(start, min(start + CHUNK, report.samples))
-        members, draws, attempts = _draw_chunk(spec, report.seed, ids, report.order,
-                                               radius_cap)
-        gams = gammas.gamma_via_bn(members, report.n_max)  # one stacked call per chunk
+        chunk = slice(start, start + CHUNK)
+        ids = range(report.samples)[chunk]
+        members, abs_a[chunk], attempts = _draw_chunk(spec, report.seed, ids, report.order,
+                                                      radius_cap)
+        for gams, route in zip(out, routes):
+            gams[chunk] = route(members, report.n_max)
         report.notes += [f"sample {i}: resampled {tries} time(s)"
                          for i, tries in zip(ids, attempts) if tries]
-        rows = rows_of(ids, members, gams, draws)
-        report.rows += rows
-        report.violations += [dict(row) for row in rows if row["flag"] not in ("ok", "open")]
+    return (*out, abs_a)
+
+
+def _add_rows(report: VerifyReport, rows: list):
+    """Append rows to the report; a row flagged numerical or mathematical is
+    also a violation."""
+    report.rows += rows
+    report.violations += [dict(row) for row in rows
+                          if row["flag"] in ("numerical", "mathematical")]
+
+
+def _add_sample_rows(report: VerifyReport, ns, abs_gamma, bound, branch, margin, flag, excess,
+                     **extra):
+    """Add one row per sample and order of ns, in index order and by
+    ascending n within a sample, with the extra columns after the standard
+    ones. An array column gives row (s, k) its [s, k] entry, broadcast to
+    (samples, len(ns)); any other column gives every row its value as is.
+    Rows are built CHUNK samples at a time, so only one chunk's cells are
+    Python objects before they go into rows."""
+    shape = (report.samples, len(ns))
+
+    def cells(col, chunk):
+        col = col if isinstance(col, np.ndarray) else np.array(col, dtype=object)
+        return np.broadcast_to(col, shape)[chunk].ravel().tolist()
+
+    ids = np.arange(report.samples)[:, None]
+    for start in range(0, report.samples, CHUNK):
+        chunk = slice(start, start + CHUNK)
+        # keys in sorted order: to_json's sort_keys pass then finds each row sorted
+        rows = [{"abs_gamma": ag, "bound": b, "branch": br, "excess": e, "flag": f,
+                 "margin": m, "n": n, "sample_id": i}
+                for i, n, ag, b, br, m, f, e in zip(*(cells(col, chunk) for col in (
+                    ids, np.asarray(ns), abs_gamma, bound, branch, margin, flag, excess)))]
+        for name, col in extra.items():
+            for row, value in zip(rows, cells(col, chunk)):
+                row[name] = value
+        _add_rows(report, rows)
 
 
 def _candidate_rows(spec: ClassSpec, res, order: int, abs_a: float, tol: float) -> list:
@@ -333,26 +350,18 @@ def cross_check(samples: int, seed: int, n_max: int, tol: float = 1e-10, *,
     """
     spec = spec if spec is not None else ClassSpec.star_ab(1.0, -1.0)
     order = _resolve_order(n_max, order, tol, seed, radius_cap, samples=samples)
-
-    per_n_max = np.zeros(n_max)
-
-    def rows_of(ids, members, gams, draws):
-        rev = gammas.gamma_via_reversion(members, n_max)  # one stacked call per chunk
-        disc = np.abs(rev - gams)
-        # a NaN discrepancy is flagged in its row; fmax keeps it out of the summary
-        np.fmax(per_n_max, np.fmax.reduce(disc, axis=0), out=per_n_max)
-        rows = _chunk_rows(ids, range(1, n_max + 1), abs_gamma=np.abs(gams), bound=tol,
-                           branch="path-equivalence", margin=tol - disc,
-                           flag=_flag(disc, tol), excess=disc)
-        for row in rows:
-            row["discrepancy"] = row["excess"]
-        return rows
-
     report = VerifyReport(kind="cross-check", label=spec.label(), params=spec.params(),
                           n_max=n_max, order=order, samples=samples, seed=seed, tol=tol)
-    _sample_rows(report, spec, radius_cap, rows_of)
-    report.summary = [{"n": n, "max_discrepancy": float(per_n_max[n - 1])}
-                      for n in range(1, n_max + 1)]
+    gams, rev, _ = _sample(report, spec, radius_cap, gammas.gamma_via_bn,
+                           gammas.gamma_via_reversion)
+    disc = np.abs(rev - gams)
+    _add_sample_rows(report, range(1, n_max + 1), abs_gamma=np.abs(gams), bound=tol,
+                     branch="path-equivalence", margin=tol - disc, flag=_flag(disc, tol),
+                     excess=disc, discrepancy=disc)
+    # a NaN discrepancy is flagged in its row; fmax keeps it out of the summary
+    per_n_max = np.fmax.reduce(disc, axis=0, initial=0.0)
+    report.summary = [{"n": n, "max_discrepancy": d}
+                      for n, d in enumerate(per_n_max.tolist(), start=1)]
     report.max_discrepancy = float(per_n_max.max())
     report.notes.append(f"routes agree to {report.max_discrepancy:.3e} over "
                         f"{samples} samples x {n_max} orders")
@@ -375,42 +384,34 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
         raise ValueError(f"no applicable bounds for {spec.label()} with n_max={n_max}")
     ns = [res.n for res in static]
     per_sample = spec.entry.per_sample_bound
-    stats: dict[int, dict] = {}
-
-    def rows_of(ids, members, gams, draws):
-        results = ([[bound_for(spec, n, abs_a=a) for n in ns] for a in draws.abs_a.tolist()]
-                   if per_sample else [static])
-        bound = np.array([[res.value for res in row] for row in results])
-        branch = np.array([[res.branch for res in row] for row in results], dtype=object)
-        ag = np.abs(gams[:, np.subtract(ns, 1)])
-        margin, excess = bound - ag, ag - bound
-        # a NaN row is flagged; fmax and fmin keep it out of the summary
-        for k, n in enumerate(ns):
-            st = stats.setdefault(n, {"empirical_max_abs_gamma": 0.0, "margin": math.inf,
-                                      "bound": float(bound[0, k]), "branch": branch[0, k]})
-            st["empirical_max_abs_gamma"] = float(
-                np.fmax.reduce(ag[:, k], initial=st["empirical_max_abs_gamma"]))
-            st["margin"] = float(np.fmin.reduce(margin[:, k], initial=st["margin"]))
-            st["bound"] = float(np.fmin.reduce(bound[:, k], initial=st["bound"]))
-        return _chunk_rows(ids, ns, abs_gamma=ag, bound=bound, branch=branch, margin=margin,
-                           flag=_flag(excess, tol), excess=excess)
-
     report = VerifyReport(kind="verify", label=spec.label(), params=spec.params(),
                           n_max=n_max, order=order, samples=samples, seed=seed, tol=tol)
     # bound - max |Gamma| as the least margin: rounding is monotone, so the bits agree
     sharp_gaps = {} if per_sample else {
         res.n: min((row["margin"] for row in _candidate_rows(spec, res, order, DEFAULT_ABS_A, tol)
                     if row["asserted"]), default=None) for res in static}
-    _sample_rows(report, spec, radius_cap, rows_of)
-    report.summary = [{"n": n, **stats[n], "sharpness_gap": sharp_gaps.get(n)}
-                      for n in sorted(stats)]
+    gams, abs_a = _sample(report, spec, radius_cap, gammas.gamma_via_bn)
+    results = ([[bound_for(spec, n, abs_a=a) for n in ns] for a in abs_a.tolist()]
+               if per_sample else [static])
+    bound = np.array([[res.value for res in row] for row in results])
+    branch = np.array([[res.branch for res in row] for row in results], dtype=object)
+    ag = np.abs(gams[:, np.subtract(ns, 1)])
+    margin, excess = bound - ag, ag - bound
+    _add_sample_rows(report, ns, abs_gamma=ag, bound=bound, branch=branch, margin=margin,
+                     flag=_flag(excess, tol), excess=excess)
+    # a NaN row is flagged; fmax and fmin keep it out of the summary
+    least = np.fmin.reduce(margin, axis=0, initial=math.inf).tolist()
+    report.summary = [{"n": n, "empirical_max_abs_gamma": top, "margin": low, "bound": b,
+                       "branch": br, "sharpness_gap": sharp_gaps.get(n)}
+                      for n, top, low, b, br in zip(
+                          ns, np.fmax.reduce(ag, axis=0, initial=0.0).tolist(), least,
+                          np.fmin.reduce(bound, axis=0).tolist(), branch[0])]
     if per_sample:
         report.notes.append("bounds vary with each sample's omega(0); summary bound "
                             "and margin are the worst cases, sharpness_gap is per-run "
                             "(see sharpness_check)")
-    worst = min((st["margin"] for st in stats.values()), default=None)
-    report.max_discrepancy = None if worst is None else float(max(0.0, -worst))
-    skipped = [n for n in range(1, n_max + 1) if n not in stats]
+    report.max_discrepancy = max(0.0, -min(least))
+    skipped = [n for n in range(1, n_max + 1) if n not in ns]
     if skipped:
         report.notes.append(f"orders without a bound, skipped: {skipped}")
     return report
@@ -431,17 +432,15 @@ def sharpness_check(spec: ClassSpec, n_max: int, tol: float = 1e-9, *,
     for n in range(n_min, n_max + 1):
         res = bound_for(spec, n, abs_a=abs_a)
         if not res.applicable:
-            report.rows.append({"sample_id": "none", "n": n, "abs_gamma": None,
+            _add_rows(report, [{"sample_id": "none", "n": n, "abs_gamma": None,
                                 "bound": None, "branch": res.branch, "margin": None,
-                                "flag": "open", "asserted": False, "note": res.note})
+                                "flag": "open", "asserted": False, "note": res.note}])
             continue
         if res.note:
             report.notes.append(f"n={n}: {res.note}")
         rows = _candidate_rows(spec, res, order, abs_a, tol)
-        report.rows += rows
-        asserted = [row for row in rows if row["asserted"]]
-        gaps += [row["excess"] for row in asserted]
-        report.violations += [dict(row) for row in asserted if row["flag"] != "ok"]
+        _add_rows(report, rows)
+        gaps += [row["excess"] for row in rows if row["asserted"]]
         best = {"best_gap": math.inf, "best_candidate": ""}
         for row in rows:  # a NaN gap never wins, and equal gaps go to the first
             if row["margin"] < best["best_gap"]:
@@ -467,31 +466,24 @@ def explore_convex_large_n(n_min: int, n_max: int, samples: int, seed: int, *,
     branch = np.array([proved[n].branch if n in proved else "conjectured" for n in ns],
                       dtype=object)
     conjectured = np.array([n not in proved for n in ns])
-    stats: dict[int, dict] = {}
-
-    def rows_of(ids, members, gams, draws):
-        ag = np.abs(gams[:, n_min - 1:])
-        excess = ag - bound
-        flag = np.where(conjectured, np.where(ag > bound + tol, "open", "ok").astype(object),
-                        _flag(excess, tol))
-        for k, n in enumerate(ns):
-            st = stats.setdefault(n, {"max_abs_gamma": 0.0, "max_ratio": 0.0,
-                                      "argmax_sample": -1, "exceed_count": 0})
-            col = ag[:, k]
-            top = np.fmax.reduce(col)
-            if top > st["max_abs_gamma"]:  # a tie goes to the earliest sample
-                st["max_abs_gamma"] = float(top)
-                st["argmax_sample"] = ids[int(np.argmax(col == top))]
-            st["max_ratio"] = float(np.fmax.reduce(2.0 * n * col, initial=st["max_ratio"]))
-            st["exceed_count"] += int(((flag[:, k] == "mathematical")
-                                       | (flag[:, k] == "open")).sum())
-        return _chunk_rows(ids, ns, abs_gamma=ag, bound=bound, branch=branch,
-                           margin=bound - ag, flag=flag, excess=excess)
-
     report = VerifyReport(kind="explore", label=spec.label(), params=spec.params(),
                           n_max=n_max, order=order, samples=samples, seed=seed, tol=tol)
-    _sample_rows(report, spec, radius_cap, rows_of)
-    report.summary = [{"n": n, **stats[n]} for n in sorted(stats)]
+    gams, _ = _sample(report, spec, radius_cap, gammas.gamma_via_bn)
+    ag = np.abs(gams[:, n_min - 1:])
+    excess = ag - bound
+    flag = np.where(conjectured, np.where(ag > bound + tol, "open", "ok").astype(object),
+                    _flag(excess, tol))
+    _add_sample_rows(report, ns, abs_gamma=ag, bound=bound, branch=branch, margin=bound - ag,
+                     flag=flag, excess=excess)
+    # a NaN row never wins; a tie goes to the earliest sample
+    top = np.fmax.reduce(ag, axis=0, initial=0.0)
+    first = np.where(top > 0.0, (ag == top).argmax(axis=0), -1)
+    ratio = np.fmax.reduce(2.0 * np.asarray(ns) * ag, axis=0, initial=0.0)
+    exceed = ((flag == "mathematical") | (flag == "open")).sum(axis=0)
+    report.summary = [{"n": n, "max_abs_gamma": t, "max_ratio": r, "argmax_sample": i,
+                       "exceed_count": c}
+                      for n, t, r, i, c in zip(ns, top.tolist(), ratio.tolist(), first.tolist(),
+                                               exceed.tolist())]
     report.notes.append("orders beyond 3 probe an open question; overshoots there "
                         "are reported as open, not failed")
     return report

@@ -505,11 +505,8 @@ def test_class_spec_validation():
 
 def test_class_spec_delta_and_label():
     sp = ClassSpec.star_ab(0.5, -0.5)
-    assert abs(sp.delta - 1.0 / 3.0) < 1e-15
     assert sp.label() == "star-ab(A=0.5,B=-0.5)"
     assert sp.params() == {"A": 0.5, "B": -0.5}
-    with pytest.raises(ValueError):
-        ClassSpec.gc(0.5).delta
     assert ClassSpec.full_s().label() == "full-s"
     assert ClassSpec.u_lambda(0.75).params() == {"lam": 0.75}
 

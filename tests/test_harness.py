@@ -561,26 +561,21 @@ def test_sampled_campaigns_reject_a_bad_seed_before_sampling(monkeypatch, seed):
             campaign()
 
 
-def _columns(draws) -> dict:
-    return {name: col for name, col in vars(draws).items() if col is not None}
-
-
 def test_draw_member_is_reproducible_per_key():
-    spec = ClassSpec.gc(0.5)
-    f1, draws1, att1 = harness._draw_chunk(spec, 42, [7], 12, 0.9)
-    f2, draws2, att2 = harness._draw_chunk(spec, 42, [7], 12, 0.9)
-    assert np.array_equal(f1, f2)
-    cols1, cols2 = _columns(draws1), _columns(draws2)
-    assert cols1.keys() == cols2.keys() == {"theta", "multiplicity", "factors", "count"}
-    assert all(np.array_equal(cols1[name], cols2[name]) for name in cols1)
-    assert att1 == att2 == [0]
-    f3, _, _ = harness._draw_chunk(spec, 42, [8], 12, 0.9)
-    assert not np.array_equal(f1, f3)
-    # a member's row does not depend on the indices drawn with it
-    rows, draws, _ = harness._draw_chunk(spec, 42, range(5, 10), 12, 0.9)
-    assert np.array_equal(rows[2], f1[0])
-    assert np.array_equal(rows[3], f3[0])
-    assert all(np.array_equal(col[2], cols1[name][0]) for name, col in _columns(draws).items())
+    for spec in (ClassSpec.gc(0.5), ClassSpec.u_lambda(0.5)):
+        f1, abs_a1, att1 = harness._draw_chunk(spec, 42, [7], 12, 0.9)
+        f2, abs_a2, att2 = harness._draw_chunk(spec, 42, [7], 12, 0.9)
+        assert np.array_equal(f1, f2) and np.array_equal(abs_a1, abs_a2)
+        assert att1 == att2 == [0]
+        # |omega(0)| is the dilation's own; a Schwarz function fixes 0
+        d = families.sample_dilation((42, 7, 0), 0.5)
+        assert abs_a1.tolist() == ([0.0] if spec.entry.subordination else [d.abs_a])
+        f3, abs_a3, _ = harness._draw_chunk(spec, 42, [8], 12, 0.9)
+        assert not np.array_equal(f1, f3)
+        # a member's row does not depend on the indices drawn with it
+        rows, abs_a, _ = harness._draw_chunk(spec, 42, range(5, 10), 12, 0.9)
+        assert np.array_equal(rows[2], f1[0]) and np.array_equal(rows[3], f3[0])
+        assert abs_a[2:4].tolist() == [abs_a1[0], abs_a3[0]]
 
 
 @pytest.mark.parametrize("spec", [ClassSpec.gc(0.5), ClassSpec.u_lambda(0.5)],
