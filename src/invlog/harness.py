@@ -400,12 +400,13 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
     _add_sample_rows(report, ns, abs_gamma=ag, bound=bound, branch=branch, margin=margin,
                      flag=_flag(excess, tol), excess=excess)
     # a NaN row is flagged; fmax and fmin keep it out of the summary
+    top = np.fmax.reduce(ag, axis=0, initial=0.0)
     least = np.fmin.reduce(margin, axis=0, initial=math.inf).tolist()
-    report.summary = [{"n": n, "empirical_max_abs_gamma": top, "margin": low, "bound": b,
+    lowest = np.fmin.reduce(bound, axis=0)
+    report.summary = [{"n": n, "empirical_max_abs_gamma": t, "margin": m, "bound": b,
                        "branch": br, "sharpness_gap": sharp_gaps.get(n)}
-                      for n, top, low, b, br in zip(
-                          ns, np.fmax.reduce(ag, axis=0, initial=0.0).tolist(), least,
-                          np.fmin.reduce(bound, axis=0).tolist(), branch[0])]
+                      for n, t, m, b, br in zip(ns, top.tolist(), least, lowest.tolist(),
+                                                branch[0])]
     if per_sample:
         report.notes.append("bounds vary with each sample's omega(0); summary bound "
                             "and margin are the worst cases, sharpness_gap is per-run "
