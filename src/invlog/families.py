@@ -22,6 +22,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -484,8 +485,10 @@ class ClassEntry:
     # spec -> (a, b) with q(phi) - 1 = a phi / (1 + b phi); None for a class
     # drawn from its structure formula instead
     subordination: Callable | None
-    # candidates(spec, n, branch, order, abs_a) -> [(label, f, asserted, note)]:
-    # the named equality functions of the clause that gave the bound at n
+    # candidates(spec, n, branch, order, abs_a) -> [(label, build, asserted, note)]:
+    # the named equality functions of the clause that gave the bound at n,
+    # build() making the function's Series. Within one (spec, order, abs_a)
+    # a label names one function at every n, so a caller builds each label once
     candidates: Callable
     # the subordination gives f' rather than f/z
     derivative: bool = False
@@ -506,7 +509,7 @@ _NO_MIDDLE = "no equality function named on the middle clauses"
 
 def _clause_candidates(branch: str, full: list, sym: tuple) -> list:
     """The interval-dispatched classes: the full-product maps, the
-    n-symmetric map (label, f) on the endpoint clause, and both report-only
+    n-symmetric map (label, build) on the endpoint clause, and both report-only
     on the middle clauses."""
     if branch == "full-product":
         return full
@@ -517,23 +520,25 @@ def _clause_candidates(branch: str, full: list, sym: tuple) -> list:
 
 def _star_ab_candidates(spec, n, branch, order, abs_a):
     A, B = float(spec.A), float(spec.B)
-    one = ("one-point-map", k_AB_n(A, B, 1, order), True, "")
-    return _clause_candidates(branch, [one], (f"{n}-symmetric-map", k_AB_n(A, B, n, order)))
+    one = ("one-point-map", partial(k_AB_n, A, B, 1, order), True, "")
+    return _clause_candidates(branch, [one],
+                              (f"{n}-symmetric-map", partial(k_AB_n, A, B, n, order)))
 
 
 def _spiral_candidates(spec, n, branch, order, abs_a):
-    line = ("tilted-line-map", _power_map(*spec.entry.subordination(spec), 1, order), True, "")
-    real = ("real-power-map", spiral_extremal(spec.alpha, spec.beta, 1, order),
+    line = ("tilted-line-map", partial(_power_map, *spec.entry.subordination(spec), 1, order),
+            True, "")
+    real = ("real-power-map", partial(spiral_extremal, spec.alpha, spec.beta, 1, order),
             spec.alpha == 0, "" if spec.alpha == 0 else "reaches the bound only at alpha = 0")
-    sym = (f"{n}-symmetric-map", spiral_extremal(spec.alpha, spec.beta, n, order))
+    sym = (f"{n}-symmetric-map", partial(spiral_extremal, spec.alpha, spec.beta, n, order))
     return _clause_candidates(branch, [line, real], sym)
 
 
 def _gc_candidates(spec, n, branch, order, abs_a):
     note = "" if spec.c == 1 else "claimed equality function; reaches the bound only at c = 1"
-    return [("claimed-derivative-map", gc_extremal(spec.c, 1, order), True, note),
-            ("kernel-ray-map", _power_map(*spec.entry.subordination(spec), 1, order), True,
-             "substitute equality function from the defining subordination")]
+    return [("claimed-derivative-map", partial(gc_extremal, spec.c, 1, order), True, note),
+            ("kernel-ray-map", partial(_power_map, *spec.entry.subordination(spec), 1, order),
+             True, "substitute equality function from the defining subordination")]
 
 
 # (n, branch) -> the power maps p of the clause, f' = (1 - z^p)^(...): the
@@ -543,12 +548,12 @@ _F_ALPHA_POWERS = {(1, "linear"): (1,), (2, "low-range"): (1, 2), (2, "high-rang
 
 
 def _f_alpha_candidates(spec, n, branch, order, abs_a):
-    cands = [(f"power-map-{p}", f_alpha_extremal(spec.alpha, f"pow{p}", order), i == 0,
-              "" if i == 0 else "attains the other clause")
+    cands = [(f"power-map-{p}", partial(f_alpha_extremal, spec.alpha, f"pow{p}", order),
+              i == 0, "" if i == 0 else "attains the other clause")
              for i, p in enumerate(_F_ALPHA_POWERS[n, branch])]
     if spec.alpha == -0.5:
-        cands.append(("half-convex-map", f_alpha_extremal(-0.5, "halfconvex", order), False,
-                      "same function as power-map-1 at alpha = -1/2"))
+        cands.append(("half-convex-map", partial(f_alpha_extremal, -0.5, "halfconvex", order),
+                      False, "same function as power-map-1 at alpha = -1/2"))
     return cands
 
 
@@ -559,7 +564,7 @@ CLASSES = {
         bound=lambda spec, n, abs_a: bounds.bound_class_S(n),
         subordination=lambda spec: (2.0, -1.0),
         candidates=lambda spec, n, branch, order, abs_a: [
-            ("cusp-map", koebe(0.0, order), True, "")],
+            ("cusp-map", partial(koebe, 0.0, order), True, "")],
     ),
     "star-ab": ClassEntry(
         params=("A", "B"),
@@ -593,7 +598,7 @@ CLASSES = {
             (bounds.bound_U_gamma1, bounds.bound_U_gamma2), n, spec.lam, abs_a),
         subordination=None,
         candidates=lambda spec, n, branch, order, abs_a: [
-            ("extremal-dilation-map", u_extremal(spec.lam, abs_a, order), True,
+            ("extremal-dilation-map", partial(u_extremal, spec.lam, abs_a, order), True,
              f"at omega(0) = {abs_a:g}")],
         per_sample_bound=True,
     ),

@@ -69,14 +69,15 @@ def gamma_via_bn(f: Series | np.ndarray, n_max: int) -> np.ndarray:
     chunks, so perfbench's tracer, which wraps this name, times the route."""
     rows = _check_rows(f, n_max)
     base = series.reciprocal_rows(rows[:, 1:], n_max)  # z/f, one row per member
-    powers = [None, base]
-    for _ in range(2, (n_max + 1) // 2 + 1):
-        powers.append(series.multiply_rows(powers[-1], base, n_max))
     out = np.empty((rows.shape[0], n_max), dtype=np.complex128)
     out[:, 0] = base[:, 1] / 2.0
+    # u^m and u^(m-1) only: the powers n reads rise with n
+    m, power, prev = 1, base, None
     for n in range(2, n_max + 1):
-        hi, lo = powers[n - n // 2], powers[n // 2]
-        out[:, n - 1] = np.einsum("sj,sj->s", hi[:, : n + 1], lo[:, n::-1]) / (2.0 * n)
+        if n - n // 2 > m:
+            m, power, prev = m + 1, series.multiply_rows(power, base, n_max), power
+        lo = power if n // 2 == m else prev
+        out[:, n - 1] = np.einsum("sj,sj->s", power[:, : n + 1], lo[:, n::-1]) / (2.0 * n)
     return out[0] if isinstance(f, Series) else out
 
 

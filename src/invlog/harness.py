@@ -18,7 +18,9 @@ redraw, under the next attempt, is a member that is not finite (a draw
 that raises is a fault; its error propagates);
 bounds.bound_for refuses a bound beyond double precision; _candidate_rows
 evaluates the named equality functions for sharpness_check's rows and
-verify_bounds' sharpness_gap alike.
+verify_bounds' sharpness_gap alike, with one call per campaign: it builds
+each distinct function once and runs the bn route on all of them as one
+stack, up to the campaign's largest bounded order.
 VerifyReport.to_json and to_csv are byte-identical to the reference writers
 in tests/_oracles.py (the whole payload through json's indent encoder, one
 format per CSV cell). to_json encodes the rows, flat dicts of JSON scalars,
@@ -318,20 +320,39 @@ def _add_sample_rows(report: VerifyReport, ns, abs_gamma, bound, branch, margin,
         _add_rows(report, rows)
 
 
-def _candidate_rows(spec: ClassSpec, res, order: int, abs_a: float, tol: float) -> list:
-    """One sharpness row per named equality function of the clause that gave
-    the bound res, in the registry's order, with margin bound - |Gamma_n|.
-    An asserted candidate is graded on both sides of the bound (an equality
-    function must reach it); any other is "report-only"."""
-    n, rows = res.n, []
-    for name, f, asserted, note in spec.entry.candidates(spec, n, res.branch, order, abs_a):
-        ag = float(abs(gammas.gamma_via_bn(f, n)[n - 1]))
-        gap = res.value - ag
-        rows.append({"sample_id": name, "n": n, "abs_gamma": ag, "bound": res.value,
-                     "branch": res.branch, "margin": gap,
-                     "flag": _flag(abs(gap), tol) if asserted else "report-only",
-                     "excess": abs(gap), "asserted": asserted, "note": note})
-    return rows
+def _candidate_rows(spec: ClassSpec, results, order: int, abs_a: float, tol: float) -> list:
+    """For each applicable bound in results, its sharpness rows: one per
+    named equality function of the clause that gave it, in the registry's
+    order, with margin bound - |Gamma_n|. An asserted candidate is graded on
+    both sides of the bound (an equality function must reach it); any other
+    is "report-only".
+
+    Within one (spec, order, abs_a) a label names one function at every n
+    (the registry's rule), so each label is built once, and all of them go
+    through the bn route as one stack up to the largest n. A row's Gamma_n
+    has the bits of that function's one-row call at n alone."""
+    if not results:
+        return []
+    cands = [spec.entry.candidates(spec, res.n, res.branch, order, abs_a) for res in results]
+    builds = {}
+    for per_n in cands:
+        for name, build, _, _ in per_n:
+            builds.setdefault(name, build)
+    stack = np.array([build().coeffs for build in builds.values()])
+    gams = dict(zip(builds, gammas.gamma_via_bn(stack, max(res.n for res in results))))
+    out = []
+    for res, per_n in zip(results, cands):
+        rows = []
+        for name, _, asserted, note in per_n:
+            # a scalar abs: np.abs on an array can differ from it in the last bit
+            ag = float(abs(gams[name][res.n - 1]))
+            gap = res.value - ag
+            rows.append({"sample_id": name, "n": res.n, "abs_gamma": ag, "bound": res.value,
+                         "branch": res.branch, "margin": gap,
+                         "flag": _flag(abs(gap), tol) if asserted else "report-only",
+                         "excess": abs(gap), "asserted": asserted, "note": note})
+        out.append(rows)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +409,8 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
                           n_max=n_max, order=order, samples=samples, seed=seed, tol=tol)
     # bound - max |Gamma| as the least margin: rounding is monotone, so the bits agree
     sharp_gaps = {} if per_sample else {
-        res.n: min((row["margin"] for row in _candidate_rows(spec, res, order, DEFAULT_ABS_A, tol)
-                    if row["asserted"]), default=None) for res in static}
+        res.n: min((row["margin"] for row in rows if row["asserted"]), default=None)
+        for res, rows in zip(static, _candidate_rows(spec, static, order, DEFAULT_ABS_A, tol))}
     gams, abs_a = _sample(report, spec, radius_cap, gammas.gamma_via_bn)
     results = ([[bound_for(spec, n, abs_a=a) for n in ns] for a in abs_a.tolist()]
                if per_sample else [static])
@@ -429,9 +450,12 @@ def sharpness_check(spec: ClassSpec, n_max: int, tol: float = 1e-9, *,
     order = _resolve_order(n_max, order, tol, n_min=n_min)
     report = VerifyReport(kind="sharpness", label=spec.label(), params=spec.params(),
                           n_max=n_max, order=order, samples=0, seed=None, tol=tol)
+    results = [bound_for(spec, n, abs_a=abs_a) for n in range(n_min, n_max + 1)]
+    candidate_rows = iter(_candidate_rows(spec, [res for res in results if res.applicable],
+                                          order, abs_a, tol))
     gaps = []
-    for n in range(n_min, n_max + 1):
-        res = bound_for(spec, n, abs_a=abs_a)
+    for res in results:
+        n = res.n
         if not res.applicable:
             _add_rows(report, [{"sample_id": "none", "n": n, "abs_gamma": None,
                                 "bound": None, "branch": res.branch, "margin": None,
@@ -439,7 +463,7 @@ def sharpness_check(spec: ClassSpec, n_max: int, tol: float = 1e-9, *,
             continue
         if res.note:
             report.notes.append(f"n={n}: {res.note}")
-        rows = _candidate_rows(spec, res, order, abs_a, tol)
+        rows = next(candidate_rows)
         _add_rows(report, rows)
         gaps += [row["excess"] for row in rows if row["asserted"]]
         best = {"best_gap": math.inf, "best_candidate": ""}
@@ -458,7 +482,8 @@ def explore_convex_large_n(n_min: int, n_max: int, samples: int, seed: int, *,
     orders where it is neither proved nor refuted. Orders up to 3 are graded
     against the proved bounds; beyond that, rows report the conjectured value
     1/(2n) and flag overshoots "open" instead of failing, since exceeding it
-    there answers a question rather than revealing a bug."""
+    there answers a question rather than revealing a bug. A NaN |Gamma_n| is
+    "mathematical" at every order."""
     spec = ClassSpec.f_alpha(0.0)
     order = _resolve_order(n_max, order, tol, seed, radius_cap, samples=samples, n_min=n_min)
     ns = range(n_min, n_max + 1)
@@ -472,8 +497,9 @@ def explore_convex_large_n(n_min: int, n_max: int, samples: int, seed: int, *,
     gams, _ = _sample(report, spec, radius_cap, gammas.gamma_via_bn)
     ag = np.abs(gams[:, n_min - 1:])
     excess = ag - bound
-    flag = np.where(conjectured, np.where(ag > bound + tol, "open", "ok").astype(object),
-                    _flag(excess, tol))
+    # as in _flag, NaN grades "mathematical"
+    guess = np.where(ag > bound + tol, "open", np.where(np.isnan(ag), "mathematical", "ok"))
+    flag = np.where(conjectured, guess.astype(object), _flag(excess, tol))
     _add_sample_rows(report, ns, abs_gamma=ag, bound=bound, branch=branch, margin=bound - ag,
                      flag=flag, excess=excess)
     # a NaN row never wins; a tie goes to the earliest sample

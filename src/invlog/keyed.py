@@ -23,6 +23,7 @@ bits never depend on the lanes drawn with it.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -114,14 +115,20 @@ def _add(a, b):
     return a[0] + b[0] + (lo < b[1]), lo
 
 
-def _jumps(count: int):
+@functools.lru_cache
+def _jumps(count: int) -> tuple:
     """(M^k, 1 + M + ... + M^(k-1)) modulo 2**128 for k = 1..count, with M
-    the PCG64 multiplier: k steps take the state s to M^k s + (...) inc."""
+    the PCG64 multiplier: k steps take the state s to M^k s + (...) inc.
+    Computed once per count; the arrays are read-only, as every caller
+    shares them."""
     mult, add, out = 1, 0, []
     for _ in range(count):
         mult, add = mult * _PCG_MULT % 2**128, (add * _PCG_MULT + 1) % 2**128
         out.append(_split(mult) + _split(add))
-    return [np.array(col) for col in zip(*out)]
+    cols = tuple(np.array(col) for col in zip(*out))
+    for col in cols:
+        col.flags.writeable = False
+    return cols
 
 
 class Streams:

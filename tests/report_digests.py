@@ -1,4 +1,4 @@
-"""Print the sha256 of to_json() + to_csv() for a fixed set of 84 reports.
+"""Print the sha256 of to_json() + to_csv() for a fixed set of 129 reports.
 
 Not collected by pytest. A change that must keep report bytes is checked by
 running this on both trees and diffing the output:
@@ -48,6 +48,11 @@ def reports():
         yield (f"verify_bounds({name}, 6, 600, 5)",
                lambda spec=spec: verify_bounds(spec, 6, 600, 5))
         yield f"sharpness_check({name}, 12)", lambda spec=spec: sharpness_check(spec, 12)
+        # wide candidate stacks: every order's equality functions in one bn call
+        yield f"sharpness_check({name}, 20)", lambda spec=spec: sharpness_check(spec, 20)
+        yield f"sharpness_check({name}, 64)", lambda spec=spec: sharpness_check(spec, 64)
+        yield (f"sharpness_check({name}, 64, n_min=64)",
+               lambda spec=spec: sharpness_check(spec, 64, n_min=64))
         yield (f"cross_check(20, 3, 10, spec={name})",
                lambda spec=spec: cross_check(20, 3, 10, spec=spec))
     for args in ((1, 9, 50, 3), (4, 9, 700, 2), (2, 5, 300, 11)):

@@ -250,25 +250,46 @@ def test_cross_check_reverts_each_chunk_in_one_call_of_the_public_names(monkeypa
                      ("gamma_via_reversion", 5), ("revert", 5)]
 
 
-@pytest.mark.parametrize("campaign", [
-    lambda n: cross_check(n, 2, 4),
-    lambda n: verify_bounds(ClassSpec.gc(0.5), 4, n, 2),
-    lambda n: explore_convex_large_n(1, 4, n, 2),
+def _spy_bn(monkeypatch, edit=None):
+    """Record each gammas.gamma_via_bn call as (source, shape of its rows,
+    n_max): source "candidates" for a call made inside
+    harness._candidate_rows, "chunk" for any other. edit(calls, out), if
+    given, may change a call's result before it is returned."""
+    calls, inside = [], []
+    real_bn, real_rows = gammas.gamma_via_bn, harness._candidate_rows
+
+    def candidate_rows(*args):
+        inside.append(True)
+        try:
+            return real_rows(*args)
+        finally:
+            inside.pop()
+
+    def bn(f, n_max):
+        out = real_bn(f, n_max)
+        calls.append(("candidates" if inside else "chunk", np.shape(f), n_max))
+        if edit is not None:
+            edit(calls, out)
+        return out
+
+    monkeypatch.setattr(harness, "_candidate_rows", candidate_rows)
+    monkeypatch.setattr(gammas, "gamma_via_bn", bn)
+    return calls
+
+
+@pytest.mark.parametrize("campaign, candidates", [
+    (lambda n: cross_check(n, 2, 4), []),
+    # gc's two equality functions, stacked once at order 5 for every bounded n
+    (lambda n: verify_bounds(ClassSpec.gc(0.5), 4, n, 2), [("candidates", (2, 6), 4)]),
+    (lambda n: explore_convex_large_n(1, 4, n, 2), []),
 ], ids=["cross-check", "verify", "explore"])
-def test_sampled_campaigns_run_the_bn_route_once_per_chunk(monkeypatch, campaign):
+def test_sampled_campaigns_run_the_bn_route_once_per_chunk(monkeypatch, campaign, candidates):
     # perfbench's tracer times the bn route through this name; verify's
-    # sharp gaps call it on one Series each, which is not a chunk
-    stacks = []
-    real = gammas.gamma_via_bn
-
-    def spy(f, n_max):
-        if isinstance(f, np.ndarray):
-            stacks.append((f.shape, n_max))
-        return real(f, n_max)
-
-    monkeypatch.setattr(gammas, "gamma_via_bn", spy)
+    # sharp gaps add one stack of equality functions, which is not a chunk
+    calls = _spy_bn(monkeypatch)
     rep = campaign(harness.CHUNK + 5)
-    assert stacks == [((harness.CHUNK, rep.order + 1), 4), ((5, rep.order + 1), 4)]
+    assert calls == candidates + [("chunk", (harness.CHUNK, rep.order + 1), 4),
+                                  ("chunk", (5, rep.order + 1), 4)]
 
 
 def test_cross_check_validation():
@@ -433,6 +454,62 @@ def test_sharpness_middle_clause_is_report_only():
     n4 = [r for r in rep.rows if r["n"] == 4]
     assert n4 and all(r["flag"] == "report-only" for r in n4)
     assert rep.ok
+
+
+# every class, and a spec on each bound clause that names equality functions
+SHARPNESS_CLASSES = EVERY_CLASS + [
+    ClassSpec.star_ab(0.5, -0.5), ClassSpec.star_ab(0.2, 0.0), ClassSpec.spiral(0.0, 0.25),
+    ClassSpec.gc(1.0), ClassSpec.f_alpha(0.3), ClassSpec.f_alpha(0.8), ClassSpec.f_alpha(0.18)]
+
+
+def _candidates_by_n(spec, n_max, order, abs_a=harness.DEFAULT_ABS_A):
+    """{n: the registry's (label, build, asserted, note) list} for every n
+    up to n_max with a bound."""
+    out = {}
+    for n in range(1, n_max + 1):
+        res = harness.bound_for(spec, n, abs_a=abs_a)
+        if res.applicable:
+            out[n] = spec.entry.candidates(spec, n, res.branch, order, abs_a)
+    return out
+
+
+@pytest.mark.parametrize("spec", SHARPNESS_CLASSES, ids=ClassSpec.label)
+def test_a_candidate_label_builds_one_function_at_every_order(spec):
+    # _candidate_rows builds each label once per (spec, order, abs_a)
+    built = {}
+    for cands in _candidates_by_n(spec, 12, 13).values():
+        for label, build, _, _ in cands:
+            coeffs = build().coeffs
+            assert coeffs.tobytes() == built.setdefault(label, coeffs).tobytes(), label
+
+
+@pytest.mark.parametrize("spec", SHARPNESS_CLASSES, ids=ClassSpec.label)
+def test_sharpness_rows_have_the_bits_of_one_row_calls_at_their_order(spec):
+    rep = sharpness_check(spec, 12)
+    builds = {(n, label): build
+              for n, cands in _candidates_by_n(spec, 12, rep.order).items()
+              for label, build, _, _ in cands}
+    rows = [row for row in rep.rows if row["flag"] != "open"]
+    assert [(row["n"], row["sample_id"]) for row in rows] == list(builds)
+    for row in rows:
+        n = row["n"]
+        alone = float(abs(gammas.gamma_via_bn(builds[n, row["sample_id"]](), n)[n - 1]))
+        assert row["abs_gamma"] == alone, (n, row["sample_id"])
+
+
+@pytest.mark.parametrize("spec", SHARPNESS_CLASSES, ids=ClassSpec.label)
+def test_sharpness_and_verify_make_one_candidate_stack_of_the_distinct_labels(monkeypatch,
+                                                                              spec):
+    by_n = _candidates_by_n(spec, 12, 13)
+    labels = {label for cands in by_n.values() for label, *_ in cands}
+    stack = [("candidates", (len(labels), 14), max(by_n))]
+    calls = _spy_bn(monkeypatch)
+    sharpness_check(spec, 12)
+    assert calls == stack
+    del calls[:]
+    verify_bounds(spec, 12, 3, 1)
+    assert [c for c in calls if c[0] == "candidates"] == (
+        [] if spec.entry.per_sample_bound else stack)
 
 
 # ---------------------------------------------------------------------------
@@ -700,20 +777,15 @@ def test_sampled_summaries_are_folds_of_their_rows(monkeypatch, name):
     _assert_summary_is_the_fold(campaign(), fold)
 
 
-@pytest.mark.parametrize("name", ["verify-gc", "verify-u-lambda", "cross-check"])
+@pytest.mark.parametrize("name", ["verify-gc", "verify-u-lambda", "explore", "cross-check"])
 def test_a_nan_gamma_row_is_flagged_and_left_out_of_the_summary(monkeypatch, name):
     monkeypatch.setattr(harness, "CHUNK", 7)
-    real, seen = gammas.gamma_via_bn, []
 
-    def sample_8_is_nan(f, n_max):  # sample 8 is row 1 of the second chunk
-        out = real(f, n_max)
-        if isinstance(f, np.ndarray):
-            seen.append(len(f))
-            if len(seen) == 2:
-                out[1] = math.nan
-        return out
+    def sample_8_is_nan(calls, out):  # sample 8 is row 1 of the second chunk
+        if calls[-1][0] == "chunk" and [c[0] for c in calls].count("chunk") == 2:
+            out[1] = math.nan
 
-    monkeypatch.setattr(gammas, "gamma_via_bn", sample_8_is_nan)
+    _spy_bn(monkeypatch, sample_8_is_nan)
     campaign, fold = FOLDED_CAMPAIGNS[name]
     rep = campaign()
     planted = [row for row in rep.rows if row["sample_id"] == 8]

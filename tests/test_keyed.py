@@ -9,6 +9,7 @@ no real key is known to do (its chance is 2**-32 per draw).
 import numpy as np
 import pytest
 
+from invlog import keyed
 from invlog.keyed import Streams
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -56,6 +57,17 @@ def test_a_lane_does_not_depend_on_the_lanes_drawn_with_it():
     together = Streams.seeded(_KEYS).steps(3)
     for s in (0, 17, len(_KEYS) - 1):
         assert np.array_equal(Streams.seeded(_KEYS[s:s + 1]).steps(3)[0], together[s])
+
+
+def test_repeated_steps_share_one_read_only_jump_table():
+    streams = Streams.seeded(_KEYS[:20])
+    first, second = streams.steps(4), streams.steps(4)
+    for key, a, b in zip(_KEYS, first, second):
+        want = np.random.default_rng(key).bit_generator.random_raw(8)
+        assert np.array_equal(np.concatenate([a, b]), want), key
+    # computed once per count and shared by every caller, so never written
+    assert keyed._jumps(4) is keyed._jumps(4)
+    assert not any(table.flags.writeable for table in keyed._jumps(4))
 
 
 def _state_before(output: int, inc: int) -> int:
