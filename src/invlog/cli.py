@@ -11,8 +11,8 @@ Subcommands:
 
 Exit status: 0 clean; 1 when a campaign turns up a mathematical violation
 (for sharpness: an asserted equality function missing its bound by more
-than tolerance noise); 2 on bad arguments, including sizes too large to
-allocate.
+than tolerance noise); 2 on bad arguments, including orders above
+harness.MAX_ORDER and sizes too large to allocate.
 """
 
 from __future__ import annotations
@@ -195,8 +195,9 @@ def cmd_bounds(args) -> int:
 def _finish_report(report, args) -> int:
     if args.output:
         report.write(args.output, args.format)
-        print(f"{report.kind}: {report.label}  rows={len(report.rows)}  "
-              f"counts={report.counts()}  ok={report.ok}  -> {args.output}")
+        counts = report.counts()  # a sampled campaign's rows stay columns
+        print(f"{report.kind}: {report.label}  rows={sum(counts.values())}  "
+              f"counts={counts}  ok={report.ok}  -> {args.output}")
     else:
         text = report.to_json() if args.format == "json" else report.to_csv()
         sys.stdout.write(text)

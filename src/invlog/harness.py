@@ -23,9 +23,7 @@ each distinct function once and runs the bn route on all of them as one
 stack, up to the campaign's largest bounded order.
 VerifyReport.to_json and to_csv are byte-identical to the reference writers
 in tests/_oracles.py (the whole payload through json's indent encoder, one
-format per CSV cell). to_json encodes the rows, flat dicts of JSON scalars,
-with one call of the C encoder and rewrites only the list level; see
-_rows_json for why that finds exactly the row boundaries.
+format per CSV cell).
 
 The sampled campaigns share one sample loop, _sample, and CHUNK bounds only
 the draw and the routes: it takes CHUNK sample indices at a time, draws
@@ -35,12 +33,13 @@ it with one stacked call (gammas.gamma_via_bn; cross_check adds
 gammas.gamma_via_reversion, one Horner table per member but the whole
 chunk in one loop over the orders). The campaign gets each route's Gammas
 for all its samples and grades them with one vectorized comparison; its
-summary is numpy reductions over the samples axis, and _add_sample_rows
-builds its rows from those arrays CHUNK samples at a time, in index order.
-A row's bits do not depend on the rows computed with it, so reports do not
-depend on CHUNK. The Series API (member_from_schwarz, u_lambda_member, and
-both routes on a Series) runs the same row functions on one row;
-tests/_oracles.py is the reference both are held to.
+summary is numpy reductions over the samples axis, and its report keeps
+those arrays as its rows' columns (_set_columns), written CHUNK samples at
+a time and made into row dicts only when asked. A row's bits do not depend
+on the rows computed with it, so reports do not depend on CHUNK. The Series
+API (member_from_schwarz, u_lambda_member, and both routes on a Series)
+runs the same row functions on one row; tests/_oracles.py is the reference
+both are held to.
 A campaign with no order given runs at n_max + 1: Gamma_n reads a_2..a_{n+1}
 only, so a higher order changes nothing but the report's order field.
 
@@ -57,7 +56,9 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field, fields
+from itertools import compress
 
 import numpy as np
 
@@ -66,6 +67,8 @@ from .bounds import bound_for
 from .families import ClassSpec
 
 CSV_COLUMNS = ("sample_id", "n", "abs_gamma", "bound", "branch", "margin", "flag")
+
+VIOLATION_FLAGS = ("numerical", "mathematical")
 
 DEFAULT_ABS_A = 0.5  # |omega(0)| the bounded-distortion bounds are taken at, unless given
 
@@ -86,15 +89,26 @@ def _fmt17(x) -> str:
     return str(x)
 
 
+def _format(values, fast, cell) -> list:
+    """The texts of an array of cells: fast(value) for floats; otherwise,
+    once per distinct value, repr for integers and cell for anything else."""
+    kind, values = values.dtype.kind, values.tolist()
+    if kind == "f":
+        return list(map(fast, values))
+    once = {v: int.__repr__(v) if kind in "iu" else cell(v) for v in set(values)}
+    return list(map(once.__getitem__, values))
+
+
 @dataclass
 class VerifyReport:
     """Uniform result container for every campaign kind.
 
-    rows (and violations, copies of rows) are flat dicts of JSON scalars
-    (str, int, float, bool, None) with at least the seven CSV fields; JSON
-    keeps any extras. to_json output is stable under a json load/dump round
-    trip byte for byte; to_csv prints floats with 17 significant digits so
-    values round-trip exactly.
+    rows (and violations, copies of the flagged rows) are flat dicts of JSON
+    scalars (str, int, float, bool, None) with at least the seven CSV
+    fields; JSON keeps any extras. A sampled campaign's report holds them as
+    columns until rows or violations is read or set (_set_columns). to_json output
+    is stable under a json load/dump round trip byte for byte; to_csv
+    prints floats with 17 significant digits so values round-trip exactly.
     """
 
     kind: str
@@ -110,20 +124,33 @@ class VerifyReport:
     violations: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     max_discrepancy: float | None = None
+    _columns = None  # name -> (samples, orders) array; None once row-backed
 
     def __post_init__(self):
         # a numpy integer seed is recorded, and keys draws, as the Python int it is
         if self.seed is not None:
             self.seed = operator.index(self.seed)
 
-    def counts(self) -> dict:
-        out = {}
-        for row in self.rows:
-            out[row["flag"]] = out.get(row["flag"], 0) + 1
-        return out
+    def __getattr__(self, name):  # rows and violations of a column-backed report
+        if name in ("rows", "violations") and self._columns is not None:
+            self._build_rows()
+            return self.__dict__[name]
+        raise AttributeError(name)
+
+    def __setattr__(self, name, value):
+        if name in ("rows", "violations"):  # writing either makes the report row-backed
+            self._build_rows()
+        object.__setattr__(self, name, value)
+
+    def counts(self) -> dict:  # rows per flag, in order of first appearance
+        if self._columns is None:
+            return dict(Counter(row["flag"] for row in self.rows))
+        return dict(Counter(self._columns["flag"].ravel().tolist()))
 
     @property
     def mathematical_violations(self) -> list:
+        if self._columns is not None:
+            return self._dicts(self._columns["flag"] == "mathematical")
         return [v for v in self.violations if v.get("flag") == "mathematical"]
 
     @property
@@ -131,15 +158,25 @@ class VerifyReport:
         return not self.mathematical_violations
 
     def to_json(self) -> str:
-        """json.dumps(payload, sort_keys=True, indent=2, allow_nan=False),
-        with rows and violations written by the C encoder (_rows_json)."""
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        """json.dumps(payload, sort_keys=True, indent=2, allow_nan=False). Rows and
+        violations of a column-backed report with finite floats come from its columns."""
+        cols = self._columns
+        columnar = cols is not None and all(np.isfinite(col).all() for col in cols.values()
+                                            if col.dtype.kind == "f")
+        payload = {f.name: getattr(self, f.name) for f in fields(self)
+                   if not (columnar and f.name in ("rows", "violations"))}
         payload.update(counts=self.counts(), ok=self.ok)
+        if not columnar:
+            return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        masks = {"rows": None, "violations": np.isin(cols["flag"], VIOLATION_FLAGS)}
+        line = ",\n    {\n      " + ",\n      ".join(f"{json.dumps(name)}: %s"
+                                              for name in cols) + "\n    }"
         pieces, sep = [], "{"  # joined once, so the rows' text is copied once
-        for key in sorted(payload):
+        for key in sorted([*payload, *masks]):
             pieces.append(f'{sep}\n  "{key}": ')
-            if key in ("rows", "violations"):
-                pieces += _rows_json(payload[key])
+            if key in masks:  # the rows' text starts with ","
+                body = self._text(masks[key], cols, line, float.__repr__, json.dumps)
+                pieces += ["[", body[0][1:], *body[1:], "\n  ]"] if body else ["[]"]
             else:  # indented one level: strings hold no raw newline
                 pieces.append(json.dumps(payload[key], sort_keys=True, indent=2,
                                          allow_nan=False).replace("\n", "\n  "))
@@ -148,52 +185,58 @@ class VerifyReport:
         return "".join(pieces)
 
     def to_csv(self) -> str:
-        # one %-format per row, built from its cells' types to give each cell
-        # _fmt17's text: "%.0s" prints None as nothing
-        cells_of = operator.itemgetter(*CSV_COLUMNS)
-        formats = {}
         lines = [",".join(CSV_COLUMNS)]
-        for cells in map(cells_of, self.rows):
-            types = tuple(map(type, cells))
-            fmt = formats.get(types)
-            if fmt is None:
-                fmt = formats[types] = ",".join(
-                    "%.17g" if issubclass(t, float) else "%.0s" if t is type(None) else "%s"
-                    for t in types)
-            lines.append(fmt % cells)
-        return "\n".join(lines) + "\n"
+        if self._columns is None:
+            lines += [",".join(_fmt17(row[col]) for col in CSV_COLUMNS) for row in self.rows]
+            return "\n".join(lines) + "\n"
+        line = "\n" + ",".join(["%s"] * len(CSV_COLUMNS))
+        return "".join(lines + self._text(None, CSV_COLUMNS, line, "%.17g".__mod__, _fmt17)
+                       + ["\n"])
 
     def write(self, path: str, fmt: str = "json"):
         text = self.to_json() if fmt == "json" else self.to_csv()
         with open(path, "w") as fh:
             fh.write(text)
 
+    def _chunks(self, mask) -> list:
+        """(sample, order) indices of the rows mask selects (all when None), CHUNK
+        samples at a time; rows run by sample, then by order."""
+        samples, orders = self._columns["flag"].shape
+        sel = np.arange(samples * orders) if mask is None else np.flatnonzero(mask)
+        bounds = np.searchsorted(sel, np.arange(CHUNK, samples, CHUNK) * orders)
+        return [np.divmod(rows, orders) for rows in np.split(sel, bounds) if rows.size]
 
-def _rows_json(rows: list) -> list:
-    """A list of rows as json.dumps(indent=2) writes it at the payload's first
-    level, in pieces, encoded by one call of the C encoder.
+    def _dicts(self, mask) -> list:
+        cols, out = self._columns, []
+        for s, k in self._chunks(mask):
+            out += [dict(zip(cols, r)) for r in zip(*(c[s, k].tolist() for c in cols.values()))]
+        return out
 
-    With item separator ",\n" + 6 spaces, the C encoder already writes each
-    row's members one per line at the indent=2 depth; only the list level is
-    rewritten. It writes a raw newline only inside a separator (strings
-    escape theirs), and inside a flat row a separator is always followed by
-    a key's quote, so "}" + separator + "{" occurs exactly at row boundaries.
-    """
-    if not rows:
-        return ["[]"]
-    try:
-        text = json.dumps(rows, sort_keys=True, allow_nan=False,
-                          separators=(",\n      ", ": "))[2:-2]
-    except ValueError:
-        # name the first value out of range, as the indent encoder does
-        for row in rows:
-            for _, value in sorted(row.items()):
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ValueError("Out of range float values are not JSON compliant: "
-                                     + repr(value)) from None
-        raise
-    return ["[\n    {\n      ", text.replace("},\n      {", "\n    },\n    {\n      "),
-            "\n    }\n  ]"]
+    def _build_rows(self):
+        if self._columns is not None:
+            flagged = np.isin(self._columns["flag"], VIOLATION_FLAGS).ravel()
+            rows, self._columns = self._dicts(None), None
+            self.__dict__.update(rows=rows, violations=list(map(dict, compress(rows, flagged))))
+
+    def _text(self, mask, names, line, fast, cell) -> list:
+        """The rows mask selects as text, one string per CHUNK of samples:
+        line with a row's cells at its "%s" marks, one per column of names.
+        A column constant along samples is formatted once, any other distinct
+        column once per chunk; cells and line's pieces are joined at once."""
+        cols, out = self._columns, []
+        fixed = {name: np.array(_format(cols[name][0], fast, cell), dtype=object)
+                 for name in names if not cols[name].strides[0]}
+        for s, k in self._chunks(mask):
+            texts = {}  # by array: cross_check's excess is its discrepancy
+            for name in names:
+                if id(cols[name]) not in texts:
+                    texts[id(cols[name])] = (fixed[name][k] if name in fixed
+                                             else _format(cols[name][s, k], fast, cell))
+            cells = np.empty((len(k), 2 * len(names) + 1), dtype=object)
+            cells[:, ::2] = line.split("%s")
+            cells[:, 1::2] = np.array([texts[id(cols[name])] for name in names], dtype=object).T
+            out.append("".join(cells.ravel().tolist()))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +244,8 @@ def _rows_json(rows: list) -> list:
 
 
 CHUNK = 256  # sample indices drawn and computed as one batch
+
+MAX_ORDER = 1024  # the largest order a campaign or `invlog gamma` runs at; work grows as order^3
 
 
 def _draw_chunk(spec: ClassSpec, seed: int, ids, order: int, radius_cap: float):
@@ -245,8 +290,8 @@ def _resolve_order(n_max: int, order, tol: float = 0.0, seed=0, radius_cap=0.0, 
     count below 1, an order range n_min..n_max that is empty or starts
     below 1, a tolerance that cannot grade (a negative one flags every row,
     a NaN or infinite one cannot be serialized), a seed no draw can be keyed
-    by (a bool is not taken for 0 or 1) and a radius cap that would draw
-    members outside the class."""
+    by (a bool is not taken for 0 or 1), a radius cap that would draw
+    members outside the class and an order above MAX_ORDER."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not 1 <= n_min <= n_max:
@@ -257,11 +302,12 @@ def _resolve_order(n_max: int, order, tol: float = 0.0, seed=0, radius_cap=0.0, 
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0 <= radius_cap < 1:
         raise ValueError(f"radius_cap must lie in [0, 1), got {radius_cap}")
-    if order is None:
-        return n_max + 1
-    order = int(order)
+    order = n_max + 1 if order is None else int(order)
     if order < n_max + 1:
         raise ValueError(f"order {order} cannot support Gamma_{n_max}; need >= {n_max + 1}")
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} is above the largest supported order {MAX_ORDER}; "
+                         "lower n_max or order")
     return order
 
 
@@ -289,35 +335,18 @@ def _add_rows(report: VerifyReport, rows: list):
     also a violation."""
     report.rows += rows
     report.violations += [dict(row) for row in rows
-                          if row["flag"] in ("numerical", "mathematical")]
+                          if row["flag"] in VIOLATION_FLAGS]
 
 
-def _add_sample_rows(report: VerifyReport, ns, abs_gamma, bound, branch, margin, flag, excess,
-                     **extra):
-    """Add one row per sample and order of ns, in index order and by
-    ascending n within a sample, with the extra columns after the standard
-    ones. An array column gives row (s, k) its [s, k] entry, broadcast to
-    (samples, len(ns)); any other column gives every row its value as is.
-    Rows are built CHUNK samples at a time, so only one chunk's cells are
-    Python objects before they go into rows."""
-    shape = (report.samples, len(ns))
-
-    def cells(col, chunk):
-        col = col if isinstance(col, np.ndarray) else np.array(col, dtype=object)
-        return np.broadcast_to(col, shape)[chunk].ravel().tolist()
-
-    ids = np.arange(report.samples)[:, None]
-    for start in range(0, report.samples, CHUNK):
-        chunk = slice(start, start + CHUNK)
-        # keys in sorted order: to_json's sort_keys pass then finds each row sorted
-        rows = [{"abs_gamma": ag, "bound": b, "branch": br, "excess": e, "flag": f,
-                 "margin": m, "n": n, "sample_id": i}
-                for i, n, ag, b, br, m, f, e in zip(*(cells(col, chunk) for col in (
-                    ids, np.asarray(ns), abs_gamma, bound, branch, margin, flag, excess)))]
-        for name, col in extra.items():
-            for row, value in zip(rows, cells(col, chunk)):
-                row[name] = value
-        _add_rows(report, rows)
+def _set_columns(report: VerifyReport, ns, **columns):
+    """Hold a sampled campaign's rows as columns, one row per sample and
+    order of ns: a column gives row (s, k) its entry at [s, k], broadcast to
+    (samples, len(ns)). The rows' dicts are built only when asked for."""
+    columns.update(sample_id=np.arange(report.samples)[:, None], n=np.asarray(ns)[None, :])
+    shape, views = (report.samples, len(ns)), {}  # one view of an array given twice
+    report._columns = {name: views.setdefault(id(col), np.broadcast_to(col, shape))
+                       for name, col in sorted(columns.items())}
+    del report.rows, report.violations
 
 
 def _candidate_rows(spec: ClassSpec, results, order: int, abs_a: float, tol: float) -> list:
@@ -376,9 +405,9 @@ def cross_check(samples: int, seed: int, n_max: int, tol: float = 1e-10, *,
     gams, rev, _ = _sample(report, spec, radius_cap, gammas.gamma_via_bn,
                            gammas.gamma_via_reversion)
     disc = np.abs(rev - gams)
-    _add_sample_rows(report, range(1, n_max + 1), abs_gamma=np.abs(gams), bound=tol,
-                     branch="path-equivalence", margin=tol - disc, flag=_flag(disc, tol),
-                     excess=disc, discrepancy=disc)
+    _set_columns(report, range(1, n_max + 1), abs_gamma=np.abs(gams), bound=tol,
+                 branch="path-equivalence", margin=tol - disc, flag=_flag(disc, tol),
+                 excess=disc, discrepancy=disc)
     # a NaN discrepancy is flagged in its row; fmax keeps it out of the summary
     per_n_max = np.fmax.reduce(disc, axis=0, initial=0.0)
     report.summary = [{"n": n, "max_discrepancy": d}
@@ -418,8 +447,8 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
     branch = np.array([[res.branch for res in row] for row in results], dtype=object)
     ag = np.abs(gams[:, np.subtract(ns, 1)])
     margin, excess = bound - ag, ag - bound
-    _add_sample_rows(report, ns, abs_gamma=ag, bound=bound, branch=branch, margin=margin,
-                     flag=_flag(excess, tol), excess=excess)
+    _set_columns(report, ns, abs_gamma=ag, bound=bound, branch=branch, margin=margin,
+                 flag=_flag(excess, tol), excess=excess)
     # a NaN row is flagged; fmax and fmin keep it out of the summary
     top = np.fmax.reduce(ag, axis=0, initial=0.0)
     least = np.fmin.reduce(margin, axis=0, initial=math.inf).tolist()
@@ -500,8 +529,8 @@ def explore_convex_large_n(n_min: int, n_max: int, samples: int, seed: int, *,
     # as in _flag, NaN grades "mathematical"
     guess = np.where(ag > bound + tol, "open", np.where(np.isnan(ag), "mathematical", "ok"))
     flag = np.where(conjectured, guess.astype(object), _flag(excess, tol))
-    _add_sample_rows(report, ns, abs_gamma=ag, bound=bound, branch=branch, margin=bound - ag,
-                     flag=flag, excess=excess)
+    _set_columns(report, ns, abs_gamma=ag, bound=bound, branch=branch, margin=bound - ag,
+                 flag=flag, excess=excess)
     # a NaN row never wins; a tie goes to the earliest sample
     top = np.fmax.reduce(ag, axis=0, initial=0.0)
     first = np.where(top > 0.0, (ag == top).argmax(axis=0), -1)

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from invlog import harness
+from invlog import cli, harness
 from invlog.cli import build_parser, main
 
 
@@ -397,6 +397,74 @@ def test_order_too_large_to_allocate_is_a_bad_argument():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_a_sample_count_too_large_to_allocate_is_a_bad_argument():
+    # the order cap now stops the oversized order above before any
+    # allocation; a sample count still reaches the MemoryError path
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (16 << 30, 16 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "invlog.cli", "cross-check", "--seed", "1",
+         "--samples", "100000000000"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("cross-check", "--samples", "5", "--seed", "3", "--n-max", "4", "--order", "100000000"),
+    ("verify", "--class", "gc", "--c", "0.5", "--n-max", "5000", "--samples", "1",
+     "--seed", "1"),
+    ("explore", "--n-max", "9", "--samples", "1", "--seed", "1", "--order", "1025"),
+    ("sharpness", "--class", "gc", "--c", "0.5", "--n", "2000"),
+    ("gamma", "--family", "koebe", "--n-max", "4", "--order", "100000000"),
+], ids=["cross-check", "verify-default-order", "explore", "sharpness", "gamma"])
+def test_an_order_above_the_cap_exits_2_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran past the order check")
+
+    for owner, name in ((harness, "_draw_chunk"), (harness, "_candidate_rows"),
+                        (cli, "_gamma_function")):
+        monkeypatch.setattr(owner, name, no_work)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: order ")
+    assert f"largest supported order {harness.MAX_ORDER}" in captured.err
+
+
+# stdout of --output runs as the parent tree printed it; a sampled
+# campaign's report is written and counted without building its row dicts
+_OUTPUT_LINES = [
+    (("verify", "--class", "gc", "--c", "0.5", "--n-max", "4", "--samples", "20", "--seed",
+      "1"), 0, "verify: gc(c=0.5)  rows=80  counts={'ok': 80}  ok=True"),
+    (("cross-check", "--samples", "30", "--seed", "5", "--n-max", "12", "--tol", "1e-14"), 1,
+     "cross-check: star-ab(A=1,B=-1)  rows=360  "
+     "counts={'ok': 330, 'numerical': 16, 'mathematical': 14}  ok=False"),
+    (("explore", "--n-min", "1", "--n-max", "9", "--samples", "300", "--seed", "3",
+      "--format", "csv"), 0,
+     "explore: f-alpha(alpha=0)  rows=2700  counts={'ok': 2674, 'open': 26}  ok=True"),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", _OUTPUT_LINES,
+                         ids=[case[0][0] for case in _OUTPUT_LINES])
+def test_output_runs_print_the_counts_without_building_rows(capsys, monkeypatch, tmp_path,
+                                                            argv, code, line):
+    def no_rows(report):
+        if report._columns is not None:
+            raise AssertionError("built the row dicts of a column-backed report")
+
+    monkeypatch.setattr(harness.VerifyReport, "_build_rows", no_rows)
+    path = tmp_path / "report"
+    assert run_cli(*argv, "--output", str(path)) == code
+    assert capsys.readouterr().out == f"{line}  -> {path}\n"
+    assert path.stat().st_size > 0
 
 
 def test_seed_is_required_on_campaigns(capsys):

@@ -182,6 +182,90 @@ def test_a_non_finite_value_raises_the_reference_message(planted, named):
     assert str(got.value) == f"Out of range float values are not JSON compliant: {named}"
 
 
+# a sampled campaign holds its rows as columns: writing, counting and
+# grading read them, and the row dicts are built only when rows or
+# violations is read
+
+COLUMN_CAMPAIGNS = pytest.mark.parametrize("make", [
+    lambda: cross_check(30, 5, 12, tol=1e-14),
+    lambda: verify_bounds(ClassSpec.gc(0.5), 8, 40, 3, tol=1e-14),
+    lambda: verify_bounds(ClassSpec.u_lambda(0.5), 6, 30, 3),
+    lambda: explore_convex_large_n(1, 9, 300, 3),
+], ids=["cross-check", "verify", "verify-per-sample-bound", "explore"])
+
+
+def _spy_row_builds(monkeypatch) -> list:
+    """Record each time a column-backed report builds its row dicts, which a
+    read or write of rows or violations does."""
+    builds, build = [], VerifyReport._build_rows
+
+    def spy(report):
+        if report._columns is not None:
+            builds.append(report.kind)
+        build(report)
+
+    monkeypatch.setattr(VerifyReport, "_build_rows", spy)
+    return builds
+
+
+@COLUMN_CAMPAIGNS
+def test_column_backed_reports_write_and_grade_without_rows(monkeypatch, make):
+    monkeypatch.setattr(harness, "CHUNK", 7)  # several chunks, the last one short
+    builds = _spy_row_builds(monkeypatch)
+    rep = make()
+    text_json, text_csv = rep.to_json(), rep.to_csv()
+    counts, ok, math_rows = rep.counts(), rep.ok, rep.mathematical_violations
+    assert builds == [] and rep._columns is not None
+    assert text_json == _oracles.report_json(rep)  # builds the rows
+    assert builds == [rep.kind] and rep._columns is None
+    assert text_csv == _oracles.report_csv(rep)
+    assert counts == rep.counts() and ok == rep.ok
+    assert math_rows == rep.mathematical_violations
+
+
+@COLUMN_CAMPAIGNS
+def test_counts_keep_the_order_of_first_appearance(make):
+    rep = make()
+    counts = rep.counts()
+    flags = [row["flag"] for row in rep.rows]
+    assert list(counts.items()) == [(flag, flags.count(flag)) for flag in dict.fromkeys(flags)]
+    assert list(rep.counts().items()) == list(counts.items())
+
+
+def test_reading_a_view_makes_the_report_row_backed():
+    rep = cross_check(30, 5, 12, tol=1e-14)
+    violations = rep.violations
+    assert violations and rep._columns is None
+    assert rep.violations is violations
+    assert violations == [dict(row) for row in rep.rows
+                          if row["flag"] in ("numerical", "mathematical")]
+    assert all(v is not row for v in violations for row in rep.rows)
+    # a write builds the other list first, from the columns
+    rep = cross_check(30, 5, 12, tol=1e-14)
+    rep.rows = []
+    assert rep._columns is None and rep.counts() == {}
+    assert len(rep.violations) == len(violations)
+
+
+def test_a_nan_in_a_column_raises_the_reference_message(monkeypatch):
+    def sample_2_is_nan(calls, out):
+        if calls[-1][0] == "chunk":
+            out[2] = math.nan
+
+    _spy_bn(monkeypatch, sample_2_is_nan)
+    builds = _spy_row_builds(monkeypatch)
+    rep = cross_check(5, 3, 4)
+    text_csv = rep.to_csv()  # CSV prints a NaN as "nan"
+    assert builds == []
+    with pytest.raises(ValueError) as got:
+        rep.to_json()
+    with pytest.raises(ValueError) as want:
+        _oracles.report_json(rep)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == "Out of range float values are not JSON compliant: nan"
+    assert text_csv == _oracles.report_csv(rep)
+
+
 def test_report_ok_logic():
     rep = VerifyReport(kind="verify", label="x", params={}, n_max=1, order=2,
                        samples=0, seed=0, tol=1e-9)
@@ -553,6 +637,15 @@ def test_resolve_order_default_margin():
     assert harness._resolve_order(8, 9) == 9
     with pytest.raises(ValueError):
         harness._resolve_order(8, 8)
+
+
+def test_resolve_order_caps_the_order():
+    cap = harness.MAX_ORDER
+    assert harness._resolve_order(cap - 1, None) == cap
+    assert harness._resolve_order(4, cap) == cap
+    for n_max, order in ((cap, None), (4, cap + 1), (4, 10**8)):
+        with pytest.raises(ValueError, match=f"largest supported order {cap}"):
+            harness._resolve_order(n_max, order)
 
 
 # Gamma_n reads a_2..a_{n+1} only, so running above the default order
