@@ -46,8 +46,7 @@ def bounded_turning_table(c, n_max=6):
     print(f"\nbounded-turning class, c={c}")
     order = n_max + 6
     claimed = families.gc_extremal(c, 1, order)
-    ray = families.member_from_schwarz(
-        ClassSpec.gc(c), series.extend(series.identity(1), order - 1), order)
+    ray = families.member_from_schwarz(ClassSpec.gc(c), series.identity(order - 1), order)
     for n in range(1, n_max + 1):
         res = bounds.bound_Gc(n, c)
         gap_line(n, res, claimed, "claimed extremal")

@@ -10,6 +10,7 @@ import numpy as np
 
 from invlog import families, gammas
 from invlog.families import ClassSpec
+from invlog.series import AnalyticSeries
 
 
 def show(name, f, n_max=8):
@@ -31,8 +32,8 @@ def main():
     # a random starlike member, built from a random Schwarz function so
     # membership holds by construction
     spec = ClassSpec.star_ab(0.6, -1.0)
-    phi = families.sample_schwarz((2024, 0, 0))
-    f = families.member_from_schwarz(spec, phi, order)
+    draws = families.draw_members(spec, [(2024, 0, 0)], radius_cap=0.95)
+    f = AnalyticSeries(families.member_rows(spec, draws, order)[0])
     show(f"random member of {spec.label()}", f)
 
     # a bounded-distortion member comes from its structure formula instead

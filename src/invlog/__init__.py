@@ -9,30 +9,18 @@ check the bounds and their sharpness numerically.
 from .series import (
     AnalyticSeries,
     Series,
-    UnitSeries,
     add,
     compose,
     constant,
-    differentiate,
-    divide_by_z,
     exp_zero,
-    extend,
     identity,
-    integrate_termwise,
     log_unit,
-    monomial,
     multiply,
-    pow_scalar,
     reciprocal,
     revert,
-    scale,
-    shift,
-    subtract,
-    truncate,
 )
 from .families import (
     ClassSpec,
-    SchwarzFn,
     blaschke_series,
     f_alpha_extremal,
     gc_extremal,
@@ -40,7 +28,6 @@ from .families import (
     koebe,
     member_from_schwarz,
     sample_schwarz,
-    schwarz_series,
     spiral_extremal,
     u_extremal,
     u_lambda_member,
@@ -83,14 +70,12 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticSeries", "Series", "UnitSeries",
-    "add", "compose", "constant", "differentiate", "divide_by_z", "exp_zero",
-    "extend", "identity", "integrate_termwise", "log_unit", "monomial",
-    "multiply", "pow_scalar", "reciprocal", "revert", "scale", "shift",
-    "subtract", "truncate",
-    "ClassSpec", "SchwarzFn", "blaschke_series", "f_alpha_extremal",
+    "AnalyticSeries", "Series",
+    "add", "compose", "constant", "exp_zero", "identity", "log_unit",
+    "multiply", "reciprocal", "revert",
+    "ClassSpec", "blaschke_series", "f_alpha_extremal",
     "gc_extremal", "k_AB_n", "koebe", "member_from_schwarz", "sample_schwarz",
-    "schwarz_series", "spiral_extremal", "u_extremal", "u_lambda_member",
+    "spiral_extremal", "u_extremal", "u_lambda_member",
     "gamma12_U", "gamma123_F_alpha", "gamma_via_bn", "gamma_via_reversion",
     "BoundResult", "bound_F_gamma1", "bound_F_gamma2", "bound_F_gamma3",
     "bound_Gc", "bound_U_gamma1", "bound_U_gamma2", "bound_bn_Gc",

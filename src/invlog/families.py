@@ -11,8 +11,9 @@ analytic omega bounded by 1.
 Random members are drawn a chunk of keys at a time: draw_members gives
 each key, as columns, the bits numpy's default generator seeded with the
 key would (see invlog.keyed), and member_rows turns the columns into
-member rows. sample_schwarz and sample_dilation are the one-key views of
-that draw.
+member rows; that is the one path every campaign builds its members by.
+The one-member functions (member_from_schwarz, u_lambda_member) run the
+same row code on an explicit Schwarz function or dilation.
 """
 
 from __future__ import annotations
@@ -94,27 +95,6 @@ class ClassSpec:
         return {name: float(getattr(self, name)) for name in self.entry.params}
 
 
-@dataclass(frozen=True)
-class SchwarzFn:
-    """phi(z) = e^{i theta} z^m prod_j (z + a_j)/(1 + conj(a_j) z).
-
-    phi(0) = 0 and sup |phi| < 1 on the open disk by construction; each
-    Blaschke parameter must lie strictly inside the unit disk.
-    """
-
-    theta: float
-    multiplicity: int = 1
-    factors: tuple = ()
-
-    def __post_init__(self):
-        if self.multiplicity < 1:
-            raise ValueError("zero multiplicity must be >= 1")
-        for a in self.factors:
-            if abs(a) >= 1:
-                raise ValueError(f"Blaschke parameter {a!r} not inside the unit disk")
-        object.__setattr__(self, "factors", tuple(complex(a) for a in self.factors))
-
-
 # ---------------------------------------------------------------------------
 # named extremal functions
 
@@ -162,9 +142,10 @@ def gc_extremal(c: float, m: int, order: int) -> AnalyticSeries:
 def u_lambda_member(a2, omega, lam: float, order: int) -> AnalyticSeries:
     """f = z / (1 - a2 z + lam z int_0^z omega(t) dt).
 
-    omega may be a SchwarzFn, a Series (analytic, bounded by 1 -- the caller's
-    responsibility), or a complex constant of modulus <= 1. The construction
-    satisfies f'(z/f)^2 - 1 = -lam z^2 omega identically.
+    omega may be a Series (analytic, bounded by 1 -- the caller's
+    responsibility) or a complex constant of modulus <= 1. The construction
+    satisfies f'(z/f)^2 - 1 = -lam z^2 omega identically. perfbench's tracer
+    wraps this name, so it stays.
     """
     check_u_lambda(lam)
     if order < 2:
@@ -175,8 +156,6 @@ def u_lambda_member(a2, omega, lam: float, order: int) -> AnalyticSeries:
 
 
 def _omega_coeffs(omega, order: int) -> np.ndarray:
-    if isinstance(omega, SchwarzFn):
-        return schwarz_series(omega, order).coeffs
     if isinstance(omega, Series):
         if omega.order < order:
             raise ValueError(f"omega of order {omega.order} not known to order {order}")
@@ -223,15 +202,10 @@ def f_alpha_extremal(alpha: float, variant: str, order: int) -> AnalyticSeries:
 # Schwarz functions and sampling
 
 
-def schwarz_series(phi: SchwarzFn, order: int) -> Series:
-    """Taylor coefficients of phi to the stated order; c0 is exactly zero."""
-    return Series(blaschke_rows([phi.theta], [phi.multiplicity], [phi.factors],
-                                [len(phi.factors)], order)[0])
-
-
 def blaschke_series(theta: float, factors, order: int) -> Series:
     """e^{i theta} prod_j (z + a_j)/(1 + conj(a_j) z): unit-ball function,
-    generally nonzero at the origin (no z^m factor)."""
+    generally nonzero at the origin (no z^m factor). perfbench's tracer
+    wraps this name, so it stays."""
     factors = tuple(factors)
     for a in factors:
         if abs(a) >= 1:
@@ -258,10 +232,9 @@ class MemberDraws:
 
 def draw_members(spec: ClassSpec, keys, *, radius_cap: float) -> MemberDraws:
     """The random parameters of one member of the class per key: the bits
-    numpy's default generator seeded with the key gives the one-key draw,
-    sample_schwarz for a subordination class and sample_dilation for the
-    class drawn from its structure formula, all keys drawn as one batch by
-    invlog.keyed."""
+    numpy's default generator seeded with the key gives, a Schwarz function
+    for a subordination class and a dilation and a2 for the class drawn from
+    its structure formula, all keys drawn as one batch by invlog.keyed."""
     if spec.entry.subordination is None:
         return _draw_dilations(keys, spec.lam, radius_cap)
     return _draw_schwarz(keys, radius_cap)
@@ -315,44 +288,12 @@ def _draw_dilations(keys, lam: float, radius_cap: float) -> MemberDraws:
                        count=nfac, abs_a=abs_a, a2=a2)
 
 
-def sample_schwarz(seed, *, radius_cap: float = 0.95) -> SchwarzFn:
-    """Draw a random Schwarz function, deterministically in the seed.
-
-    seed may be an int or a tuple (campaign seed, sample index, ...); numpy's
-    seed sequence hashes it into the generator's starting state, so draws
-    under different keys share no state. One to four Blaschke factors, with
-    radii sqrt-uniform in [0, radius_cap] (area-uniform in the disk of that
-    radius); multiplicity favors simple zeros but exercises the c1 = 0
-    branches too. The one-key row of draw_members; raises ValueError only
-    for a radius_cap outside [0, 1).
-    """
-    d = _draw_schwarz([seed], radius_cap)
-    return SchwarzFn(theta=float(d.theta[0]), multiplicity=int(d.multiplicity[0]),
-                     factors=tuple(d.factors[0, : d.count[0]].tolist()))
-
-
-@dataclass(frozen=True)
-class DilationDraw:
-    """The random parameters of one bounded-distortion member: its dilation
-    omega = e^{i theta} prod_j (z + a_j)/(1 + conj(a_j) z), the modulus
-    abs_a = |omega(0)| its bounds depend on, and a2."""
-
-    theta: float
-    factors: tuple
-    abs_a: float
-    a2: complex
-
-
-def sample_dilation(seed, lam: float, *, radius_cap: float = 0.95) -> DilationDraw:
-    """Draw a bounded-distortion member's parameters, deterministically in
-    the seed: zero to three Blaschke factors of radius below 0.95, then a2
-    sqrt-uniform in the disk of radius radius_cap (1 + lam v(|omega(0)|)),
-    a share of the largest |a2| the class allows at that omega(0). The
-    one-key row of draw_members."""
-    d = _draw_dilations([seed], lam, radius_cap)
-    return DilationDraw(theta=float(d.theta[0]),
-                        factors=tuple(d.factors[0, : d.count[0]].tolist()),
-                        abs_a=float(d.abs_a[0]), a2=complex(d.a2[0]))
+def sample_schwarz(seed, *, radius_cap: float = 0.95) -> MemberDraws:
+    """The one-key draw_members of a subordination class: one to four
+    Blaschke factors, with radii sqrt-uniform in [0, radius_cap], and a
+    multiplicity that favors simple zeros but exercises the c1 = 0 branches
+    too. perfbench's tracer wraps this name, so it stays."""
+    return _draw_schwarz([seed], radius_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -362,40 +303,35 @@ def sample_dilation(seed, lam: float, *, radius_cap: float = 0.95) -> DilationDr
 def member_from_schwarz(spec: ClassSpec, phi, order: int) -> AnalyticSeries:
     """Solve the class's defining subordination with the given Schwarz function.
 
-    phi is a SchwarzFn or any Series with zero constant term (a polynomial
-    Schwarz function must be extend()-ed to order-1 by the caller). With
+    phi is a Series with zero constant term known to order - 1 (a
+    polynomial Schwarz function is padded with zeros by the caller). With
     q(phi) - 1 = a phi / (1 + b phi) from the class entry, the starlike-type
     classes give f = z exp(int (q(phi)-1)/t dt) and the convexity class
-    integrates f' = exp(int (q(phi)-1)/t dt).
+    integrates f' = exp(int (q(phi)-1)/t dt). perfbench's tracer wraps this
+    name, so it stays.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    s = _phi_series(phi, order - 1)
+    if not isinstance(phi, Series):
+        raise TypeError("phi must be a Series")
+    if phi.coeffs[0] != 0:
+        raise ValueError("a Schwarz function must vanish at the origin")
+    if phi.order < order - 1:
+        raise ValueError(f"phi of order {phi.order} not known to order {order - 1}")
     if spec.entry.subordination is None:
         raise ValueError(f"{spec.tag} members come from u_lambda_member(a2, omega, lam), "
                          "not subordination")
     a, b = spec.entry.subordination(spec)
-    return AnalyticSeries(subordination_rows(a, b, spec.entry.derivative, s.coeffs[None], order)[0])
-
-
-def _phi_series(phi, order: int) -> Series:
-    if isinstance(phi, SchwarzFn):
-        return schwarz_series(phi, order)
-    if isinstance(phi, Series):
-        if phi.coeffs[0] != 0:
-            raise ValueError("a Schwarz function must vanish at the origin")
-        if phi.order < order:
-            raise ValueError(f"phi of order {phi.order} not known to order {order}; extend() it if exact")
-        return series.truncate(phi, order)
-    raise TypeError("phi must be a SchwarzFn or a Series")
+    return AnalyticSeries(subordination_rows(a, b, spec.entry.derivative, phi.coeffs[None, :order],
+                                             order)[0])
 
 
 # ---------------------------------------------------------------------------
 # members in batches: one member per row of an (S, order+1) array
 #
 # The one implementation of the members: campaigns call these on a chunk of
-# draws; schwarz_series, blaschke_series, member_from_schwarz and
-# u_lambda_member validate and call them on one row. Each caller checks the
+# draws; blaschke_series, member_from_schwarz and u_lambda_member validate
+# and call them on one row. Each caller checks the
 # finished rows, never an intermediate one.
 
 

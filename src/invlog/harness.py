@@ -11,8 +11,8 @@ Each sample draws its parameters under its own key (seed, index, attempt),
 with the bits numpy's default generator seeded with the key would give, so
 a campaign gives byte-identical reports. families.draw_members draws a
 whole chunk of keys with one call (invlog.keyed runs numpy's seed-sequence
-hashing and PCG64 on one uint64 lane per key); sample_schwarz and
-sample_dilation replay one key. Each campaign check has one home:
+hashing and PCG64 on one uint64 lane per key), and the same call on one
+key replays one row. Each campaign check has one home:
 _resolve_order checks every argument before sampling, so the one reason to
 redraw, under the next attempt, is a member that is not finite (a draw
 that raises is a fault; its error propagates);
@@ -36,10 +36,9 @@ for all its samples and grades them with one vectorized comparison; its
 summary is numpy reductions over the samples axis, and its report keeps
 those arrays as its rows' columns (_set_columns), written CHUNK samples at
 a time and made into row dicts only when asked. A row's bits do not depend
-on the rows computed with it, so reports do not depend on CHUNK. The Series
-API (member_from_schwarz, u_lambda_member, and both routes on a Series)
-runs the same row functions on one row; tests/_oracles.py is the reference
-both are held to.
+on the rows computed with it, so reports do not depend on CHUNK. Both
+routes on a Series run the same row functions on one row; tests/_oracles.py
+is the reference both are held to.
 A campaign with no order given runs at n_max + 1: Gamma_n reads a_2..a_{n+1}
 only, so a higher order changes nothing but the report's order field.
 

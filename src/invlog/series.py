@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 class Series:
-    """Immutable truncated power series; ``coeffs[k]`` multiplies z**k."""
+    """Immutable truncated power series; ``coeffs[k]`` multiplies z**k.
+    perfbench's tracer counts the objects made through __init__, so it stays."""
 
     __slots__ = ("coeffs",)
 
@@ -67,20 +68,12 @@ class AnalyticSeries(Series):
             raise ValueError("normalized series requires c0 == 0 and c1 == 1 exactly")
 
 
-class UnitSeries(Series):
-    """Series with c0 = 1 exactly."""
-
-    def __init__(self, coeffs):
-        super().__init__(coeffs)
-        if self.coeffs[0] != 1:
-            raise ValueError("unit series requires c0 == 1 exactly")
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
 
 def constant(value, order: int) -> Series:
+    """The constant series; perfbench's kernel probe calls it by name, so it stays."""
     _check_order(order)
     c = np.zeros(order + 1, dtype=np.complex128)
     c[0] = value
@@ -97,144 +90,54 @@ def identity(order: int) -> AnalyticSeries:
     return AnalyticSeries(c)
 
 
-def monomial(k: int, order: int, coeff=1.0) -> Series:
-    _check_order(order)
-    if not 0 <= k <= order:
-        raise ValueError(f"monomial degree {k} outside order {order}")
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[k] = coeff
-    return Series(c)
-
-
-def extend(a: Series, order: int) -> Series:
-    """Explicitly declare ``a`` exact and pad with zero coefficients.
-
-    This is the one deliberate way to raise order; arithmetic never does
-    it silently.
-    """
-    _check_order(order)
-    if order < a.order:
-        raise ValueError("extend cannot lower order; use truncate")
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[: a.order + 1] = a.coeffs
-    return Series(c)
-
-
-def truncate(a: Series, order: int) -> Series:
-    _check_order(order)
-    if order > a.order:
-        raise ValueError(f"operand of order {a.order} not known to order {order}")
-    return Series(a.coeffs[: order + 1])
-
-
 # ---------------------------------------------------------------------------
-# linear ops
+# arithmetic
 
 
 def add(a: Series, b: Series, order: int) -> Series:
+    """a + b; perfbench's kernel probe calls it by name, so it stays."""
     _need(a, order)
     _need(b, order)
     return Series(a.coeffs[: order + 1] + b.coeffs[: order + 1])
 
 
-def subtract(a: Series, b: Series, order: int) -> Series:
-    _need(a, order)
-    _need(b, order)
-    return Series(a.coeffs[: order + 1] - b.coeffs[: order + 1])
-
-
-def scale(a: Series, s) -> Series:
-    return Series(a.coeffs * complex(s))
-
-
-def shift(a: Series, power: int, order: int) -> Series:
-    """Multiply by z**power at the stated order."""
-    _check_order(order)
-    if power < 0:
-        raise ValueError("shift power must be >= 0")
-    c = np.zeros(order + 1, dtype=np.complex128)
-    if power <= order:
-        _need(a, order - power)
-        c[power:] = a.coeffs[: order + 1 - power]
-    return Series(c)
-
-
-def divide_by_z(a: Series) -> Series:
-    """Drop the (exactly zero) constant term and reindex; order drops by 1."""
-    if a.coeffs[0] != 0:
-        raise ValueError("divide_by_z requires c0 == 0 exactly")
-    if a.order < 1:
-        raise ValueError("divide_by_z needs order >= 1")
-    return Series(a.coeffs[1:])
-
-
-def differentiate(a: Series) -> Series:
-    """Term-wise derivative; order drops by 1."""
-    if a.order < 1:
-        raise ValueError("differentiate needs order >= 1")
-    k = np.arange(1, a.order + 1)
-    return Series(a.coeffs[1:] * k)
-
-
-def integrate_termwise(a: Series, order: int) -> Series:
-    """Term-wise antiderivative with zero constant term."""
-    _check_order(order)
-    if order < 1:
-        raise ValueError("integrate_termwise needs order >= 1")
-    _need(a, order - 1)
-    c = np.zeros(order + 1, dtype=np.complex128)
-    k = np.arange(1, order + 1)
-    c[1:] = a.coeffs[:order] / k
-    return Series(c)
-
-
-# ---------------------------------------------------------------------------
-# multiplicative ops
-
-
 def multiply(a: Series, b: Series, order: int) -> Series:
+    """a b; perfbench's kernel probe calls it by name, so it stays."""
     _need(a, order)
     _need(b, order)
     return Series(multiply_rows(a.coeffs[None], b.coeffs[None], order)[0])
 
 
-def reciprocal(a: Series, order: int) -> UnitSeries:
-    """Series r with multiply(a, r, order) == 1 modulo z^{order+1}."""
+def reciprocal(a: Series, order: int) -> Series:
+    """Series r with multiply(a, r, order) == 1 modulo z^{order+1}.
+    perfbench's kernel probe calls it by name, so it stays."""
     _need(a, order)
     if a.coeffs[0] != 1:
         raise ValueError("reciprocal requires c0 == 1 exactly")
-    return UnitSeries(reciprocal_rows(a.coeffs[None], order)[0])
+    return Series(reciprocal_rows(a.coeffs[None], order)[0])
 
 
 def log_unit(a: Series, order: int) -> Series:
-    """Logarithm of a series with c0 == 1; result has c0 == 0."""
+    """Logarithm of a series with c0 == 1; result has c0 == 0.
+    perfbench's kernel probe calls it by name, so it stays."""
     _need(a, order)
     if a.coeffs[0] != 1:
         raise ValueError("log_unit requires c0 == 1 exactly")
     return Series(log_unit_rows(a.coeffs[None], order)[0])
 
 
-def exp_zero(a: Series, order: int) -> UnitSeries:
-    """Exponential of a series with c0 == 0; result has c0 == 1."""
+def exp_zero(a: Series, order: int) -> Series:
+    """Exponential of a series with c0 == 0; result has c0 == 1.
+    perfbench's kernel probe calls it by name, so it stays."""
     _need(a, order)
     if a.coeffs[0] != 0:
         raise ValueError("exp_zero requires c0 == 0 exactly")
-    return UnitSeries(exp_zero_rows(a.coeffs[None], order)[0])
-
-
-def pow_scalar(a: Series, mu, order: int) -> UnitSeries:
-    """a**mu for complex scalar mu via exp(mu log a); principal branch at 1."""
-    _need(a, order)
-    if a.coeffs[0] != 1:
-        raise ValueError("pow_scalar requires c0 == 1 exactly")
-    mu = complex(mu)
-    if mu == 0:
-        return UnitSeries(constant(1.0, order).coeffs)
-    return exp_zero(scale(log_unit(a, order), mu), order)
+    return Series(exp_zero_rows(a.coeffs[None], order)[0])
 
 
 def compose(outer: Series, inner: Series, order: int) -> Series:
-    """outer(inner(z)) modulo z^{order+1}; inner must have c0 == 0 exactly."""
+    """outer(inner(z)) modulo z^{order+1}; inner must have c0 == 0 exactly.
+    perfbench's kernel probe calls it by name, so it stays."""
     _need(outer, order)
     _need(inner, order)
     if inner.coeffs[0] != 0:
@@ -248,7 +151,8 @@ def revert(f: Series | np.ndarray, order: int) -> AnalyticSeries | np.ndarray:
     f is one Series, giving an AnalyticSeries, or an (S, >= order+1) array
     of series rows, giving the (S, order+1) array of their inverses; either
     way revert_rows does the work. The reversion route passes whole chunks
-    through this name, so perfbench's tracer (series.revert) times them."""
+    through this name, so perfbench's tracer (series.revert) times them, and
+    its kernel probe calls it by name."""
     if isinstance(f, Series):
         _need(f, order)
         rows = f.coeffs[None]

@@ -321,10 +321,9 @@ def revert_one_row(fc, order):
 
 
 def sample_schwarz(seed, *, radius_cap: float = 0.95):
-    """families.sample_schwarz as first written: rng.choice for the
-    multiplicity and one uniform() call per angle and radius."""
-    from invlog.families import SchwarzFn
-
+    """The Schwarz-function draw as first written, as the tuple (theta,
+    multiplicity, factors): rng.choice for the multiplicity and one
+    uniform() call per angle and radius."""
     if not 0 <= radius_cap < 1:
         raise ValueError("radius_cap must lie in [0, 1)")
     rng = np.random.default_rng(seed)
@@ -336,13 +335,15 @@ def sample_schwarz(seed, *, radius_cap: float = 0.95):
         r = radius_cap * math.sqrt(rng.uniform())
         t = rng.uniform(0.0, 2.0 * math.pi)
         factors.append(r * cmath.exp(1j * t))
-    return SchwarzFn(theta=theta, multiplicity=m, factors=tuple(factors))
+    return theta, m, tuple(factors)
 
 
 def sample_dilation(seed, lam: float, *, radius_cap: float = 0.95):
-    """families.sample_dilation as first written, one uniform() per value."""
+    """The bounded-distortion draw as first written, one uniform() per
+    value, as the tuple (theta, factors, abs_a, a2): the dilation
+    omega = e^{i theta} prod_j (z + a_j)/(1 + conj(a_j) z), abs_a =
+    |omega(0)| and a2."""
     from invlog.bounds import v_of_x
-    from invlog.families import DilationDraw
 
     rng = np.random.default_rng(seed)
     nfac = int(rng.integers(0, 4))
@@ -359,7 +360,7 @@ def sample_dilation(seed, lam: float, *, radius_cap: float = 0.95):
     radius = radius_cap * (1.0 + lam * v_of_x(abs_a)) * math.sqrt(rng.uniform())
     ang = rng.uniform(0.0, 2.0 * math.pi)
     a2 = radius * complex(math.cos(ang), math.sin(ang))
-    return DilationDraw(theta=theta, factors=tuple(factors), abs_a=abs_a, a2=a2)
+    return theta, tuple(factors), abs_a, a2
 
 
 # ---------------------------------------------------------------------------

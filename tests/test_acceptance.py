@@ -218,7 +218,7 @@ def test_c08_cubic_schwarz_closed_forms():
         if tot > 0.9:
             cs = cs * (0.9 / tot)  # keep |phi| < 1 on the disk
         alpha = float(rng.uniform(-0.5, 1.0))
-        phi = series.extend(Series(np.concatenate([[0.0], cs])), order - 1)
+        phi = Series(np.concatenate([[0.0], cs, np.zeros(order - 4)]))
         f = families.member_from_schwarz(ClassSpec.f_alpha(alpha), phi, order)
         gv = gammas.gamma_via_bn(f, 3)
         closed = gammas.gamma123_F_alpha(cs[0], cs[1], cs[2], alpha)

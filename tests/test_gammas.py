@@ -188,9 +188,8 @@ def test_half_plane_convexity_closed_forms_match_generic_route():
         total = float(np.sum(np.abs(cs)))
         if total > 0.9:
             cs *= 0.9 / total
-        phi = Series(np.concatenate([[0.0], cs]))
-        f = families.member_from_schwarz(ClassSpec.f_alpha(alpha),
-                                         series.extend(phi, 11), 12)
+        phi = Series(np.concatenate([[0.0], cs, np.zeros(8)]))
+        f = families.member_from_schwarz(ClassSpec.f_alpha(alpha), phi, 12)
         want = gammas.gamma123_F_alpha(cs[0], cs[1], cs[2], alpha)
         gv = gammas.gamma_via_bn(f, 3)
         for n in (1, 2, 3):

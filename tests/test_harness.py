@@ -738,8 +738,8 @@ def test_draw_member_is_reproducible_per_key():
         assert np.array_equal(f1, f2) and np.array_equal(abs_a1, abs_a2)
         assert att1 == att2 == [0]
         # |omega(0)| is the dilation's own; a Schwarz function fixes 0
-        d = families.sample_dilation((42, 7, 0), 0.5)
-        assert abs_a1.tolist() == ([0.0] if spec.entry.subordination else [d.abs_a])
+        _, _, abs_a, _ = _oracles.sample_dilation((42, 7, 0), 0.5)
+        assert abs_a1.tolist() == ([0.0] if spec.entry.subordination else [abs_a])
         f3, abs_a3, _ = harness._draw_chunk(spec, 42, [8], 12, 0.9)
         assert not np.array_equal(f1, f3)
         # a member's row does not depend on the indices drawn with it
@@ -756,14 +756,9 @@ def test_a_row_is_rebuilt_from_its_key(spec):
     rep = verify_bounds(spec, 4, 300, 2**32 + 5)
     assert not any("resampled" in note for note in rep.notes)
     for i in (0, 137, 299):
-        key = (2**32 + 5, i, 0)
-        if spec.entry.subordination is None:
-            d = families.sample_dilation(key, spec.lam)
-            omega = families.blaschke_series(d.theta, d.factors, rep.order - 3)
-            f = families.u_lambda_member(d.a2, omega, spec.lam, rep.order)
-        else:
-            f = families.member_from_schwarz(spec, families.sample_schwarz(key), rep.order)
-        gams = np.abs(gammas.gamma_via_bn(f, rep.n_max)).tolist()
+        draws = families.draw_members(spec, [(2**32 + 5, i, 0)], radius_cap=0.95)
+        f = families.member_rows(spec, draws, rep.order)
+        gams = np.abs(gammas.gamma_via_bn(f, rep.n_max)[0]).tolist()
         rows = [row for row in rep.rows if row["sample_id"] == i]
         assert rows and [row["abs_gamma"] for row in rows] == [gams[row["n"] - 1] for row in rows]
 

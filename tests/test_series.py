@@ -22,7 +22,6 @@ from _oracles import (
     log_mercator,
     log_unit_one_row,
     poly_mul,
-    pow_binomial,
     recip_neumann,
     revert_lagrange,
     revert_lagrange_exact,
@@ -31,7 +30,7 @@ from _oracles import (
     unit_draw,
 )
 from invlog import series
-from invlog.series import AnalyticSeries, Series, UnitSeries
+from invlog.series import AnalyticSeries, Series
 
 def RNG(tag):
     # deterministic per-test stream without shared state between tests
@@ -144,16 +143,6 @@ def test_exp_matches_taylor_sum():
         assert _maxdiff(got, want) < 1e-12
 
 
-def test_pow_matches_binomial_sum():
-    rng = RNG("pow")
-    for _ in range(30):
-        a = unit_draw(rng, 12, rho=0.8)
-        mu = complex(rng.normal(), rng.normal())
-        got = series.pow_scalar(_series(a), mu, 12).coeffs
-        want = pow_binomial(list(a), mu, 12)
-        assert _maxdiff(got, want) < 1e-10
-
-
 def test_compose_matches_direct_power_sum():
     rng = RNG("compose")
     for _ in range(30):
@@ -221,32 +210,6 @@ def test_revert_cusp_map_lowest_orders_exact(order, want):
 # stated algebraic invariants
 
 
-def test_pow_scalar_integer_exponent_equals_repeated_multiply():
-    rng = RNG("pow-int")
-    for mu in (0, 1, 2, 3, 5):
-        for _ in range(10):
-            a = _series(unit_draw(rng, 14, rho=0.9))
-            via_pow = series.pow_scalar(a, mu, 14).coeffs
-            acc = series.constant(1.0, 14)
-            for _ in range(mu):
-                acc = series.multiply(acc, a, 14)
-            ref = np.abs(acc.coeffs) + 1.0
-            assert float(np.max(np.abs(via_pow - acc.coeffs) / ref)) < 1e-12
-
-
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_pow_scalar_small_powers(m):
-    rng = RNG(f"pow-{m}")
-    for _ in range(20):
-        a = _series(unit_draw(rng, 12))
-        via_pow = series.pow_scalar(a, m, 12).coeffs
-        acc = a
-        for _ in range(m - 1):
-            acc = series.multiply(acc, a, 12)
-        ref = np.abs(acc.coeffs) + 1.0
-        assert float(np.max(np.abs(via_pow - acc.coeffs) / ref)) < 1e-12
-
-
 def test_multiply_commutative_and_associative():
     rng = RNG("mul-alg")
     for _ in range(30):
@@ -259,22 +222,6 @@ def test_multiply_commutative_and_associative():
         left = series.multiply(ab, c, 10)
         right = series.multiply(a, series.multiply(b, c, 10), 10)
         assert _maxdiff(left.coeffs, right.coeffs) < 1e-13
-
-
-def test_integrate_differentiate_round_trip():
-    f = _series([0.0, 1.0, 3.0])
-    back = series.integrate_termwise(series.differentiate(f), 2)
-    assert _maxdiff(back.coeffs, f.coeffs) == 0.0
-
-
-def test_differentiate_integrate_on_random_series():
-    rng = RNG("int-diff")
-    a = _series(unit_draw(rng, 20))
-    d = series.differentiate(a)
-    assert d.order == 19
-    back = series.integrate_termwise(d, 20)
-    # constant of integration is lost, the rest is exact division by k
-    assert _maxdiff(back.coeffs[1:], a.coeffs[1:]) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +326,6 @@ def test_exp_log_round_trip_property(tail):
     assert _maxdiff(back.coeffs, c) < 1e-11
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=6),
-       st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False))
-def test_pow_adds_exponents_property(m, w):
-    c = _series([1.0, w, w / 2])
-    combined = series.pow_scalar(c, m + 1.5, 2)
-    split = series.multiply(series.pow_scalar(c, m, 2), series.pow_scalar(c, 1.5, 2), 2)
-    assert _maxdiff(combined.coeffs, split.coeffs) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # containers and validation
 
@@ -435,10 +372,7 @@ def test_typed_series_enforce_normalization():
         AnalyticSeries([1.0, 1.0])
     with pytest.raises(ValueError):
         AnalyticSeries([0.0])
-    with pytest.raises(ValueError):
-        UnitSeries([0.5, 1.0])
     assert AnalyticSeries([0.0, 1.0, 9.0]).order == 2
-    assert UnitSeries([1.0, -3.0]).order == 1
 
 
 def test_operations_demand_known_order():
@@ -447,10 +381,6 @@ def test_operations_demand_known_order():
         series.multiply(a, a, 5)
     with pytest.raises(ValueError):
         series.log_unit(a, 3)
-    with pytest.raises(ValueError):
-        series.truncate(a, 4)
-    with pytest.raises(ValueError):
-        series.extend(a, 0)
 
 
 def test_domain_checks():
@@ -461,44 +391,10 @@ def test_domain_checks():
     with pytest.raises(ValueError):
         series.exp_zero(_series([1.0, 1.0]), 1)
     with pytest.raises(ValueError):
-        series.pow_scalar(_series([2.0, 0.0]), 0.5, 1)
-    with pytest.raises(ValueError):
         series.compose(_series([1.0, 1.0]), _series([1.0, 1.0]), 1)
     with pytest.raises(ValueError):
         series.revert(_series([0.0, 2.0]), 1)
     with pytest.raises(ValueError):
-        series.divide_by_z(_series([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        series.differentiate(_series([1.0]))
-    with pytest.raises(ValueError):
-        series.shift(_series([1.0]), -1, 3)
-    with pytest.raises(ValueError):
-        series.monomial(5, 3)
-    with pytest.raises(ValueError):
         series.identity(0)
     with pytest.raises(ValueError):
         series.multiply(_series([1.0, 1.0]), _series([1.0, 1.0]), -1)
-
-
-def test_extend_and_truncate_are_exact():
-    a = _series([1.0, 2.0, 3.0])
-    up = series.extend(a, 6)
-    assert up.order == 6
-    assert np.array_equal(up.coeffs[:3], a.coeffs)
-    assert np.all(up.coeffs[3:] == 0)
-    down = series.truncate(up, 2)
-    assert down == a
-
-
-def test_shift_and_divide_by_z():
-    a = _series([1.0, 2.0, 0.0])
-    shifted = series.shift(a, 2, 4)
-    assert list(shifted.coeffs) == [0, 0, 1.0, 2.0, 0]
-    back = series.divide_by_z(series.shift(a, 1, 3))
-    assert np.array_equal(back.coeffs, [1.0, 2.0, 0])
-
-
-def test_pow_scalar_zero_exponent_is_one():
-    a = _series(unit_draw(RNG("pow0"), 8, rho=0.9))
-    one = series.pow_scalar(a, 0, 8)
-    assert np.array_equal(one.coeffs, series.constant(1.0, 8).coeffs)
