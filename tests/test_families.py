@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import _oracles
-from _oracles import blaschke, bn_term_scale, gamma_bn_mp, poly_mul, pow_binomial
+from _oracles import (blaschke, bn_term_scale, gamma_bn_mp, poly_mul, pow_binomial,
+                      recip_neumann)
 from invlog import bounds, families, gammas, series
 from invlog.families import ClassSpec
 from invlog.series import Series
@@ -398,6 +399,40 @@ def test_member_from_schwarz_identity_phi_gives_named_extremals():
     gam = 2.0 * (1.0 - beta) * math.cos(alpha) * cmath.exp(1j * alpha)
     want = np.concatenate([[0.0], pow_binomial(_one_minus_z_to(1, order - 1), -gam, order - 1)])
     assert _maxabs(sp.coeffs - want) < 1e-12
+
+
+def test_derivative_form_member_is_the_termwise_integral():
+    # for one (a, b, phi), f' in the derivative form and f/z in the plain
+    # form are the same unit; the derivative form integrates it term-wise
+    rng = RNG("termwise")
+    draws = families.draw_members(ClassSpec.full_s(), [(7, i) for i in range(20)],
+                                  radius_cap=0.95)
+    order = 16
+    phi = _schwarz_rows(draws, order - 1)
+    for a, b in ((2.0, -1.0), (-0.5, -1.0), (complex(rng.normal(), rng.normal()), 0.3)):
+        plain = families.subordination_rows(a, b, False, phi, order)
+        integral = families.subordination_rows(a, b, True, phi, order)
+        assert np.all(integral[:, 0] == 0) and np.all(integral[:, 1] == 1)
+        back = integral[:, 1:] * np.arange(1, order + 1)
+        assert _maxabs((back - plain[:, 1:]) / (np.abs(plain[:, 1:]) + 1.0)) < 1e-15
+    # phi = z, a = 2, b = -1: f/z = 1/(1 - z)^2, so f' has it and f = z/(1 - z)
+    phi = np.zeros((1, 4), dtype=np.complex128)
+    phi[0, 1] = 1.0
+    got = families.subordination_rows(2.0, -1.0, True, phi, 4)[0]
+    assert _maxabs(got - [0, 1, 1, 1, 1]) < 1e-15
+
+
+def test_u_lambda_member_integrates_each_monomial_of_omega():
+    # omega = z^j: z int_0^z omega = z^(j+2) / (j+1), so f = z / (1 - a2 z + lam z^(j+2) / (j+1))
+    lam, a2, order = 0.75, 0.3 - 0.2j, 12
+    for j in range(order - 2):
+        omega = np.zeros(order - 1, dtype=np.complex128)
+        omega[j] = 1.0
+        f = families.u_lambda_member(a2, Series(omega), lam, order).coeffs
+        den = [1.0, -a2] + [0.0] * (order - 2)
+        den[j + 2] = lam / (j + 1)
+        want = np.concatenate([[0.0], recip_neumann(den, order - 1)])
+        assert _maxabs(f - want) < 1e-13, f"omega = z^{j}"
 
 
 def test_member_from_schwarz_rejects_bad_phi():

@@ -22,6 +22,7 @@ from _oracles import (
     log_mercator,
     log_unit_one_row,
     poly_mul,
+    pow_binomial,
     recip_neumann,
     revert_lagrange,
     revert_lagrange_exact,
@@ -43,6 +44,12 @@ def _series(c):
 
 def _maxdiff(a, b):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def _power(a: Series, mu, order: int) -> Series:
+    """a**mu as exp(mu log a): the exponential of a scaled logarithm, the
+    composition the power-map members are built from."""
+    return series.exp_zero(Series(complex(mu) * series.log_unit(a, order).coeffs), order)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +150,16 @@ def test_exp_matches_taylor_sum():
         assert _maxdiff(got, want) < 1e-12
 
 
+def test_power_via_scaled_log_matches_binomial_sum():
+    rng = RNG("pow")
+    for _ in range(30):
+        a = unit_draw(rng, 12, rho=0.8)
+        mu = complex(rng.normal(), rng.normal())
+        got = _power(_series(a), mu, 12).coeffs
+        want = pow_binomial(list(a), mu, 12)
+        assert _maxdiff(got, want) < 1e-10
+
+
 def test_compose_matches_direct_power_sum():
     rng = RNG("compose")
     for _ in range(30):
@@ -208,6 +225,74 @@ def test_revert_cusp_map_lowest_orders_exact(order, want):
 
 # ---------------------------------------------------------------------------
 # stated algebraic invariants
+
+
+def test_power_via_scaled_log_integer_exponent_equals_repeated_multiply():
+    rng = RNG("pow-int")
+    for mu in (0, 1, 2, 3, 5):
+        for _ in range(10):
+            a = _series(unit_draw(rng, 14, rho=0.9))
+            via_pow = _power(a, mu, 14).coeffs
+            acc = series.constant(1.0, 14)
+            for _ in range(mu):
+                acc = series.multiply(acc, a, 14)
+            ref = np.abs(acc.coeffs) + 1.0
+            assert float(np.max(np.abs(via_pow - acc.coeffs) / ref)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_power_via_scaled_log_small_powers(m):
+    rng = RNG(f"pow-{m}")
+    for _ in range(20):
+        a = _series(unit_draw(rng, 12))
+        via_pow = _power(a, m, 12).coeffs
+        acc = a
+        for _ in range(m - 1):
+            acc = series.multiply(acc, a, 12)
+        ref = np.abs(acc.coeffs) + 1.0
+        assert float(np.max(np.abs(via_pow - acc.coeffs) / ref)) < 1e-12
+
+
+def test_exp_of_zero_is_exactly_one():
+    # mu = 0 in exp(mu log a): the exponential of the zero series is 1 exactly
+    a = _series(unit_draw(RNG("pow0"), 8, rho=0.9))
+    one = _power(a, 0, 8)
+    assert np.array_equal(one.coeffs, series.constant(1.0, 8).coeffs)
+
+
+def test_multiply_by_identity_is_an_exact_shift():
+    rng = RNG("shift")
+    for order in (1, 2, 9, 33):
+        a = _series(unit_draw(rng, order))
+        shifted = series.multiply(series.identity(order), a, order).coeffs
+        assert np.array_equal(shifted, np.concatenate([[0.0], a.coeffs[:order]]))
+    assert list(series.multiply(_series([1.0, 2.0, 0.0, 0.0]), series.identity(3), 3).coeffs) \
+        == [0, 1.0, 2.0, 0]
+
+
+def test_operands_known_past_the_order_are_read_only_to_it():
+    # an operation at order N gives the same bits whether its operands stop
+    # at N or run on: coefficients past the truncation are never read
+    rng = RNG("long-operands")
+    a_long, b_long = unit_draw(rng, 24, rho=0.9), unit_draw(rng, 24, rho=0.9)
+    f_long = analytic_draw(rng, 24, rho=0.6)
+    z_long = np.array(a_long)
+    z_long[0] = 0.0
+    for order in (1, 5, 10):
+        a, b, f, z = (_series(x[: order + 1]) for x in (a_long, b_long, f_long, z_long))
+        la, lb, lf, lz = (_series(x) for x in (a_long, b_long, f_long, z_long))
+        pairs = [
+            (series.add(a, b, order), series.add(la, lb, order)),
+            (series.multiply(a, b, order), series.multiply(la, lb, order)),
+            (series.reciprocal(a, order), series.reciprocal(la, order)),
+            (series.log_unit(a, order), series.log_unit(la, order)),
+            (series.exp_zero(z, order), series.exp_zero(lz, order)),
+            (series.compose(a, f, order), series.compose(la, lf, order)),
+            (series.revert(f, order), series.revert(lf, order)),
+        ]
+        for short, long in pairs:
+            assert short.order == long.order == order
+            assert short == long
 
 
 def test_multiply_commutative_and_associative():
@@ -324,6 +409,16 @@ def test_exp_log_round_trip_property(tail):
     order = len(c) - 1
     back = series.exp_zero(series.log_unit(_series(c), order), order)
     assert _maxdiff(back.coeffs, c) < 1e-11
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=6),
+       st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False))
+def test_power_via_scaled_log_adds_exponents_property(m, w):
+    c = _series([1.0, w, w / 2])
+    combined = _power(c, m + 1.5, 2)
+    split = series.multiply(_power(c, m, 2), _power(c, 1.5, 2), 2)
+    assert _maxdiff(combined.coeffs, split.coeffs) < 1e-12
 
 
 # ---------------------------------------------------------------------------
