@@ -80,7 +80,7 @@ def main():
     for alpha, fn in ((0.0, None), (-0.5, families.f_alpha_extremal(-0.5, "pow1", 10))):
         label = "power map 1" if fn is not None else "half-plane map z/(1-z)"
         if fn is None:
-            fn = series.AnalyticSeries(np.concatenate([[0.0], np.ones(10)]))
+            fn = series.Series(np.concatenate([[0.0], np.ones(10)]))
         print(f" alpha = {alpha}:")
         for n in range(1, 4):
             res = bounds.bound_for(ClassSpec.f_alpha(alpha), n)

@@ -10,7 +10,7 @@ import numpy as np
 
 from invlog import families, gammas
 from invlog.families import ClassSpec
-from invlog.series import AnalyticSeries
+from invlog.series import Series
 
 
 def show(name, f, n_max=8):
@@ -33,7 +33,7 @@ def main():
     # membership holds by construction
     spec = ClassSpec.star_ab(0.6, -1.0)
     draws = families.draw_members(spec, [(2024, 0, 0)], radius_cap=0.95)
-    f = AnalyticSeries(families.member_rows(spec, draws, order)[0])
+    f = Series(families.member_rows(spec, draws, order)[0])
     show(f"random member of {spec.label()}", f)
 
     # a bounded-distortion member comes from its structure formula instead

@@ -7,7 +7,6 @@ check the bounds and their sharpness numerically.
 """
 
 from .series import (
-    AnalyticSeries,
     Series,
     add,
     compose,
@@ -70,7 +69,7 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticSeries", "Series",
+    "Series",
     "add", "compose", "constant", "exp_zero", "identity", "log_unit",
     "multiply", "reciprocal", "revert",
     "ClassSpec", "blaschke_series", "f_alpha_extremal",

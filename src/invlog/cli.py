@@ -109,7 +109,7 @@ GAMMA_FAMILIES = {
     "identity": ((), lambda args, order: series.identity(order)),
     "koebe": ((), lambda args, order: families.koebe(args.theta, order)),
     # z/(1-z) = z + z^2 + ...
-    "halfplane": ((), lambda args, order: series.AnalyticSeries(np.r_[0.0, np.ones(order)])),
+    "halfplane": ((), lambda args, order: series.Series(np.r_[0.0, np.ones(order)])),
     "halfconvex": ((), lambda args, order: families.f_alpha_extremal(-0.5, "halfconvex", order)),
     "star-ab": (("A", "B"), lambda args, order: families.k_AB_n(float(args.A), float(args.B),
                                                                 args.n, order)),

@@ -30,7 +30,7 @@ import numpy as np
 from . import bounds, keyed, series
 from .bounds import (BoundResult, check_f_alpha, check_gc, check_spiral, check_star_ab,
                      check_u_lambda, v_of_x)
-from .series import AnalyticSeries, Series
+from .series import Series
 
 F_ALPHA_VARIANTS = ("pow1", "pow2", "pow3", "halfconvex")
 
@@ -99,7 +99,7 @@ class ClassSpec:
 # named extremal functions
 
 
-def koebe(theta: float, order: int) -> AnalyticSeries:
+def koebe(theta: float, order: int) -> Series:
     """Rotated cusp map e^{-i theta} k(e^{i theta} z); coefficients n e^{i(n-1)theta}."""
     if order < 1:
         raise ValueError("koebe needs order >= 1")
@@ -107,10 +107,10 @@ def koebe(theta: float, order: int) -> AnalyticSeries:
     coeffs = n * np.exp(1j * theta * (n - 1))
     coeffs[0] = 0.0
     coeffs[1] = 1.0
-    return AnalyticSeries(coeffs)
+    return Series(coeffs)
 
 
-def _power_map(a, b, k: int, order: int, derivative: bool = False) -> AnalyticSeries:
+def _power_map(a, b, k: int, order: int, derivative: bool = False) -> Series:
     """The subordination member at phi = z^k: f/z, or f' when derivative,
     is (1 + b z^k)^{a/(kb)}, and exp(a z^k / k) at b = 0."""
     if k < 1 or order < 1:
@@ -118,28 +118,28 @@ def _power_map(a, b, k: int, order: int, derivative: bool = False) -> AnalyticSe
     phi = np.zeros((1, order), dtype=np.complex128)
     if k < order:
         phi[0, k] = 1.0
-    return AnalyticSeries(subordination_rows(a, b, derivative, phi, order)[0])
+    return Series(subordination_rows(a, b, derivative, phi, order)[0])
 
 
-def k_AB_n(A: float, B: float, n: int, order: int) -> AnalyticSeries:
+def k_AB_n(A: float, B: float, n: int, order: int) -> Series:
     """z (1 + B z^n)^{(A-B)/(nB)}; B = 0 takes the limit form z exp(A z^n / n)."""
     check_star_ab(A, B)
     return _power_map(A - B, B, n, order)
 
 
-def spiral_extremal(alpha: float, beta: float, n: int, order: int) -> AnalyticSeries:
+def spiral_extremal(alpha: float, beta: float, n: int, order: int) -> Series:
     """z / (1 - z^n)^{gamma/n} with real exponent gamma = 2(1-beta)cos(alpha)."""
     check_spiral(alpha, beta)
     return _power_map(2.0 * (1.0 - beta) * math.cos(alpha), -1.0, n, order)
 
 
-def gc_extremal(c: float, m: int, order: int) -> AnalyticSeries:
+def gc_extremal(c: float, m: int, order: int) -> Series:
     """Antiderivative of (1 - z^m)^{c/m}: the function the bound is claimed sharp for."""
     check_gc(c)
     return _power_map(-c, -1.0, m, order, derivative=True)
 
 
-def u_lambda_member(a2, omega, lam: float, order: int) -> AnalyticSeries:
+def u_lambda_member(a2, omega, lam: float, order: int) -> Series:
     """f = z / (1 - a2 z + lam z int_0^z omega(t) dt).
 
     omega may be a Series (analytic, bounded by 1 -- the caller's
@@ -152,7 +152,7 @@ def u_lambda_member(a2, omega, lam: float, order: int) -> AnalyticSeries:
         raise ValueError("order must be >= 2")
     # order 2 never reads omega: f = z / (1 - a2 z) there
     omega = _omega_coeffs(omega, order - 3)[None] if order >= 3 else None
-    return AnalyticSeries(u_lambda_rows([complex(a2)], omega, lam, order)[0])
+    return Series(u_lambda_rows([complex(a2)], omega, lam, order)[0])
 
 
 def _omega_coeffs(omega, order: int) -> np.ndarray:
@@ -168,7 +168,7 @@ def _omega_coeffs(omega, order: int) -> np.ndarray:
     return c
 
 
-def u_extremal(lam: float, a: float, order: int) -> AnalyticSeries:
+def u_extremal(lam: float, a: float, order: int) -> Series:
     """The equality function for the bounded-distortion class: a2 = 1 + lam v(a),
     omega(t) = (t + a)/(1 + a t), for a in [0, 1)."""
     if not 0 <= a < 1:
@@ -178,7 +178,7 @@ def u_extremal(lam: float, a: float, order: int) -> AnalyticSeries:
     return u_lambda_member(a2, omega, lam, order)
 
 
-def f_alpha_extremal(alpha: float, variant: str, order: int) -> AnalyticSeries:
+def f_alpha_extremal(alpha: float, variant: str, order: int) -> Series:
     """The convexity-type equality functions, one per bound clause.
 
     pow1: f' = (1-z)^{-2(1-alpha)}     pow2: f' = (1-z^2)^{-(1-alpha)}
@@ -300,7 +300,7 @@ def sample_schwarz(seed, *, radius_cap: float = 0.95) -> MemberDraws:
 # members from subordination
 
 
-def member_from_schwarz(spec: ClassSpec, phi, order: int) -> AnalyticSeries:
+def member_from_schwarz(spec: ClassSpec, phi, order: int) -> Series:
     """Solve the class's defining subordination with the given Schwarz function.
 
     phi is a Series with zero constant term known to order - 1 (a
@@ -322,8 +322,8 @@ def member_from_schwarz(spec: ClassSpec, phi, order: int) -> AnalyticSeries:
         raise ValueError(f"{spec.tag} members come from u_lambda_member(a2, omega, lam), "
                          "not subordination")
     a, b = spec.entry.subordination(spec)
-    return AnalyticSeries(subordination_rows(a, b, spec.entry.derivative, phi.coeffs[None, :order],
-                                             order)[0])
+    return Series(subordination_rows(a, b, spec.entry.derivative, phi.coeffs[None, :order],
+                                     order)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,11 @@ def gamma_via_reversion(f: Series | np.ndarray, n_max: int) -> np.ndarray:
     route runs. cross_check passes whole chunks, so perfbench's tracer,
     which wraps this name and series.revert, times the route."""
     rows = _check_rows(f, n_max)
-    # F to order n_max + 1, then half the log of F/w (constant term exactly 1)
-    F = _finite(series.revert(rows, n_max + 1))
-    g = _finite(series.log_unit_rows(F[:, 1:], n_max)[:, 1:] / 2.0)
+    # F to order n_max + 1, then half the log of F/w (constant term exactly 1);
+    # an overflow on the way is reported by _finite, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = _finite(series.revert(rows, n_max + 1))
+        g = _finite(series.log_unit_rows(F[:, 1:], n_max)[:, 1:] / 2.0)
     return g[0] if isinstance(f, Series) else g
 
 

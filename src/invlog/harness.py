@@ -157,19 +157,20 @@ class VerifyReport:
         return not self.mathematical_violations
 
     def to_json(self) -> str:
-        """json.dumps(payload, sort_keys=True, indent=2, allow_nan=False). Rows and
-        violations of a column-backed report with finite floats come from its columns."""
+        """json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), one key at a
+        time. Rows and violations of a column-backed report with finite floats come
+        from its columns."""
         cols = self._columns
         columnar = cols is not None and all(np.isfinite(col).all() for col in cols.values()
                                             if col.dtype.kind == "f")
         payload = {f.name: getattr(self, f.name) for f in fields(self)
                    if not (columnar and f.name in ("rows", "violations"))}
         payload.update(counts=self.counts(), ok=self.ok)
-        if not columnar:
-            return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        masks = {"rows": None, "violations": np.isin(cols["flag"], VIOLATION_FLAGS)}
-        line = ",\n    {\n      " + ",\n      ".join(f"{json.dumps(name)}: %s"
-                                              for name in cols) + "\n    }"
+        masks = {}
+        if columnar:
+            masks = {"rows": None, "violations": np.isin(cols["flag"], VIOLATION_FLAGS)}
+            line = ",\n    {\n      " + ",\n      ".join(f"{json.dumps(name)}: %s"
+                                                  for name in cols) + "\n    }"
         pieces, sep = [], "{"  # joined once, so the rows' text is copied once
         for key in sorted([*payload, *masks]):
             pieces.append(f'{sep}\n  "{key}": ')
@@ -329,14 +330,6 @@ def _sample(report: VerifyReport, spec: ClassSpec, radius_cap: float, *routes):
     return (*out, abs_a)
 
 
-def _add_rows(report: VerifyReport, rows: list):
-    """Append rows to the report; a row flagged numerical or mathematical is
-    also a violation."""
-    report.rows += rows
-    report.violations += [dict(row) for row in rows
-                          if row["flag"] in VIOLATION_FLAGS]
-
-
 def _set_columns(report: VerifyReport, ns, **columns):
     """Hold a sampled campaign's rows as columns, one row per sample and
     order of ns: a column gives row (s, k) its entry at [s, k], broadcast to
@@ -485,20 +478,21 @@ def sharpness_check(spec: ClassSpec, n_max: int, tol: float = 1e-9, *,
     for res in results:
         n = res.n
         if not res.applicable:
-            _add_rows(report, [{"sample_id": "none", "n": n, "abs_gamma": None,
-                                "bound": None, "branch": res.branch, "margin": None,
-                                "flag": "open", "asserted": False, "note": res.note}])
+            report.rows.append({"sample_id": "none", "n": n, "abs_gamma": None, "bound": None,
+                                "branch": res.branch, "margin": None, "flag": "open",
+                                "asserted": False, "note": res.note})
             continue
         if res.note:
             report.notes.append(f"n={n}: {res.note}")
         rows = next(candidate_rows)
-        _add_rows(report, rows)
+        report.rows += rows
         gaps += [row["excess"] for row in rows if row["asserted"]]
         best = {"best_gap": math.inf, "best_candidate": ""}
         for row in rows:  # a NaN gap never wins, and equal gaps go to the first
             if row["margin"] < best["best_gap"]:
                 best = {"best_gap": row["margin"], "best_candidate": row["sample_id"]}
         report.summary.append({"n": n, "bound": res.value, "branch": res.branch, **best})
+    report.violations = [dict(row) for row in report.rows if row["flag"] in VIOLATION_FLAGS]
     report.max_discrepancy = float(max(gaps)) if gaps else None
     return report
 
@@ -507,27 +501,26 @@ def explore_convex_large_n(n_min: int, n_max: int, samples: int, seed: int, *,
                            order: int | None = None, radius_cap: float = 0.95,
                            tol: float = 1e-9) -> VerifyReport:
     """Probe whether 2n |Gamma_n| <= 1 survives on random convex functions at
-    orders where it is neither proved nor refuted. Orders up to 3 are graded
-    against the proved bounds; beyond that, rows report the conjectured value
-    1/(2n) and flag overshoots "open" instead of failing, since exceeding it
-    there answers a question rather than revealing a bug. A NaN |Gamma_n| is
+    orders where it is neither proved nor refuted. Orders with a proved bound
+    (n <= 3) are graded against it; beyond that, rows report the conjectured
+    value 1/(2n) and flag overshoots "open" instead of failing, since exceeding
+    it there answers a question rather than revealing a bug. A NaN |Gamma_n| is
     "mathematical" at every order."""
     spec = ClassSpec.f_alpha(0.0)
     order = _resolve_order(n_max, order, tol, seed, radius_cap, samples=samples, n_min=n_min)
     ns = range(n_min, n_max + 1)
-    proved = {n: bound_for(spec, n) for n in ns if n <= 3}
-    bound = np.array([proved[n].value if n in proved else 1.0 / (2.0 * n) for n in ns])
-    branch = np.array([proved[n].branch if n in proved else "conjectured" for n in ns],
+    results = [bound_for(spec, n) for n in ns]
+    conjectured = np.array([not res.applicable for res in results])
+    bound = np.array([res.value if res.applicable else 1.0 / (2.0 * res.n) for res in results])
+    branch = np.array([res.branch if res.applicable else "conjectured" for res in results],
                       dtype=object)
-    conjectured = np.array([n not in proved for n in ns])
     report = VerifyReport(kind="explore", label=spec.label(), params=spec.params(),
                           n_max=n_max, order=order, samples=samples, seed=seed, tol=tol)
     gams, _ = _sample(report, spec, radius_cap, gammas.gamma_via_bn)
     ag = np.abs(gams[:, n_min - 1:])
     excess = ag - bound
-    # as in _flag, NaN grades "mathematical"
-    guess = np.where(ag > bound + tol, "open", np.where(np.isnan(ag), "mathematical", "ok"))
-    flag = np.where(conjectured, guess.astype(object), _flag(excess, tol))
+    flag = _flag(excess, tol)
+    flag[conjectured & (flag != "ok") & ~np.isnan(ag)] = "open"  # _flag's NaN rule stands
     _set_columns(report, ns, abs_gamma=ag, bound=bound, branch=branch, margin=bound - ag,
                  flag=flag, excess=excess)
     # a NaN row never wins; a tie goes to the earliest sample

@@ -57,17 +57,6 @@ class Series:
         return f"{type(self).__name__}(order={self.order}, coeffs={head[:-1]}{tail}])"
 
 
-class AnalyticSeries(Series):
-    """Series with c0 = 0 and c1 = 1 exactly (a normalized function)."""
-
-    def __init__(self, coeffs):
-        super().__init__(coeffs)
-        if self.order < 1:
-            raise ValueError("normalized series needs order >= 1")
-        if self.coeffs[0] != 0 or self.coeffs[1] != 1:
-            raise ValueError("normalized series requires c0 == 0 and c1 == 1 exactly")
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -80,14 +69,14 @@ def constant(value, order: int) -> Series:
     return Series(c)
 
 
-def identity(order: int) -> AnalyticSeries:
+def identity(order: int) -> Series:
     """The series of z itself."""
     _check_order(order)
     if order < 1:
         raise ValueError("identity needs order >= 1")
     c = np.zeros(order + 1, dtype=np.complex128)
     c[1] = 1.0
-    return AnalyticSeries(c)
+    return Series(c)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +134,10 @@ def compose(outer: Series, inner: Series, order: int) -> Series:
     return Series(_compose_raw(outer.coeffs[: order + 1], inner.coeffs[: order + 1], order))
 
 
-def revert(f: Series | np.ndarray, order: int) -> AnalyticSeries | np.ndarray:
+def revert(f: Series | np.ndarray, order: int) -> Series | np.ndarray:
     """Compositional inverse: compose(f, revert(f)) == identity mod z^{order+1}.
 
-    f is one Series, giving an AnalyticSeries, or an (S, >= order+1) array
+    f is one Series, giving the inverse's Series, or an (S, >= order+1) array
     of series rows, giving the (S, order+1) array of their inverses; either
     way revert_rows does the work. The reversion route passes whole chunks
     through this name, so perfbench's tracer (series.revert) times them, and
@@ -166,7 +155,7 @@ def revert(f: Series | np.ndarray, order: int) -> AnalyticSeries | np.ndarray:
     if np.any(rows[:, 0] != 0) or np.any(rows[:, 1] != 1):
         raise ValueError("revert requires a normalized series (c0 == 0, c1 == 1)")
     inv = revert_rows(rows, order)
-    return AnalyticSeries(inv[0]) if isinstance(f, Series) else inv
+    return Series(inv[0]) if isinstance(f, Series) else inv
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +191,23 @@ def multiply_rows(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     """Row-wise product modulo z^{order+1}: out[s, k] = sum_j a[s, j] T[s, k, j]
     with T[s, k, j] = b[s, k - j], zero for j > k, a strided view (no copy)
     of b reversed and zero-padded. The padding adds exact zeros to each
-    in-turn sum, so it changes no bits while a is finite."""
+    in-turn sum, so it changes no bits while a is finite; a row of a holding
+    an inf, which would meet the padding as inf * 0 = NaN, is summed again
+    over its true terms (j <= k) only. Such a row always has a non-finite
+    constant term (every j > 0 meets the padding there), so column 0 of the
+    product is the one finiteness check a finite stack pays."""
     n = order + 1
     padded = np.zeros((b.shape[0], 2 * n - 1), dtype=np.complex128)
     padded[:, :n] = b[:, n - 1 :: -1]
     step = padded.itemsize
     toeplitz = np.ndarray((b.shape[0], n, n), np.complex128, padded, (n - 1) * step,
                           (padded.strides[0], -step, step))
-    return np.einsum("sj,skj->sk", a[:, :n], toeplitz)
+    out = np.einsum("sj,skj->sk", a[:, :n], toeplitz)
+    if not np.isfinite(out[:, 0]).all():
+        bad = ~np.isfinite(a[:, :n]).all(axis=1)
+        true_a = np.where(np.tri(n, dtype=bool), a[bad, None, :n], 0.0)
+        out[bad] = (true_a * toeplitz[bad]).sum(axis=-1)
+    return out
 
 
 def reciprocal_rows(c: np.ndarray, order: int) -> np.ndarray:

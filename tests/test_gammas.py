@@ -5,6 +5,7 @@ Mercator log, from _oracles) referees both package routes on random inputs.
 """
 
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -224,11 +225,26 @@ def test_routes_demand_normalization():
 
 def test_reversion_overflow_is_a_bad_argument():
     # z + 1e200 z^2 reverts to A_n of about 1e200^(n-1): A_3 already overflows
+    # raised as the error, not also warned about on the way
     f = np.array([[0.0, 1.0, 1e200, 0.0, 0.0, 0.0]])
     for route in (lambda: gammas.gamma_via_reversion(Series(f[0]), 4),
                   lambda: gammas.gamma_via_reversion(f, 4)):
-        with pytest.raises(ValueError, match="coefficients must be finite"):
-            route()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                route()
+
+
+def test_bn_route_keeps_the_orders_below_an_overflow():
+    # f/z = 1 + 1e200 z^60: z/f has 1e400 at z^120, which overflows, but
+    # Gamma_n reads a_2..a_{n+1} only, so every order below it stays exact
+    f = np.zeros((1, 130), dtype=np.complex128)
+    f[0, 1], f[0, 61] = 1.0, 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = gammas.gamma_via_bn(f, 128)[0]
+    assert np.all(g[:59] == 0)
+    assert np.isfinite(g[59]) and abs(g[59] / -5e199 - 1) < 1e-12
+    assert np.flatnonzero(~np.isfinite(g))[0] + 1 == 120
 
 
 def test_stacked_revert_is_the_one_row_revert():

@@ -15,7 +15,7 @@ import pytest
 import _oracles
 from invlog import families, gammas, harness, series
 from invlog.families import ClassSpec
-from invlog.series import AnalyticSeries
+from invlog.series import Series
 from invlog.harness import (
     CSV_COLUMNS,
     VerifyReport,
@@ -303,7 +303,7 @@ def test_cross_check_discrepancies_are_those_of_the_one_row_routes():
     members, _, _ = harness._draw_chunk(ClassSpec.star_ab(1.0, -1.0), 5, range(20),
                                         rep.order, 0.8)
     for i, f in enumerate(members):
-        g = AnalyticSeries(f)
+        g = Series(f)
         disc = np.abs(gammas.gamma_via_reversion(g, 6) - gammas.gamma_via_bn(g, 6))
         assert [row["discrepancy"] for row in rep.rows if row["sample_id"] == i] == disc.tolist()
 
@@ -567,6 +567,21 @@ def test_a_candidate_label_builds_one_function_at_every_order(spec):
             assert coeffs.tobytes() == built.setdefault(label, coeffs).tobytes(), label
 
 
+def test_named_functions_are_normalized_exactly():
+    # c0 == 0 and c1 == 1 with no rounding: both routes and revert refuse anything else
+    built = [build() for spec in SHARPNESS_CLASSES
+             for abs_a in (0.0, harness.DEFAULT_ABS_A, 0.9)
+             for cands in _candidates_by_n(spec, 12, 13, abs_a).values()
+             for _, build, _, _ in cands]
+    built += [families.koebe(theta, 9) for theta in (0.0, 0.7, -2.5)]
+    built += [series.identity(order) for order in (1, 2, 9)]
+    built += [series.revert(f, 9) for f in (built[0], families.koebe(0.7, 9),
+                                            series.identity(9))]
+    assert len(built) > 100
+    for f in built:
+        assert f.coeffs[0] == 0 and f.coeffs[1] == 1, f
+
+
 @pytest.mark.parametrize("spec", SHARPNESS_CLASSES, ids=ClassSpec.label)
 def test_sharpness_rows_have_the_bits_of_one_row_calls_at_their_order(spec):
     rep = sharpness_check(spec, 12)
@@ -610,6 +625,28 @@ def test_explore_grades_only_the_proved_orders():
     for row in rep.summary:
         assert {"n", "max_abs_gamma", "max_ratio", "argmax_sample",
                 "exceed_count"} <= set(row)
+
+
+def test_explore_flags_an_overshoot_open_only_at_conjectured_orders(monkeypatch):
+    # planted |Gamma_n| just past the bound: 5 tol grades "numerical" and
+    # 0.5 tol "ok"; at a conjectured order the overshoot is "open", a NaN
+    # stays "mathematical"
+    tol, conj = 1e-9, 1.0 / 10.0  # the conjectured bound at n = 5
+    proved = harness.bound_for(ClassSpec.f_alpha(0.0), 2).value
+    planted = {(0, 5): conj + 5 * tol, (1, 5): conj + 0.5 * tol, (2, 5): math.nan,
+               (3, 2): proved + 5 * tol}
+
+    def plant(calls, out):
+        for (s, n), value in planted.items():
+            out[s, n - 1] = value
+
+    _spy_bn(monkeypatch, plant)
+    rep = explore_convex_large_n(1, 5, 4, 7, tol=tol)
+    flags = {(row["sample_id"], row["n"]): row["flag"] for row in rep.rows}
+    assert [flags[key] for key in planted] == ["open", "ok", "mathematical", "numerical"]
+    assert [row["branch"] for row in rep.rows[:5]] == (
+        [harness.bound_for(ClassSpec.f_alpha(0.0), n).branch for n in (1, 2, 3)]
+        + ["conjectured", "conjectured"])
 
 
 def test_explore_is_deterministic():

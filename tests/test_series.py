@@ -31,7 +31,7 @@ from _oracles import (
     unit_draw,
 )
 from invlog import series
-from invlog.series import AnalyticSeries, Series
+from invlog.series import Series
 
 def RNG(tag):
     # deterministic per-test stream without shared state between tests
@@ -64,6 +64,22 @@ def test_multiply_matches_naive_convolution():
         got = series.multiply(_series(a), _series(b), 12).coeffs
         want = poly_mul(list(a), list(b), 12)
         assert _maxdiff(got, want) < 1e-13
+
+
+def test_an_infinite_coefficient_leaves_lower_product_terms_finite():
+    # inf * 0 from the zero padding must not reach the terms below the inf
+    a = np.array([[1.0, np.inf, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0], [1.0, 0.0, 0.0, np.nan]],
+                 dtype=np.complex128)
+    b = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.5, 0.0], [1.0, 1.0, 0.0, 0.0]],
+                 dtype=np.complex128)
+    with np.errstate(invalid="ignore"):
+        got = series.multiply_rows(a, b, 3)
+    assert got[0, 0] == 1.0
+    assert np.isinf(got[0, 1].real) and np.isinf(got[0, 2].real)
+    assert list(got[2, :3]) == [1.0, 1.0, 0.0] and np.isnan(got[2, 3])
+    # a finite row stacked with it keeps the bits of its own one-row product
+    assert np.array_equal(got[1], series.multiply_rows(a[1:], b[1:], 3)[0])
+    assert np.array_equal(got[1], poly_mul(list(a[1]), list(b[1]), 3))
 
 
 def test_reciprocal_matches_neumann_sum():
@@ -458,16 +474,6 @@ def test_constructor_rejects_bad_input():
         Series([1.0, float("nan")])
     with pytest.raises(ValueError):
         Series([1.0, float("inf")])
-
-
-def test_typed_series_enforce_normalization():
-    with pytest.raises(ValueError):
-        AnalyticSeries([0.0, 2.0])
-    with pytest.raises(ValueError):
-        AnalyticSeries([1.0, 1.0])
-    with pytest.raises(ValueError):
-        AnalyticSeries([0.0])
-    assert AnalyticSeries([0.0, 1.0, 9.0]).order == 2
 
 
 def test_operations_demand_known_order():
