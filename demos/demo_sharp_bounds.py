@@ -19,7 +19,7 @@ from invlog.families import ClassSpec
 
 
 def gap_line(n, res, f, label):
-    ag = abs(gammas.gamma_via_bn(f, n)[n - 1])
+    ag = abs(gammas.gamma_via_bn(f, n)[0, n - 1])
     print(f"  n={n}  bound {res.value:<12.9f} |Gamma_n| {ag:<12.9f} "
           f"gap {res.value - ag:>10.2e}   {res.branch:<20} {label}")
 
@@ -80,7 +80,7 @@ def main():
     for alpha, fn in ((0.0, None), (-0.5, families.f_alpha_extremal(-0.5, "pow1", 10))):
         label = "power map 1" if fn is not None else "half-plane map z/(1-z)"
         if fn is None:
-            fn = series.Series(np.concatenate([[0.0], np.ones(10)]))
+            fn = np.r_[0j, np.ones(10)][None]
         print(f" alpha = {alpha}:")
         for n in range(1, 4):
             res = bounds.bound_for(ClassSpec.f_alpha(alpha), n)

@@ -10,12 +10,12 @@ import numpy as np
 
 from invlog import families, gammas
 from invlog.families import ClassSpec
-from invlog.series import Series
 
 
 def show(name, f, n_max=8):
-    rev = gammas.gamma_via_reversion(f, n_max)
-    bn = gammas.gamma_via_bn(f, n_max)
+    # f is one function, a one-row stack: each route gives one row of Gammas
+    rev = gammas.gamma_via_reversion(f, n_max)[0]
+    bn = gammas.gamma_via_bn(f, n_max)[0]
     disc = np.max(np.abs(rev - bn))
     print(f"\n{name}")
     print(f"  {'n':>2}  {'|Gamma_n| (reversion)':>22}  {'|Gamma_n| (bn identity)':>23}")
@@ -33,7 +33,7 @@ def main():
     # membership holds by construction
     spec = ClassSpec.star_ab(0.6, -1.0)
     draws = families.draw_members(spec, [(2024, 0, 0)], radius_cap=0.95)
-    f = Series(families.member_rows(spec, draws, order)[0])
+    f = families.member_rows(spec, draws, order)
     show(f"random member of {spec.label()}", f)
 
     # a bounded-distortion member comes from its structure formula instead

@@ -109,7 +109,7 @@ GAMMA_FAMILIES = {
     "identity": ((), lambda args, order: series.identity(order)),
     "koebe": ((), lambda args, order: families.koebe(args.theta, order)),
     # z/(1-z) = z + z^2 + ...
-    "halfplane": ((), lambda args, order: series.Series(np.r_[0.0, np.ones(order)])),
+    "halfplane": ((), lambda args, order: np.r_[0j, np.ones(order)][None]),
     "halfconvex": ((), lambda args, order: families.f_alpha_extremal(-0.5, "halfconvex", order)),
     "star-ab": (("A", "B"), lambda args, order: families.k_AB_n(float(args.A), float(args.B),
                                                                 args.n, order)),
@@ -135,8 +135,7 @@ def cmd_gamma(args) -> int:
     n_max = args.n_max
     order = harness._resolve_order(n_max, args.order)
     f = _gamma_function(args, order)
-    with np.errstate(all="ignore"):  # an overflow is reported below, at its first n
-        gams = gammas.gamma_via_bn(f, n_max)
+    gams = gammas.gamma_via_bn(f, n_max)[0]  # an overflow is reported below, at its first n
     lines_csv = ["n,re,im,abs"]
     human = [f"Gamma_n for family {args.family} (order {order}, route: bn-identity)"]
     payload = []

@@ -12,8 +12,10 @@ Random members are drawn a chunk of keys at a time: draw_members gives
 each key, as columns, the bits numpy's default generator seeded with the
 key would (see invlog.keyed), and member_rows turns the columns into
 member rows; that is the one path every campaign builds its members by.
-The one-member functions (member_from_schwarz, u_lambda_member) run the
-same row code on an explicit Schwarz function or dilation.
+member_from_schwarz and u_lambda_member run the same row code on explicit
+Schwarz functions or a dilation. Every function here gives its members as
+an (S, order+1) stack, one member per row; a single function, such as a
+named extremal, is a one-row stack.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 from . import bounds, keyed, series
 from .bounds import (BoundResult, check_f_alpha, check_gc, check_spiral, check_star_ab,
                      check_u_lambda, v_of_x)
-from .series import Series
 
 F_ALPHA_VARIANTS = ("pow1", "pow2", "pow3", "halfconvex")
 
@@ -99,7 +100,7 @@ class ClassSpec:
 # named extremal functions
 
 
-def koebe(theta: float, order: int) -> Series:
+def koebe(theta: float, order: int) -> np.ndarray:
     """Rotated cusp map e^{-i theta} k(e^{i theta} z); coefficients n e^{i(n-1)theta}."""
     if order < 1:
         raise ValueError("koebe needs order >= 1")
@@ -107,10 +108,10 @@ def koebe(theta: float, order: int) -> Series:
     coeffs = n * np.exp(1j * theta * (n - 1))
     coeffs[0] = 0.0
     coeffs[1] = 1.0
-    return Series(coeffs)
+    return coeffs[None]
 
 
-def _power_map(a, b, k: int, order: int, derivative: bool = False) -> Series:
+def _power_map(a, b, k: int, order: int, derivative: bool = False) -> np.ndarray:
     """The subordination member at phi = z^k: f/z, or f' when derivative,
     is (1 + b z^k)^{a/(kb)}, and exp(a z^k / k) at b = 0."""
     if k < 1 or order < 1:
@@ -118,57 +119,57 @@ def _power_map(a, b, k: int, order: int, derivative: bool = False) -> Series:
     phi = np.zeros((1, order), dtype=np.complex128)
     if k < order:
         phi[0, k] = 1.0
-    return Series(subordination_rows(a, b, derivative, phi, order)[0])
+    return subordination_rows(a, b, derivative, phi, order)
 
 
-def k_AB_n(A: float, B: float, n: int, order: int) -> Series:
+def k_AB_n(A: float, B: float, n: int, order: int) -> np.ndarray:
     """z (1 + B z^n)^{(A-B)/(nB)}; B = 0 takes the limit form z exp(A z^n / n)."""
     check_star_ab(A, B)
     return _power_map(A - B, B, n, order)
 
 
-def spiral_extremal(alpha: float, beta: float, n: int, order: int) -> Series:
+def spiral_extremal(alpha: float, beta: float, n: int, order: int) -> np.ndarray:
     """z / (1 - z^n)^{gamma/n} with real exponent gamma = 2(1-beta)cos(alpha)."""
     check_spiral(alpha, beta)
     return _power_map(2.0 * (1.0 - beta) * math.cos(alpha), -1.0, n, order)
 
 
-def gc_extremal(c: float, m: int, order: int) -> Series:
+def gc_extremal(c: float, m: int, order: int) -> np.ndarray:
     """Antiderivative of (1 - z^m)^{c/m}: the function the bound is claimed sharp for."""
     check_gc(c)
     return _power_map(-c, -1.0, m, order, derivative=True)
 
 
-def u_lambda_member(a2, omega, lam: float, order: int) -> Series:
+def u_lambda_member(a2, omega, lam: float, order: int) -> np.ndarray:
     """f = z / (1 - a2 z + lam z int_0^z omega(t) dt).
 
-    omega may be a Series (analytic, bounded by 1 -- the caller's
-    responsibility) or a complex constant of modulus <= 1. The construction
-    satisfies f'(z/f)^2 - 1 = -lam z^2 omega identically. perfbench's tracer
-    wraps this name, so it stays.
+    omega may be one row, a (1, >= order - 2) stack (analytic, bounded by
+    1 -- the caller's responsibility), or a complex constant of modulus
+    <= 1. The construction satisfies f'(z/f)^2 - 1 = -lam z^2 omega
+    identically. perfbench's tracer wraps this name, so it stays.
     """
     check_u_lambda(lam)
     if order < 2:
         raise ValueError("order must be >= 2")
     # order 2 never reads omega: f = z / (1 - a2 z) there
-    omega = _omega_coeffs(omega, order - 3)[None] if order >= 3 else None
-    return Series(u_lambda_rows([complex(a2)], omega, lam, order)[0])
+    omega = _omega_row(omega, order - 3) if order >= 3 else None
+    return u_lambda_rows([complex(a2)], omega, lam, order)
 
 
-def _omega_coeffs(omega, order: int) -> np.ndarray:
-    if isinstance(omega, Series):
-        if omega.order < order:
-            raise ValueError(f"omega of order {omega.order} not known to order {order}")
-        return omega.coeffs[: order + 1]
-    val = complex(omega)
-    if abs(val) > 1:
-        raise ValueError(f"constant omega must have modulus <= 1, got {abs(val)}")
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[0] = val
-    return c
+def _omega_row(omega, order: int) -> np.ndarray:
+    if np.ndim(omega) == 0:
+        val = complex(omega)
+        if abs(val) > 1:
+            raise ValueError(f"constant omega must have modulus <= 1, got {abs(val)}")
+        c = np.zeros((1, order + 1), dtype=np.complex128)
+        c[0, 0] = val
+        return c
+    if omega.ndim != 2 or omega.shape[0] != 1 or omega.shape[1] <= order:
+        raise ValueError(f"omega of shape {omega.shape} is not one row known to order {order}")
+    return omega
 
 
-def u_extremal(lam: float, a: float, order: int) -> Series:
+def u_extremal(lam: float, a: float, order: int) -> np.ndarray:
     """The equality function for the bounded-distortion class: a2 = 1 + lam v(a),
     omega(t) = (t + a)/(1 + a t), for a in [0, 1)."""
     if not 0 <= a < 1:
@@ -178,7 +179,7 @@ def u_extremal(lam: float, a: float, order: int) -> Series:
     return u_lambda_member(a2, omega, lam, order)
 
 
-def f_alpha_extremal(alpha: float, variant: str, order: int) -> Series:
+def f_alpha_extremal(alpha: float, variant: str, order: int) -> np.ndarray:
     """The convexity-type equality functions, one per bound clause.
 
     pow1: f' = (1-z)^{-2(1-alpha)}     pow2: f' = (1-z^2)^{-(1-alpha)}
@@ -202,15 +203,15 @@ def f_alpha_extremal(alpha: float, variant: str, order: int) -> Series:
 # Schwarz functions and sampling
 
 
-def blaschke_series(theta: float, factors, order: int) -> Series:
+def blaschke_series(theta: float, factors, order: int) -> np.ndarray:
     """e^{i theta} prod_j (z + a_j)/(1 + conj(a_j) z): unit-ball function,
-    generally nonzero at the origin (no z^m factor). perfbench's tracer
-    wraps this name, so it stays."""
+    generally nonzero at the origin (no z^m factor), as a one-row stack.
+    perfbench's tracer wraps this name, so it stays."""
     factors = tuple(factors)
     for a in factors:
         if abs(a) >= 1:
             raise ValueError(f"Blaschke parameter {a!r} not inside the unit disk")
-    return Series(blaschke_rows([theta], [0], [factors], [len(factors)], order)[0])
+    return blaschke_rows([theta], [0], [factors], [len(factors)], order)
 
 
 @dataclass(frozen=True)
@@ -300,30 +301,28 @@ def sample_schwarz(seed, *, radius_cap: float = 0.95) -> MemberDraws:
 # members from subordination
 
 
-def member_from_schwarz(spec: ClassSpec, phi, order: int) -> Series:
-    """Solve the class's defining subordination with the given Schwarz function.
+def member_from_schwarz(spec: ClassSpec, phi, order: int) -> np.ndarray:
+    """Solve the class's defining subordination with the given Schwarz
+    functions, one member per row of phi.
 
-    phi is a Series with zero constant term known to order - 1 (a
-    polynomial Schwarz function is padded with zeros by the caller). With
-    q(phi) - 1 = a phi / (1 + b phi) from the class entry, the starlike-type
-    classes give f = z exp(int (q(phi)-1)/t dt) and the convexity class
-    integrates f' = exp(int (q(phi)-1)/t dt). perfbench's tracer wraps this
-    name, so it stays.
+    phi is an (S, >= order) stack of Schwarz functions with zero constant
+    terms, known to order - 1 (a polynomial one is padded with zeros by the
+    caller). With q(phi) - 1 = a phi / (1 + b phi) from the class entry, the
+    starlike-type classes give f = z exp(int (q(phi)-1)/t dt) and the
+    convexity class integrates f' = exp(int (q(phi)-1)/t dt). perfbench's
+    tracer wraps this name, so it stays.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    if not isinstance(phi, Series):
-        raise TypeError("phi must be a Series")
-    if phi.coeffs[0] != 0:
+    if phi.ndim != 2 or phi.shape[1] < order:
+        raise ValueError(f"phi rows of shape {phi.shape} not known to order {order - 1}")
+    if (phi[:, 0] != 0).any():
         raise ValueError("a Schwarz function must vanish at the origin")
-    if phi.order < order - 1:
-        raise ValueError(f"phi of order {phi.order} not known to order {order - 1}")
     if spec.entry.subordination is None:
         raise ValueError(f"{spec.tag} members come from u_lambda_member(a2, omega, lam), "
                          "not subordination")
     a, b = spec.entry.subordination(spec)
-    return Series(subordination_rows(a, b, spec.entry.derivative, phi.coeffs[None, :order],
-                                     order)[0])
+    return subordination_rows(a, b, spec.entry.derivative, phi[:, :order], order)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +330,8 @@ def member_from_schwarz(spec: ClassSpec, phi, order: int) -> Series:
 #
 # The one implementation of the members: campaigns call these on a chunk of
 # draws; blaschke_series, member_from_schwarz and u_lambda_member validate
-# and call them on one row. Each caller checks the
-# finished rows, never an intermediate one.
+# their arguments and call them. Each caller checks the finished rows for
+# overflow, never an intermediate one.
 
 
 def member_rows(spec: ClassSpec, draws: MemberDraws, order: int) -> np.ndarray:
@@ -367,8 +366,8 @@ def blaschke_rows(thetas, multiplicities, factors, counts, order: int) -> np.nda
         if order >= 1:
             num[:, 1] = 1.0
             den[:, 1] = factors[has, j].conj()
-        factor = series.multiply_rows(num, series.reciprocal_rows(den, order), order)
-        out[has] = series.multiply_rows(out[has], factor, order)
+        factor = series.multiply(num, series.reciprocal(den, order), order)
+        out[has] = series.multiply(out[has], factor, order)
     return out
 
 
@@ -378,11 +377,11 @@ def subordination_rows(a, b, derivative: bool, phi: np.ndarray, order: int) -> n
     solved for f' when derivative, for f/z otherwise."""
     den = phi * complex(b)  # 1 + b phi
     den[:, 0] += 1.0
-    g = series.multiply_rows(phi * complex(a), series.reciprocal_rows(den, order - 1), order - 1)
+    g = series.multiply(phi * complex(a), series.reciprocal(den, order - 1), order - 1)
     # log(f/z), or log f': [z^k] = g_k / k, the term-wise integral of g/z
     log_unit = np.zeros((phi.shape[0], order), dtype=np.complex128)
     log_unit[:, 1:] = g[:, 1:order] / np.arange(1, order)
-    unit = series.exp_zero_rows(log_unit, order - 1)
+    unit = series.exp_zero(log_unit, order - 1)
     f = np.zeros((phi.shape[0], order + 1), dtype=np.complex128)
     f[:, 1:] = unit / np.arange(1, order + 1) if derivative else unit
     return f
@@ -399,7 +398,7 @@ def u_lambda_rows(a2, omega: np.ndarray, lam: float, order: int) -> np.ndarray:
         # (z * int omega)[k] = omega_{k-2} / (k-1) for k >= 2
         den[:, 2:] += lam * omega[:, : dord - 1] / np.arange(1, dord, dtype=np.float64)
     f = np.zeros((len(a2), order + 1), dtype=np.complex128)
-    f[:, 1:] = series.reciprocal_rows(den, dord)
+    f[:, 1:] = series.reciprocal(den, dord)
     return f
 
 
@@ -423,7 +422,7 @@ class ClassEntry:
     subordination: Callable | None
     # candidates(spec, n, branch, order, abs_a) -> [(label, build, asserted, note)]:
     # the named equality functions of the clause that gave the bound at n,
-    # build() making the function's Series. Within one (spec, order, abs_a)
+    # build() making the function as a one-row stack. Within one (spec, order, abs_a)
     # a label names one function at every n, so a caller builds each label once
     candidates: Callable
     # the subordination gives f' rather than f/z

@@ -11,11 +11,10 @@ single series z/f. The two routes share only their input check and the
 elementary series kernels; keeping them independent is the point, so do not
 "simplify" one into the other.
 
-Each route takes one Series, giving the (n_max,) array whose entry n - 1
-holds Gamma_n, or an (S, order+1) array of normalized member rows, giving
-the (S, n_max) array whose row s holds Gamma_1..Gamma_{n_max} of member s.
-A Series goes through the same row code as a one-row stack, so it gets the
-bits of its row. Gamma_n depends on a2..a_{n+1}; both routes therefore
+Each route takes an (S, order+1) stack of normalized member rows, a single
+function being a one-row stack, and gives the (S, n_max) array whose row s
+holds Gamma_1..Gamma_{n_max} of member s. A row's bits do not depend on the
+rows stacked with it. Gamma_n depends on a2..a_{n+1}; both routes therefore
 demand the input be known to order n_max + 1.
 """
 
@@ -25,26 +24,25 @@ import numpy as np
 
 from . import series
 from .bounds import check_f_alpha, check_u_lambda
-from .series import Series
 
 
-def _check_rows(f: Series | np.ndarray, n_max: int) -> np.ndarray:
-    """The (S, order+1) member rows of f, a Series being one row, once they
-    are known far enough and normalized."""
-    f = f.coeffs[None] if isinstance(f, Series) else f
+def _check_rows(f: np.ndarray, n_max: int) -> np.ndarray:
+    """The (S, order+1) member rows f, once they are known far enough,
+    finite and normalized."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if f.ndim != 2 or f.shape[1] < n_max + 2:
         raise ValueError(f"Gamma_{n_max} needs rows known through a_{n_max + 1}, "
                          f"got shape {f.shape}")
-    if np.any(f[:, 0] != 0) or np.any(f[:, 1] != 1):
+    _finite(f)
+    if (f[:, 0] != 0).any() or (f[:, 1] != 1).any():
         raise ValueError("input must be normalized: f(0) = 0, f'(0) = 1")
     return f
 
 
-def gamma_via_reversion(f: Series | np.ndarray, n_max: int) -> np.ndarray:
+def gamma_via_reversion(f: np.ndarray, n_max: int) -> np.ndarray:
     """Revert f, then read Gamma_n off log(F(w)/w)/2. The rows go through
-    series.revert and series.log_unit_rows as one stack, no kernel the bn
+    series.revert and series.log_unit as one stack, no kernel the bn
     route runs. cross_check passes whole chunks, so perfbench's tracer,
     which wraps this name and series.revert, times the route."""
     rows = _check_rows(f, n_max)
@@ -52,35 +50,36 @@ def gamma_via_reversion(f: Series | np.ndarray, n_max: int) -> np.ndarray:
     # an overflow on the way is reported by _finite, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         F = _finite(series.revert(rows, n_max + 1))
-        g = _finite(series.log_unit_rows(F[:, 1:], n_max)[:, 1:] / 2.0)
-    return g[0] if isinstance(f, Series) else g
+        return _finite(series.log_unit(F[:, 1:], n_max)[:, 1:] / 2.0)
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
-    # the check Series applies to one row, on a whole stack
     if not np.isfinite(a).all():
         raise ValueError("coefficients must be finite")
     return a
 
 
-def gamma_via_bn(f: Series | np.ndarray, n_max: int) -> np.ndarray:
+def gamma_via_bn(f: np.ndarray, n_max: int) -> np.ndarray:
     """Reversion-free route, 2 n Gamma_n = [z^n] (z/f)^n. One reciprocal
     gives u = z/f, successive products on the whole stack give u^m for
     m <= ceil(n_max/2), and [z^n] u^n is the z^n coefficient of
     u^{n - n//2} u^{n//2}: one sum of n + 1 terms. Campaigns pass whole
-    chunks, so perfbench's tracer, which wraps this name, times the route."""
+    chunks, so perfbench's tracer, which wraps this name, times the route.
+    An overflow leaves inf or NaN at the orders it reaches, silently; the
+    orders below it keep their values."""
     rows = _check_rows(f, n_max)
-    base = series.reciprocal_rows(rows[:, 1:], n_max)  # z/f, one row per member
     out = np.empty((rows.shape[0], n_max), dtype=np.complex128)
-    out[:, 0] = base[:, 1] / 2.0
-    # u^m and u^(m-1) only: the powers n reads rise with n
-    m, power, prev = 1, base, None
-    for n in range(2, n_max + 1):
-        if n - n // 2 > m:
-            m, power, prev = m + 1, series.multiply_rows(power, base, n_max), power
-        lo = power if n // 2 == m else prev
-        out[:, n - 1] = np.einsum("sj,sj->s", power[:, : n + 1], lo[:, n::-1]) / (2.0 * n)
-    return out[0] if isinstance(f, Series) else out
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = series.reciprocal(rows[:, 1:], n_max)  # z/f, one row per member
+        out[:, 0] = base[:, 1] / 2.0
+        # u^m and u^(m-1) only: the powers n reads rise with n
+        m, power, prev = 1, base, None
+        for n in range(2, n_max + 1):
+            if n - n // 2 > m:
+                m, power, prev = m + 1, series.multiply(power, base, n_max), power
+            lo = power if n // 2 == m else prev
+            out[:, n - 1] = np.einsum("sj,sj->s", power[:, : n + 1], lo[:, n::-1]) / (2.0 * n)
+    return out
 
 
 def gamma12_U(a2, a, lam: float) -> tuple[complex, complex]:

@@ -36,9 +36,9 @@ for all its samples and grades them with one vectorized comparison; its
 summary is numpy reductions over the samples axis, and its report keeps
 those arrays as its rows' columns (_set_columns), written CHUNK samples at
 a time and made into row dicts only when asked. A row's bits do not depend
-on the rows computed with it, so reports do not depend on CHUNK. Both
-routes on a Series run the same row functions on one row; tests/_oracles.py
-is the reference both are held to.
+on the rows computed with it, so reports do not depend on CHUNK; one
+function is a one-row stack through the same code. tests/_oracles.py is
+the reference the routes are held to.
 A campaign with no order given runs at n_max + 1: Gamma_n reads a_2..a_{n+1}
 only, so a higher order changes nothing but the report's order field.
 
@@ -256,7 +256,9 @@ def _draw_chunk(spec: ClassSpec, seed: int, ids, order: int, radius_cap: float):
     Each index draws its parameters under the key (seed, index, attempt).
     A draw whose member row is not finite (an overflow) is redrawn under the
     next attempt rather than perturbed, so results stay reproducible; four
-    attempts are allowed. The campaign's arguments are checked before any
+    attempts are allowed, and a sample with no usable one raises ValueError:
+    the arguments ask for more than double precision holds, which is no
+    finding about the class. The campaign's arguments are checked before any
     draw, so a draw that raises anyway is a fault, and its error propagates.
     Each pass draws all pending keys with one families.draw_members call and
     turns them into members as one batch.
@@ -278,8 +280,8 @@ def _draw_chunk(spec: ClassSpec, seed: int, ids, order: int, radius_cap: float):
         for j in todo.tolist():
             attempts[j] += 1
             if attempts[j] == 4:
-                raise RuntimeError(f"sample {ids[j]}: no usable draw in 4 attempts "
-                                   "(non-finite coefficients)")
+                raise ValueError(f"sample {ids[j]}: no usable draw in 4 attempts "
+                                 "(non-finite coefficients)")
     return rows, abs_a, attempts
 
 
@@ -359,7 +361,7 @@ def _candidate_rows(spec: ClassSpec, results, order: int, abs_a: float, tol: flo
     for per_n in cands:
         for name, build, _, _ in per_n:
             builds.setdefault(name, build)
-    stack = np.array([build().coeffs for build in builds.values()])
+    stack = np.concatenate([build() for build in builds.values()])
     gams = dict(zip(builds, gammas.gamma_via_bn(stack, max(res.n for res in results))))
     out = []
     for res, per_n in zip(results, cands):

@@ -7,8 +7,9 @@ reciprocals, Mercator and Taylor series for log and exp, generalized
 binomial sums for powers, direct power sums for composition, Lagrange's
 formula for reversion, and the bn identity at 50 digits. Slow on purpose;
 the point is that they share no algorithmic structure with the kernel they
-check. The package's Series functions and its row kernels are one
-implementation; these are the reference both are held to.
+check. The package's series kernels, which take a stack of series or one
+series as a one-row stack, are one implementation; these are the
+reference they are held to.
 
 Lists hold coefficients low to high: p[k] multiplies z**k.
 
@@ -29,17 +30,6 @@ from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
-
-
-def as_list(series_or_array, order=None):
-    """Coefficients of a package Series (or array) as a plain complex list."""
-    coeffs = getattr(series_or_array, "coeffs", series_or_array)
-    out = [complex(c) for c in coeffs]
-    if order is not None:
-        if len(out) < order + 1:
-            raise ValueError("not known to the requested order")
-        out = out[: order + 1]
-    return out
 
 
 def poly_mul(a, b, order):

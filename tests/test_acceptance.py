@@ -22,7 +22,6 @@ import pytest
 
 from invlog import bounds, families, gammas, harness, series
 from invlog.families import ClassSpec
-from invlog.series import Series
 
 from _oracles import analytic_draw, unit_draw, v_quadrature
 
@@ -42,8 +41,8 @@ def maxdiff(a, b):
 def test_c01_cusp_map_attains_full_class_bounds():
     t0 = time.perf_counter()
     f = families.koebe(0.0, 12)
-    by_rev = gammas.gamma_via_reversion(f, 10)
-    by_bn = gammas.gamma_via_bn(f, 10)
+    by_rev = gammas.gamma_via_reversion(f, 10)[0]
+    by_bn = gammas.gamma_via_bn(f, 10)[0]
     worst = 0.0
     for n in range(1, 11):
         want = math.comb(2 * n, n) / (2.0 * n)
@@ -81,7 +80,7 @@ def test_c02_two_routes_agree_across_five_classes():
 
 
 def test_c03_inverse_coefficients_of_cusp_map():
-    aa = series.revert(families.koebe(0.0, 12), 10).coeffs[2:]
+    aa = series.revert(families.koebe(0.0, 12), 10)[0, 2:]
     for n in range(2, 11):
         want = math.factorial(2 * n) / (math.factorial(n) * math.factorial(n + 1))
         rel = abs(abs(aa[n - 2]) - want) / want
@@ -136,17 +135,17 @@ def test_c04_starlike_family_campaigns_and_sharpness():
 
 def test_c05_half_plane_convexity_attainment():
     # alpha = 0: z/(1-z) reaches 1/2, 1/4, 1/6
-    ell = Series(np.concatenate([[0.0], np.ones(11)]))
+    ell = np.r_[0j, np.ones(11)][None]
     targets = (0.5, 0.25, 1.0 / 6.0)
     for route in (gammas.gamma_via_reversion, gammas.gamma_via_bn):
-        gv = route(ell, 3)
+        gv = route(ell, 3)[0]
         for n, want in enumerate(targets, start=1):
             assert abs(bounds.bound_for(ClassSpec.f_alpha(0.0), n).value - want) < 1e-15
             assert abs(abs(gv[n - 1]) - want) < 1e-12, \
                 f"half-plane map, n={n}, {route.__name__}"
     # alpha = -1/2: the half-convex extremal reaches 3/4, 11/16, 7/8
     f0 = families.f_alpha_extremal(-0.5, "halfconvex", 12)
-    gv = gammas.gamma_via_bn(f0, 3)
+    gv = gammas.gamma_via_bn(f0, 3)[0]
     for n, want in enumerate((0.75, 11.0 / 16.0, 7.0 / 8.0), start=1):
         assert abs(bounds.bound_for(ClassSpec.f_alpha(-0.5), n).value - want) < 1e-15
         assert abs(abs(gv[n - 1]) - want) < 1e-9, f"half-convex extremal, n={n}"
@@ -163,7 +162,7 @@ def test_c06a_claimed_gc_equality_function(c):
     gap sits at the percent scale, far beyond numerics, so this line stays
     red while the campaign and substitute-extremal lines stay green."""
     f = families.gc_extremal(c, 1, 16)
-    gv = gammas.gamma_via_bn(f, 8)
+    gv = gammas.gamma_via_bn(f, 8)[0]
     gaps = [bounds.bound_Gc(n, c).value - abs(gv[n - 1]) for n in range(1, 9)]
     worst = max(abs(g) for g in gaps)
     assert worst < 1e-9, (
@@ -194,7 +193,7 @@ def test_c07_bounded_distortion_extremal_and_mean():
     for lam in (0.25, 1.0):
         for a in (0.0, 0.3, 0.7):
             f = families.u_extremal(lam, a, 12)
-            gv = gammas.gamma_via_bn(f, 2)
+            gv = gammas.gamma_via_bn(f, 2)[0]
             for n, res in ((1, bounds.bound_U_gamma1(lam, a)),
                            (2, bounds.bound_U_gamma2(lam, a))):
                 gap = abs(res.value - abs(gv[n - 1]))
@@ -218,9 +217,9 @@ def test_c08_cubic_schwarz_closed_forms():
         if tot > 0.9:
             cs = cs * (0.9 / tot)  # keep |phi| < 1 on the disk
         alpha = float(rng.uniform(-0.5, 1.0))
-        phi = Series(np.concatenate([[0.0], cs, np.zeros(order - 4)]))
+        phi = np.concatenate([[0.0], cs, np.zeros(order - 4)])[None]
         f = families.member_from_schwarz(ClassSpec.f_alpha(alpha), phi, order)
-        gv = gammas.gamma_via_bn(f, 3)
+        gv = gammas.gamma_via_bn(f, 3)[0]
         closed = gammas.gamma123_F_alpha(cs[0], cs[1], cs[2], alpha)
         worst = max(worst, max(abs(gv[i] - closed[i]) for i in range(3)))
     assert worst < 1e-9, f"closed forms drift from the generic route by {worst:.3e}"
@@ -257,41 +256,41 @@ def test_c10_kernel_round_trip_suite():
     for _ in range(KERNEL_CASES):
         s = unit_draw(rng, KERNEL_N)
         s[0] = 0.0
-        back = series.log_unit(series.exp_zero(Series(s), KERNEL_N), KERNEL_N)
-        w = max(w, maxdiff(back.coeffs, s))
+        back = series.log_unit(series.exp_zero(s[None], KERNEL_N), KERNEL_N)
+        w = max(w, maxdiff(back[0], s))
     worst["log(exp(s)) = s"] = w
 
     rng = RNG("c10-exp-log")
     w = 0.0
     for _ in range(KERNEL_CASES):
         u = unit_draw(rng, KERNEL_N)
-        back = series.exp_zero(series.log_unit(Series(u), KERNEL_N), KERNEL_N)
-        w = max(w, maxdiff(back.coeffs, u))
+        back = series.exp_zero(series.log_unit(u[None], KERNEL_N), KERNEL_N)
+        w = max(w, maxdiff(back[0], u))
     worst["exp(log(u)) = u"] = w
 
     rng = RNG("c10-recip")
     w = 0.0
     for _ in range(KERNEL_CASES):
         u = unit_draw(rng, KERNEL_N)
-        back = series.reciprocal(series.reciprocal(Series(u), KERNEL_N), KERNEL_N)
-        w = max(w, maxdiff(back.coeffs, u))
+        back = series.reciprocal(series.reciprocal(u[None], KERNEL_N), KERNEL_N)
+        w = max(w, maxdiff(back[0], u))
     worst["recip(recip(u)) = u"] = w
 
     rng = RNG("c10-revert")
     w = 0.0
     for _ in range(KERNEL_CASES):
         f = analytic_draw(rng, KERNEL_N, rho=REVERT_RHO)
-        back = series.revert(series.revert(Series(f), KERNEL_N), KERNEL_N)
-        w = max(w, maxdiff(back.coeffs, f))
+        back = series.revert(series.revert(f[None], KERNEL_N), KERNEL_N)
+        w = max(w, maxdiff(back[0], f))
     worst["revert(revert(f)) = f"] = w
 
     rng = RNG("c10-compose")
     w = 0.0
-    ident = series.identity(KERNEL_N).coeffs
+    ident = series.identity(KERNEL_N)[0]
     for _ in range(KERNEL_CASES):
-        f = Series(analytic_draw(rng, KERNEL_N, rho=REVERT_RHO))
+        f = analytic_draw(rng, KERNEL_N, rho=REVERT_RHO)[None]
         comp = series.compose(f, series.revert(f, KERNEL_N), KERNEL_N)
-        w = max(w, maxdiff(comp.coeffs, ident))
+        w = max(w, maxdiff(comp[0], ident))
     worst["compose(f, revert(f)) = id"] = w
 
     elapsed = time.perf_counter() - t0

@@ -5,14 +5,16 @@ up to the same entry point, and one runs an oversized order under an
 address-space cap; everything else avoids process spawns.
 """
 
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from invlog import cli, harness
+from invlog import cli, families, harness
 from invlog.cli import build_parser, main
 
 
@@ -373,6 +375,27 @@ def test_an_overflowing_bound_stops_verify_before_sampling(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the bound at n=515 is inf")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--class", "gc", "--c", "0.5", "--n-max", "4", "--samples", "5", "--seed", "3"),
+    ("cross-check", "--samples", "5", "--seed", "3", "--n-max", "4"),
+    ("explore", "--n-min", "4", "--n-max", "5", "--samples", "5", "--seed", "3"),
+], ids=lambda argv: argv[0])
+def test_a_sample_with_no_usable_draw_exits_2(capsys, monkeypatch, argv):
+    # four non-finite members in a row are a bad argument, not a finding
+    draw = families.draw_members
+
+    def always_nan(spec, keys, **kwargs):
+        draws = draw(spec, keys, **kwargs)
+        return dataclasses.replace(draws, theta=np.full(len(keys), math.nan))
+
+    monkeypatch.setattr(families, "draw_members", always_nan)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: sample 0: no usable draw in 4 attempts "
+                            "(non-finite coefficients)\n")
 
 
 def test_explore_exits_zero_regardless_of_findings(capsys):

@@ -16,8 +16,7 @@ import _oracles
 from _oracles import (blaschke, bn_term_scale, gamma_bn_mp, poly_mul, pow_binomial,
                       recip_neumann)
 from invlog import bounds, families, gammas, series
-from invlog.families import ClassSpec
-from invlog.series import Series
+from invlog.families import F_ALPHA_VARIANTS, ClassSpec
 
 
 def RNG(tag):
@@ -33,25 +32,24 @@ def _derivative(c: np.ndarray) -> np.ndarray:
     return c[1:] * np.arange(1, len(c))
 
 
-def _plus(c0, c: np.ndarray) -> Series:
-    """c0 + c, a constant added to a coefficient array, as a Series."""
+def _plus(c0, c: np.ndarray) -> np.ndarray:
+    """c0 + c, a constant added to a coefficient array, as a one-row stack."""
     out = np.array(c, dtype=np.complex128)
     out[0] += c0
-    return Series(out)
+    return out[None]
 
 
-def _z_fprime_over_f(f: np.ndarray) -> Series:
+def _z_fprime_over_f(f: np.ndarray) -> np.ndarray:
     # z f'/f = f' / (f/z), both known one order below f
     order = len(f) - 2
-    return series.multiply(Series(_derivative(f)), series.reciprocal(Series(f[1:]), order),
-                           order)
+    return series.multiply(_derivative(f)[None], series.reciprocal(f[None, 1:], order), order)
 
 
-def _z_fpp_over_fp(f: np.ndarray) -> Series:
+def _z_fpp_over_fp(f: np.ndarray) -> np.ndarray:
     ord2 = len(f) - 3
     fp = _derivative(f)
     zfpp = np.concatenate([[0.0], _derivative(fp)[:ord2]])
-    return series.multiply(Series(zfpp), series.reciprocal(Series(fp[: ord2 + 1]), ord2), ord2)
+    return series.multiply(zfpp[None], series.reciprocal(fp[None, : ord2 + 1], ord2), ord2)
 
 
 def _one_minus_z_to(k: int, order: int) -> list:
@@ -65,12 +63,12 @@ def _schwarz_rows(draws, order: int) -> np.ndarray:
                                   order)
 
 
-def _is_z(f: Series) -> bool:
+def _is_z(f: np.ndarray) -> bool:
     """f is exactly the identity z: what a power map leaves when its z^k
     term lies past the order."""
-    want = np.zeros(f.order + 1)
-    want[1] = 1.0
-    return np.array_equal(f.coeffs, want)
+    want = np.zeros((1, f.shape[1]))
+    want[0, 1] = 1.0
+    return np.array_equal(f, want)
 
 
 # ---------------------------------------------------------------------------
@@ -79,27 +77,27 @@ def _is_z(f: Series) -> bool:
 
 def test_koebe_coefficients():
     f = families.koebe(0.0, 10)
-    assert np.allclose(f.coeffs, np.arange(11), atol=0)
+    assert np.allclose(f[0], np.arange(11), atol=0)
     theta = 0.7
     g = families.koebe(theta, 8)
     n = np.arange(2, 9)
-    assert _maxabs(g.coeffs[2:] - n * np.exp(1j * theta * (n - 1))) < 1e-15
+    assert _maxabs(g[0][2:] - n * np.exp(1j * theta * (n - 1))) < 1e-15
 
 
 def test_koebe_equals_one_point_map_of_widest_class():
     k = families.k_AB_n(1.0, -1.0, 1, 12)
-    assert _maxabs(k.coeffs - families.koebe(0.0, 12).coeffs) < 1e-12
+    assert _maxabs(k[0] - families.koebe(0.0, 12)[0]) < 1e-12
 
 
 def test_k_AB_n_is_n_symmetric():
     f = families.k_AB_n(0.4, -0.6, 3, 13)
     for idx in range(13):
         if idx % 3 != 1:
-            assert f.coeffs[idx] == 0
-    assert abs(f.coeffs[4] - (0.4 + 0.6) / (3 * -0.6) * -0.6) < 1e-15  # (A-B)/n at z^4
+            assert f[0][idx] == 0
+    assert abs(f[0][4] - (0.4 + 0.6) / (3 * -0.6) * -0.6) < 1e-15  # (A-B)/n at z^4
     # n = order - 1 keeps its z^{n+1} term; n >= order puts every nonzero
     # term past the order, order 1 included
-    assert _maxabs(families.k_AB_n(0.4, -0.6, 3, 4).coeffs - f.coeffs[:5]) < 1e-15
+    assert _maxabs(families.k_AB_n(0.4, -0.6, 3, 4)[0] - f[0][:5]) < 1e-15
     for A, B, n, order in ((0.4, -0.6, 3, 3), (0.4, -0.6, 7, 3), (0.3, 0.0, 5, 5),
                            (1.0, -1.0, 1, 1)):
         assert _is_z(families.k_AB_n(A, B, n, order))
@@ -111,10 +109,10 @@ def test_k_AB_n_limit_form_at_B_zero():
     f = families.k_AB_n(A, 0.0, n, 11)
     for m in range(0, 5):
         want = (A / n) ** m / math.factorial(m)
-        assert abs(f.coeffs[m * n + 1] - want) < 1e-14
+        assert abs(f[0][m * n + 1] - want) < 1e-14
     # and it is the B -> 0 limit of the power form
     g = families.k_AB_n(A, 1e-9, n, 11)
-    assert _maxabs(f.coeffs - g.coeffs) < 1e-6
+    assert _maxabs(f[0] - g[0]) < 1e-6
 
 
 def test_k_AB_n_validation():
@@ -138,19 +136,19 @@ def test_spiral_extremal_with_no_tilt_reduces_to_real_family():
         for n in (1, 2, 4):
             s = families.spiral_extremal(0.0, beta, n, 10)
             k = families.k_AB_n(1.0 - 2.0 * beta, -1.0, n, 10)
-            assert _maxabs(s.coeffs - k.coeffs) < 1e-12
+            assert _maxabs(s[0] - k[0]) < 1e-12
 
 
 def test_gc_extremal_derivative_identity():
     for c, m in ((0.25, 1), (0.5, 2), (1.0, 1)):
-        dp = _derivative(families.gc_extremal(c, m, 9).coeffs)
+        dp = _derivative(families.gc_extremal(c, m, 9)[0])
         want = pow_binomial(_one_minus_z_to(m, 8), c / m, 8)
         assert _maxabs(dp - np.array(want)) < 1e-13
     # m >= order: f' = 1 to the order, so f = z
     for c, m, order in ((0.5, 4, 4), (0.25, 6, 4), (1.0, 1, 1)):
         assert _is_z(families.gc_extremal(c, m, order))
     g = families.gc_extremal(1.0, 1, 5)
-    assert np.allclose(g.coeffs, [0, 1, -0.5, 0, 0, 0], atol=1e-15)
+    assert np.allclose(g[0], [0, 1, -0.5, 0, 0, 0], atol=1e-15)
 
 
 def test_f_alpha_extremal_halfconvex_closed_form():
@@ -158,14 +156,14 @@ def test_f_alpha_extremal_halfconvex_closed_form():
     f = families.f_alpha_extremal(-0.5, "halfconvex", 12)
     n = np.arange(13)
     want = np.where(n >= 1, (n + 1) / 2.0, 0.0)
-    assert _maxabs(f.coeffs - want) < 1e-12
+    assert _maxabs(f[0] - want) < 1e-12
 
 
 def test_f_alpha_extremal_derivative_identities():
     alpha = 0.3
     for variant, k, mu in (("pow1", 1, -2.0 * 0.7), ("pow2", 2, -0.7),
                            ("pow3", 3, -2.0 * 0.7 / 3.0)):
-        dp = _derivative(families.f_alpha_extremal(alpha, variant, 9).coeffs)
+        dp = _derivative(families.f_alpha_extremal(alpha, variant, 9)[0])
         want = pow_binomial(_one_minus_z_to(k, 8), mu, 8)
         assert _maxabs(dp - np.array(want)) < 1e-13
     # k >= order: f' = 1 to the order, so f = z
@@ -219,9 +217,9 @@ def test_schwarz_rows_leading_coefficients():
 def test_blaschke_series_leading_coefficients():
     a = -0.3 + 0.25j
     b = families.blaschke_series(0.0, (a,), 4)
-    assert abs(b.coeffs[0] - a) < 1e-15
-    assert abs(b.coeffs[1] - (1.0 - abs(a) ** 2)) < 1e-15
-    assert abs(b.coeffs[2] + a.conjugate() * (1.0 - abs(a) ** 2)) < 1e-15
+    assert abs(b[0][0] - a) < 1e-15
+    assert abs(b[0][1] - (1.0 - abs(a) ** 2)) < 1e-15
+    assert abs(b[0][2] + a.conjugate() * (1.0 - abs(a) ** 2)) < 1e-15
 
 
 def test_blaschke_is_unimodular_on_the_circle():
@@ -331,7 +329,7 @@ def _member_residual(spec: ClassSpec, f: np.ndarray, phi: np.ndarray) -> float:
         ord2 = len(f) - 3
         s = phi[: ord2 + 1]
         lhs = series.multiply(_z_fpp_over_fp(f), _plus(1.0, -s), ord2)
-        return _maxabs(lhs.coeffs - s * (2.0 * (1.0 - spec.alpha)))
+        return _maxabs(lhs[0] - s * (2.0 * (1.0 - spec.alpha)))
     ord1 = len(f) - 2
     s = phi[: ord1 + 1]
     q = _z_fprime_over_f(f)
@@ -339,19 +337,19 @@ def _member_residual(spec: ClassSpec, f: np.ndarray, phi: np.ndarray) -> float:
         A = 1.0 if spec.tag == "full-s" else spec.A
         B = -1.0 if spec.tag == "full-s" else spec.B
         lhs = series.multiply(q, _plus(1.0, s * B), ord1)
-        rhs = _plus(1.0, s * A).coeffs
+        rhs = _plus(1.0, s * A)[0]
     elif spec.tag == "spiral":
         A = cmath.exp(1j * spec.alpha) * (cmath.exp(1j * spec.alpha)
                                           - 2.0 * spec.beta * math.cos(spec.alpha))
         lhs = series.multiply(q, _plus(1.0, -s), ord1)
-        rhs = _plus(1.0, s * A).coeffs
+        rhs = _plus(1.0, s * A)[0]
     elif spec.tag == "gc":
         c = spec.c
         lhs = series.multiply(q, _plus(1.0 + c, -s), ord1)
-        rhs = _plus(1.0, -s).coeffs * (1.0 + c)
+        rhs = _plus(1.0, -s)[0] * (1.0 + c)
     else:
         raise AssertionError(spec.tag)
-    return _maxabs(lhs.coeffs - rhs)
+    return _maxabs(lhs[0] - rhs)
 
 
 @pytest.mark.parametrize("spec", [
@@ -380,25 +378,25 @@ def test_member_from_schwarz_identity_phi_gives_named_extremals():
     order = 12
     phi = series.identity(order - 1)
     full = families.member_from_schwarz(ClassSpec.full_s(), phi, order)
-    assert _maxabs(full.coeffs - families.koebe(0.0, order).coeffs) < 1e-12
+    assert _maxabs(full[0] - families.koebe(0.0, order)[0]) < 1e-12
 
     star = families.member_from_schwarz(ClassSpec.star_ab(0.5, -0.5), phi, order)
-    assert _maxabs(star.coeffs - families.k_AB_n(0.5, -0.5, 1, order).coeffs) < 1e-12
+    assert _maxabs(star[0] - families.k_AB_n(0.5, -0.5, 1, order)[0]) < 1e-12
 
     fa = families.member_from_schwarz(ClassSpec.f_alpha(-0.5), phi, order)
-    assert _maxabs(fa.coeffs - families.f_alpha_extremal(-0.5, "pow1", order).coeffs) < 1e-12
+    assert _maxabs(fa[0] - families.f_alpha_extremal(-0.5, "pow1", order)[0]) < 1e-12
 
     c = 0.5
     gc = families.member_from_schwarz(ClassSpec.gc(c), phi, order)
     base = [1.0, -1.0 / (1.0 + c)] + [0.0] * (order - 2)
     want = np.concatenate([[0.0], pow_binomial(base, c, order - 1)])
-    assert _maxabs(gc.coeffs - want) < 1e-12
+    assert _maxabs(gc[0] - want) < 1e-12
 
     alpha, beta = 0.5, 0.25
     sp = families.member_from_schwarz(ClassSpec.spiral(alpha, beta), phi, order)
     gam = 2.0 * (1.0 - beta) * math.cos(alpha) * cmath.exp(1j * alpha)
     want = np.concatenate([[0.0], pow_binomial(_one_minus_z_to(1, order - 1), -gam, order - 1)])
-    assert _maxabs(sp.coeffs - want) < 1e-12
+    assert _maxabs(sp[0] - want) < 1e-12
 
 
 def test_derivative_form_member_is_the_termwise_integral():
@@ -428,7 +426,7 @@ def test_u_lambda_member_integrates_each_monomial_of_omega():
     for j in range(order - 2):
         omega = np.zeros(order - 1, dtype=np.complex128)
         omega[j] = 1.0
-        f = families.u_lambda_member(a2, Series(omega), lam, order).coeffs
+        f = families.u_lambda_member(a2, omega[None], lam, order)[0]
         den = [1.0, -a2] + [0.0] * (order - 2)
         den[j + 2] = lam / (j + 1)
         want = np.concatenate([[0.0], recip_neumann(den, order - 1)])
@@ -437,14 +435,27 @@ def test_u_lambda_member_integrates_each_monomial_of_omega():
 
 def test_member_from_schwarz_rejects_bad_phi():
     spec = ClassSpec.star_ab(1.0, -1.0)
-    with pytest.raises(ValueError):
-        families.member_from_schwarz(spec, series.Series([0.5, 1.0]), 8)
-    with pytest.raises(ValueError):
+    off = np.concatenate([series.identity(7)] * 3)
+    off[1, 0] = 0.5  # one row of the stack off is enough
+    with pytest.raises(ValueError, match="a Schwarz function must vanish at the origin"):
+        families.member_from_schwarz(spec, off, 8)
+    with pytest.raises(ValueError, match=r"phi rows of shape \(1, 3\) not known to order 7"):
         families.member_from_schwarz(spec, series.identity(2), 8)  # too short
-    with pytest.raises(TypeError):
-        families.member_from_schwarz(spec, "z", 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"phi rows of shape \(8,\) not known to order 7"):
+        families.member_from_schwarz(spec, series.identity(7)[0], 8)  # not a stack
+    with pytest.raises(ValueError, match="u-lambda members come from u_lambda_member"):
         families.member_from_schwarz(ClassSpec.u_lambda(0.5), series.identity(7), 8)
+
+
+def test_member_from_schwarz_makes_one_member_per_row_of_phi():
+    spec = ClassSpec.f_alpha(0.3)
+    draws = families.draw_members(spec, [(4, i, 0) for i in range(6)], radius_cap=0.9)
+    phi = _schwarz_rows(draws, 11)
+    rows = families.member_from_schwarz(spec, phi, 12)
+    assert np.array_equal(rows, families.member_rows(spec, draws, 12))
+    # phi known past order - 1 is read only to it
+    longer = np.concatenate([phi, np.ones((6, 5))], axis=1)
+    assert np.array_equal(families.member_from_schwarz(spec, longer, 12), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +473,13 @@ def test_u_lambda_member_structure_identity():
                                                * np.exp(1j * rng.uniform(0, 6, size=2))),
                                          order)
         a2 = complex(rng.normal(), rng.normal()) * 0.5
-        f = families.u_lambda_member(a2, omega, lam, order).coeffs
+        f = families.u_lambda_member(a2, omega, lam, order)[0]
         ord2 = order - 2
-        zf = series.reciprocal(Series(f[1:]), order - 1)  # z/f
+        zf = series.reciprocal(f[None, 1:], order - 1)  # z/f
         sq = series.multiply(zf, zf, ord2)
-        resid = np.array(series.multiply(Series(_derivative(f)[: ord2 + 1]), sq, ord2).coeffs)
+        resid = series.multiply(_derivative(f)[None, : ord2 + 1], sq, ord2)[0]
         resid[0] -= 1.0
-        resid[2:] += omega.coeffs[: ord2 - 1] * lam  # lam z^2 omega
+        resid[2:] += omega[0, : ord2 - 1] * lam  # lam z^2 omega
         assert _maxabs(resid) < 1e-10
 
 
@@ -476,9 +487,9 @@ def test_u_lambda_member_accepts_both_omega_forms():
     lam, a2, order = 0.5, 0.3 + 0.1j, 10
     const = families.u_lambda_member(a2, 0.4, lam, order)
     flat = families.blaschke_series(0.0, (), order)  # constant 1
-    assert abs(const.coeffs[2] - a2) < 1e-15
-    via_series = families.u_lambda_member(a2, Series(flat.coeffs * 0.4), lam, order)
-    assert _maxabs(const.coeffs - via_series.coeffs) < 1e-15
+    assert abs(const[0][2] - a2) < 1e-15
+    via_series = families.u_lambda_member(a2, flat * 0.4, lam, order)
+    assert _maxabs(const[0] - via_series[0]) < 1e-15
 
 
 def test_u_lambda_member_validation():
@@ -488,16 +499,49 @@ def test_u_lambda_member_validation():
         families.u_lambda_member(0.1, 0.0, 0.5, 1)
     with pytest.raises(ValueError):
         families.u_lambda_member(0.1, 1.5, 0.5, 8)  # constant omega too large
-    with pytest.raises(ValueError):
-        families.u_lambda_member(0.1, series.constant(0.5, 2), 0.5, 12)  # short omega
+    short, message = series.constant(0.5, 2), r"omega of shape \(1, 3\) is not one row known"
+    with pytest.raises(ValueError, match=message):
+        families.u_lambda_member(0.1, short, 0.5, 12)
+    omega = families.blaschke_series(0.0, (0.5,), 9)
+    for bad in (omega[0], np.concatenate([omega, omega])):  # not one row
+        with pytest.raises(ValueError, match=r"omega of shape \(.*\) is not one row known"):
+            families.u_lambda_member(0.1, bad, 0.5, 12)
 
 
 def test_u_extremal_second_coefficient():
     for lam, a in ((0.25, 0.0), (1.0, 0.3), (0.6, 0.7)):
         f = families.u_extremal(lam, a, 9)
-        assert abs(f.coeffs[2] - (1.0 + lam * bounds.v_of_x(a))) < 1e-13
+        assert abs(f[0][2] - (1.0 + lam * bounds.v_of_x(a))) < 1e-13
     with pytest.raises(ValueError):
         families.u_extremal(0.5, 1.0, 9)
+
+
+@pytest.mark.parametrize("order", [2, 3, 12])
+def test_every_builder_gives_one_normalized_row(order):
+    # a single function is a one-row stack, normalized with no rounding
+    omega = families.blaschke_series(0.2, (0.5,), max(order - 3, 0))
+    built = {
+        "koebe": families.koebe(0.7, order),
+        "power-map": families._power_map(0.5 + 0.5j, -0.3, 2, order),
+        "power-map-derivative": families._power_map(1.2, -1.0, 3, order, derivative=True),
+        "k_AB_n": families.k_AB_n(0.5, -0.5, 2, order),
+        "k_AB_n-limit": families.k_AB_n(0.2, 0.0, 1, order),
+        "spiral_extremal": families.spiral_extremal(0.5, 0.25, 1, order),
+        "gc_extremal": families.gc_extremal(0.5, 1, order),
+        "u_extremal": families.u_extremal(0.75, 0.3, order),
+        "u_lambda_member-constant": families.u_lambda_member(0.3 + 0.1j, 0.4, 0.5, order),
+        "u_lambda_member-row": families.u_lambda_member(0.3, omega, 0.5, order),
+        "member_from_schwarz": families.member_from_schwarz(ClassSpec.gc(0.5),
+                                                            series.identity(order - 1), order),
+    }
+    alpha = {"halfconvex": -0.5}
+    built.update({f"f_alpha_extremal-{v}": families.f_alpha_extremal(alpha.get(v, 0.2), v, order)
+                  for v in F_ALPHA_VARIANTS})
+    for name, f in built.items():
+        assert f.shape == (1, order + 1) and f.dtype == np.complex128, name
+        assert f[0, 0] == 0 and f[0, 1] == 1, name
+    ball = families.blaschke_series(0.2, (0.5, -0.3j), order)
+    assert ball.shape == (1, order + 1) and ball.dtype == np.complex128
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +663,9 @@ def test_bn_route_is_within_rounding_of_a_50_digit_oracle(spec):
     draws = families.draw_members(spec_or_full, [(29, i, 0) for i in range(256)], radius_cap=0.95)
     rows = families.member_rows(spec_or_full, draws, order)
     if spec is None:
-        rows[at] = families.koebe(0.0, order).coeffs
+        rows[at] = families.koebe(0.0, order)[0]
     stacked = gammas.gamma_via_bn(rows, order - 1)[at]
-    one = gammas.gamma_via_bn(Series(rows[at]), order - 1)
+    one = gammas.gamma_via_bn(rows[at:at + 1], order - 1)[0]
     want = np.array(gamma_bn_mp(rows[at], order - 1))
     scale = np.array(bn_term_scale(rows[at], order - 1))
     for got in (one, stacked):
@@ -646,7 +690,7 @@ def test_blaschke_rows_match_the_scalar_series():
         alone = families.blaschke_rows(thetas[s:s + 1], multiplicities[s:s + 1],
                                        padded[s:s + 1, : counts[s]], counts[s:s + 1], 12)
         assert np.array_equal(alone[0], rows[s])
-    assert np.array_equal(rows[0], families.blaschke_series(thetas[0], factors[0], 12).coeffs)
+    assert np.array_equal(rows[0], families.blaschke_series(thetas[0], factors[0], 12)[0])
 
 
 def test_a_dilation_draw_is_keyed_and_inside_the_class():
@@ -660,5 +704,5 @@ def test_a_dilation_draw_is_keyed_and_inside_the_class():
     theta, factors, abs_a, a2 = a
     assert len(factors) <= 3 and all(abs(x) < 0.95 for x in factors)
     omega = families.blaschke_series(theta, factors, 0)
-    assert abs_a == pytest.approx(abs(omega[0]), rel=1e-15)
+    assert abs_a == pytest.approx(abs(omega[0, 0]), rel=1e-15)
     assert abs(a2) <= 0.95 * (1.0 + 0.5 * bounds.v_of_x(abs_a))
