@@ -11,13 +11,14 @@ Subcommands:
 
 Exit status: 0 clean; 1 when a campaign turns up a mathematical violation
 (for sharpness: an asserted equality function missing its bound by more
-than tolerance noise); 2 on bad arguments, including orders above
-harness.MAX_ORDER and sizes too large to allocate.
+than tolerance noise); 2 on bad arguments, including a flag the subcommand
+does not take, orders above harness.MAX_ORDER and sizes too large to allocate.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -39,26 +40,45 @@ def _complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
 
 
-def _add_class_args(p: argparse.ArgumentParser):
-    p.add_argument("--class", dest="cls", required=True, choices=families.CLASS_TAGS)
-    _add_param_args(p)
+def _add_class_args(p: argparse.ArgumentParser, required=True, omega0=None):
+    p.add_argument("--class", dest="cls", required=required, choices=families.CLASS_TAGS)
+    _add_param_args(p, omega0)
 
 
-def _add_param_args(p: argparse.ArgumentParser):
+def _add_param_args(p: argparse.ArgumentParser, omega0=None, a2=False):
+    """The class parameter flags; --a, defaulting to omega0, and --a2 where read."""
     p.add_argument("--A", type=_rational, default=None)
     p.add_argument("--B", type=_rational, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--a", type=_complex, default=None,
-                   help="omega(0) for the bounded-distortion class")
-    p.add_argument("--a2", type=_complex, default=None)
+    if omega0 is not None:
+        p.add_argument("--a", type=_complex, default=omega0,
+                       help="omega(0) for the bounded-distortion class")
+    if a2:
+        p.add_argument("--a2", type=_complex, default=None)
 
 
-def _add_output_args(p: argparse.ArgumentParser):
+def _add_run_args(p: argparse.ArgumentParser, n_max: int, samples=None, tol=None, order=True):
+    # with the command's own defaults; a sampled command takes --samples and --seed
+    p.add_argument("--n-max", type=int, default=n_max)
+    if samples is not None:
+        p.add_argument("--samples", type=int, default=samples)
+        p.add_argument("--seed", type=int, required=True)
+    if tol is not None:
+        p.add_argument("--tol", type=float, default=tol)
+    if order:
+        p.add_argument("--order", type=int, default=None)
+
+
+def _add_output_args(p: argparse.ArgumentParser, table=False):
+    # a table command (gamma, bounds) prints a human table by default, --format first
+    if table:
+        p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.add_argument("--output", default=None, help="write the report to this path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    if not table:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 _FLAGS = {"lam": "--lambda"}  # ClassSpec fields whose flag is not --<field>
@@ -93,14 +113,10 @@ def _require_counts(args):
                  f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
-def _omega0(args):
-    return 0.0 if args.a is None else args.a
-
-
 def _u_extremal(args, order: int):
-    a = _omega0(args)
-    _require(a.imag == 0 and 0 <= a.real < 1, "--family u-extremal needs real --a in [0,1)")
-    return families.u_extremal(args.lam, a.real, order)
+    _require(args.a.imag == 0 and 0 <= args.a.real < 1,
+             "--family u-extremal needs real --a in [0,1)")
+    return families.u_extremal(args.lam, args.a.real, order)
 
 
 # each gamma family: the parameter flags it needs (--a is optional where
@@ -118,8 +134,7 @@ GAMMA_FAMILIES = {
     "gc": (("c",), lambda args, order: families.gc_extremal(args.c, args.n, order)),
     "u-extremal": (("lam",), _u_extremal),
     "u-member": (("lam", "a2"),
-                 lambda args, order: families.u_lambda_member(args.a2, _omega0(args), args.lam,
-                                                              order)),
+                 lambda args, order: families.u_lambda_member(args.a2, args.a, args.lam, order)),
     "f-alpha": (("alpha",),
                 lambda args, order: families.f_alpha_extremal(args.alpha, args.variant, order)),
 }
@@ -161,9 +176,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_bounds(args) -> int:
     spec = _spec_from_args(args)
-    abs_a = None
-    if spec.entry.per_sample_bound:
-        abs_a = harness.DEFAULT_ABS_A if args.a is None else abs(args.a)
+    abs_a = abs(args.a) if spec.entry.per_sample_bound else None
     lines = [f"bounds for {spec.label()}" + (f" at |omega(0)| = {abs_a:g}" if abs_a is not None else "")]
     rows = []
     for n in range(1, args.n_max + 1):
@@ -220,9 +233,8 @@ def cmd_cross_check(args) -> int:
 def cmd_sharpness(args) -> int:
     spec = _spec_from_args(args)
     n_max = args.n if args.n is not None else args.n_max
-    abs_a = harness.DEFAULT_ABS_A if args.a is None else abs(args.a)
     report = harness.sharpness_check(spec, n_max, tol=args.tol, order=args.order,
-                                     abs_a=abs_a, n_min=n_max if args.n is not None else 1)
+                                     abs_a=abs(args.a), n_min=n_max if args.n is not None else 1)
     return _finish_report(report, args)
 
 
@@ -245,64 +257,48 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="logarithmic coefficients of inverse functions: "
                                             "computation, bounds, verification")
     sub = p.add_subparsers(dest="command", required=True)
+    # no prefix matching: a flag the command does not take (--a) is not read as --alpha
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    g = sub.add_parser("gamma", help="Gamma coefficients of a named function")
+    g = command("gamma", help="Gamma coefficients of a named function")
     g.add_argument("--family", required=True, choices=GAMMA_FAMILIES)
     g.add_argument("--theta", type=float, default=0.0)
     g.add_argument("--n", type=int, default=1, help="symmetry index for star-ab/spiral/gc")
     g.add_argument("--variant", choices=families.F_ALPHA_VARIANTS, default="pow1")
-    g.add_argument("--n-max", type=int, default=6)
-    g.add_argument("--order", type=int, default=None)
-    _add_param_args(g)
-    g.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    g.add_argument("--output", default=None)
+    _add_run_args(g, 6)
+    _add_param_args(g, omega0=0.0, a2=True)
+    _add_output_args(g, table=True)
     g.set_defaults(fn=cmd_gamma)
 
-    b = sub.add_parser("bounds", help="bound table for a class")
-    _add_class_args(b)
-    b.add_argument("--n-max", type=int, default=8)
-    b.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    b.add_argument("--output", default=None)
+    b = command("bounds", help="bound table for a class")
+    _add_class_args(b, omega0=harness.DEFAULT_ABS_A)
+    _add_run_args(b, 8, order=False)
+    _add_output_args(b, table=True)
     b.set_defaults(fn=cmd_bounds)
 
-    v = sub.add_parser("verify", help="sampled bound verification")
+    v = command("verify", help="sampled bound verification")
     _add_class_args(v)
-    v.add_argument("--n-max", type=int, default=8)
-    v.add_argument("--samples", type=int, default=200)
-    v.add_argument("--seed", type=int, required=True)
-    v.add_argument("--tol", type=float, default=1e-9)
-    v.add_argument("--order", type=int, default=None)
+    _add_run_args(v, 8, samples=200, tol=1e-9)
     _add_output_args(v)
     v.set_defaults(fn=cmd_verify)
 
-    x = sub.add_parser("cross-check", help="two-route agreement campaign")
-    x.add_argument("--class", dest="cls", default=None, choices=families.CLASS_TAGS)
-    _add_param_args(x)
-    x.add_argument("--n-max", type=int, default=12)
-    x.add_argument("--samples", type=int, default=200)
-    x.add_argument("--seed", type=int, required=True)
-    x.add_argument("--tol", type=float, default=1e-10)
-    x.add_argument("--order", type=int, default=None)
+    x = command("cross-check", help="two-route agreement campaign")
+    _add_class_args(x, required=False)
+    _add_run_args(x, 12, samples=200, tol=1e-10)
     _add_output_args(x)
     x.set_defaults(fn=cmd_cross_check)
 
-    s = sub.add_parser("sharpness", help="equality-function gap check")
-    _add_class_args(s)
+    s = command("sharpness", help="equality-function gap check")
+    _add_class_args(s, omega0=harness.DEFAULT_ABS_A)
     s.add_argument("--n", type=int, default=None, help="check this order only")
-    s.add_argument("--n-max", type=int, default=4)
-    s.add_argument("--tol", type=float, default=1e-9)
-    s.add_argument("--order", type=int, default=None)
+    _add_run_args(s, 4, tol=1e-9)
     _add_output_args(s)
     s.set_defaults(fn=cmd_sharpness)
 
-    e = sub.add_parser("explore", help="probe open orders of the convex class")
+    e = command("explore", help="probe open orders of the convex class")
     e.add_argument("--class", dest="cls", default="convex", choices=("convex",))
     e.add_argument("--n-min", type=int, default=4)
-    e.add_argument("--n-max", type=int, default=9)
-    e.add_argument("--samples", type=int, default=500)
-    e.add_argument("--seed", type=int, required=True)
-    e.add_argument("--tol", type=float, default=1e-9)
-    e.add_argument("--order", type=int, default=None)
+    _add_run_args(e, 9, samples=500, tol=1e-9)
     _add_output_args(e)
     e.set_defaults(fn=cmd_explore)
     return p

@@ -3,7 +3,8 @@
 Members are produced from each class's defining subordination with a true
 Schwarz function, so membership holds by construction; there is no
 a-posteriori boundary checking of truncated series. The named power-map
-extremals are the same subordination at phi = z^k. The exception is the
+extremals are a subordination at phi = z^k, though spiral's real-power map
+and gc's claimed map are not their class's own. The exception is the
 bounded-distortion class ("u-lambda"), whose members and extremal come from
 the structure formula f = z / (1 - a2 z + lam * z * int(omega)) with an
 analytic omega bounded by 1.
@@ -11,9 +12,9 @@ analytic omega bounded by 1.
 Random members are drawn a chunk of keys at a time: draw_members gives
 each key, as columns, the bits numpy's default generator seeded with the
 key would (see invlog.keyed), and member_rows turns the columns into
-member rows; that is the one path every campaign builds its members by.
-member_from_schwarz and u_lambda_member run the same row code on explicit
-Schwarz functions or a dilation. Every function here gives its members as
+Blaschke products and those into members with the public builders,
+member_from_schwarz and u_lambda_member; that is the one path every
+campaign builds its members by. Every function here gives its members as
 an (S, order+1) stack, one member per row; a single function, such as a
 named extremal, is a one-row stack.
 """
@@ -141,22 +142,35 @@ def gc_extremal(c: float, m: int, order: int) -> np.ndarray:
 
 
 def u_lambda_member(a2, omega, lam: float, order: int) -> np.ndarray:
-    """f = z / (1 - a2 z + lam z int_0^z omega(t) dt).
+    """f = z / (1 - a2 z + lam z int_0^z omega(t) dt), one member per value of a2.
 
-    omega may be one row, a (1, >= order - 2) stack (analytic, bounded by
-    1 -- the caller's responsibility), or a complex constant of modulus
-    <= 1. The construction satisfies f'(z/f)^2 - 1 = -lam z^2 omega
-    identically. perfbench's tracer wraps this name, so it stays.
+    a2 is one value or a column of S; omega is a complex constant of modulus
+    <= 1, shared by every row, or an (S, >= order - 2) stack (analytic,
+    bounded by 1 -- the caller's responsibility). The construction satisfies
+    f'(z/f)^2 - 1 = -lam z^2 omega identically. A row may come back
+    non-finite: an overflow, left to the caller, raises no warning.
+    perfbench's tracer wraps this name, so it stays.
     """
     check_u_lambda(lam)
     if order < 2:
         raise ValueError("order must be >= 2")
-    # order 2 never reads omega: f = z / (1 - a2 z) there
-    omega = _omega_row(omega, order - 3) if order >= 3 else None
-    return u_lambda_rows([complex(a2)], omega, lam, order)
+    a2 = np.atleast_1d(np.asarray(a2, dtype=np.complex128))
+    dord = order - 1
+    den = np.zeros((len(a2), dord + 1), dtype=np.complex128)
+    den[:, 0] = 1.0
+    den[:, 1] = -a2
+    if dord >= 2:  # order 2 never reads omega: f = z / (1 - a2 z) there
+        omega = _omega_rows(omega, len(a2), order - 3)
+        # (z * int omega)[k] = omega_{k-2} / (k-1) for k >= 2
+        den[:, 2:] += lam * omega[:, : dord - 1] / np.arange(1, dord, dtype=np.float64)
+    f = np.zeros((len(a2), order + 1), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f[:, 1:] = series.reciprocal(den, dord)
+    return f
 
 
-def _omega_row(omega, order: int) -> np.ndarray:
+def _omega_rows(omega, rows: int, order: int) -> np.ndarray:
+    """omega known to order: a constant as one row all members share, or one row each."""
     if np.ndim(omega) == 0:
         val = complex(omega)
         if abs(val) > 1:
@@ -164,8 +178,8 @@ def _omega_row(omega, order: int) -> np.ndarray:
         c = np.zeros((1, order + 1), dtype=np.complex128)
         c[0, 0] = val
         return c
-    if omega.ndim != 2 or omega.shape[0] != 1 or omega.shape[1] <= order:
-        raise ValueError(f"omega of shape {omega.shape} is not one row known to order {order}")
+    if omega.ndim != 2 or omega.shape[0] != rows or omega.shape[1] <= order:
+        raise ValueError(f"omega of shape {omega.shape} is not a ({rows}, >= {order + 1}) stack")
     return omega
 
 
@@ -328,23 +342,22 @@ def member_from_schwarz(spec: ClassSpec, phi, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # members in batches: one member per row of an (S, order+1) array
 #
-# The one implementation of the members: campaigns call these on a chunk of
-# draws; blaschke_series, member_from_schwarz and u_lambda_member validate
-# their arguments and call them. Each caller checks the finished rows for
+# member_rows builds a chunk of campaign members through the public builders.
+# blaschke_rows and subordination_rows are the row kernels under them, and
+# subordination_rows also makes the named power maps, which need not be
+# their class's subordination. Each caller checks the finished rows for
 # overflow, never an intermediate one.
 
 
 def member_rows(spec: ClassSpec, draws: MemberDraws, order: int) -> np.ndarray:
     """One member of the class per row of draw_members' columns, as rows."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
     dilation = spec.entry.subordination is None
     # a dilation omega is known to order - 3, a Schwarz function phi to order - 1
     ball = blaschke_rows(draws.theta, draws.multiplicity, draws.factors, draws.count,
                          max(order - 3, 0) if dilation else order - 1)
     if dilation:
-        return u_lambda_rows(draws.a2, ball, spec.lam, order)
-    return subordination_rows(*spec.entry.subordination(spec), spec.entry.derivative, ball, order)
+        return u_lambda_member(draws.a2, ball, spec.lam, order)
+    return member_from_schwarz(spec, ball, order)
 
 
 def blaschke_rows(thetas, multiplicities, factors, counts, order: int) -> np.ndarray:
@@ -384,21 +397,6 @@ def subordination_rows(a, b, derivative: bool, phi: np.ndarray, order: int) -> n
     unit = series.exp_zero(log_unit, order - 1)
     f = np.zeros((phi.shape[0], order + 1), dtype=np.complex128)
     f[:, 1:] = unit / np.arange(1, order + 1) if derivative else unit
-    return f
-
-
-def u_lambda_rows(a2, omega: np.ndarray, lam: float, order: int) -> np.ndarray:
-    """u_lambda_member on each row: f = z / (1 - a2 z + lam z int omega),
-    with a2 one value per row and omega rows known to order - 3."""
-    dord = order - 1
-    den = np.zeros((len(a2), dord + 1), dtype=np.complex128)
-    den[:, 0] = 1.0
-    den[:, 1] = -np.asarray(a2, dtype=np.complex128)
-    if dord >= 2:
-        # (z * int omega)[k] = omega_{k-2} / (k-1) for k >= 2
-        den[:, 2:] += lam * omega[:, : dord - 1] / np.arange(1, dord, dtype=np.float64)
-    f = np.zeros((len(a2), order + 1), dtype=np.complex128)
-    f[:, 1:] = series.reciprocal(den, dord)
     return f
 
 

@@ -195,8 +195,8 @@ class VerifyReport:
 
     def write(self, path: str, fmt: str = "json"):
         text = self.to_json() if fmt == "json" else self.to_csv()
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(path, "w") as fh:  # 1 MiB at a time, so no encoded copy of all the text
+            fh.writelines(text[i:i + (1 << 20)] for i in range(0, len(text), 1 << 20))
 
     def _chunks(self, mask) -> list:
         """(sample, order) indices of the rows mask selects (all when None), CHUNK
@@ -273,8 +273,7 @@ def _draw_chunk(spec: ClassSpec, seed: int, ids, order: int, radius_cap: float):
         if draws.abs_a is not None:
             abs_a[todo] = draws.abs_a
         # overflow shows up as a non-finite row, caught below
-        with np.errstate(all="ignore"):
-            members = families.member_rows(spec, draws, order)
+        members = families.member_rows(spec, draws, order)
         rows[todo] = members
         todo = todo[~np.isfinite(members).all(axis=1)]
         for j in todo.tolist():

@@ -90,6 +90,11 @@ FAILING = [
     ("explore", "--seed", "1", "--n-min", "0"),
     ("explore", "--seed", "-1", "--samples", "2"),
     ("explore", "--n-max", "9", "--samples", "1", "--seed", "1", "--order", "1025"),
+    ("gamma", "--family", "u-member", "--lambda", "0.5", "--a2", "1e200", "--n-max", "5"),
+    ("verify", "--class", "u-lambda", "--lambda", "0.5", "--seed", "1", "--a", "0.3"),
+    ("cross-check", "--seed", "1", "--a2", "1"),
+    ("bounds", "--class", "full-s", "--a2", "1"),
+    ("sharpness", "--class", "full-s", "--a2", "1"),
 ]
 
 

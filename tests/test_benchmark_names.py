@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import invlog
+from invlog.families import ClassSpec
 
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -47,3 +48,20 @@ def test_the_kernel_probe_runs_every_op(run, monkeypatch):
     monkeypatch.setattr(run, "KERNEL_MIN_S", 0.0)
     out = run.kernel_probe(invlog)
     assert set(out) == {f"{op}_{unit}.N16" for op in run.KERNEL_OPS for unit in ("ms", "madds")}
+
+
+@pytest.mark.parametrize("spec, name", [(ClassSpec.gc(0.5), "families.member_from_schwarz"),
+                                        (ClassSpec.u_lambda(0.5), "families.u_lambda_member")],
+                         ids=lambda v: v.label() if isinstance(v, ClassSpec) else None)
+def test_the_tracer_times_the_member_build_once_per_draw_pass(run, monkeypatch, spec, name):
+    # campaigns build their members through the wrapped public builders
+    monkeypatch.setattr(invlog.harness, "CHUNK", 4)
+    tracer = run.Tracer()
+    saved = tracer.install(invlog)
+    try:
+        invlog.harness.verify_bounds(spec, 3, 10, 1)
+    finally:
+        run.Tracer.restore(saved)
+    calls = [span[0] for span in tracer.spans]
+    # three chunks of four keys, none redrawn: one stacked build each
+    assert calls.count(name) == 3

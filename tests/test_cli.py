@@ -364,6 +364,15 @@ def test_a_value_beyond_double_precision_is_an_error_in_every_format(capsys, arg
     assert captured.err.startswith("error: ") and f" at n={first} is " in captured.err
 
 
+def test_an_overflowing_member_is_an_error_without_a_warning(capsys):
+    # the builder's reciprocal overflows quietly; the route refuses the member
+    assert run_cli("gamma", "--family", "u-member", "--lambda", "0.5", "--a2", "1e200",
+                   "--n-max", "5") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coefficients must be finite\n"
+
+
 def test_an_overflowing_bound_stops_verify_before_sampling(capsys, monkeypatch):
     def no_draw(*args):
         raise AssertionError("sampled before the bounds were checked")
@@ -495,6 +504,22 @@ def test_seed_is_required_on_campaigns(capsys):
         run_cli("verify", "--class", "gc", "--c", "0.5")
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--class", "u-lambda", "--lambda", "0.5", "--seed", "1", "--a", "0.3"),
+    ("cross-check", "--seed", "1", "--a2", "1"),
+    ("bounds", "--class", "full-s", "--a2", "1"),
+    ("sharpness", "--class", "full-s", "--a2", "1"),
+], ids=lambda argv: argv[0])
+def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
+    # --a is not taken as a prefix of --alpha either
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
 def test_unknown_class_rejected(capsys):

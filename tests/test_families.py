@@ -499,13 +499,29 @@ def test_u_lambda_member_validation():
         families.u_lambda_member(0.1, 0.0, 0.5, 1)
     with pytest.raises(ValueError):
         families.u_lambda_member(0.1, 1.5, 0.5, 8)  # constant omega too large
-    short, message = series.constant(0.5, 2), r"omega of shape \(1, 3\) is not one row known"
+    short, message = series.constant(0.5, 2), r"omega of shape \(1, 3\) is not a \(1, >= 10\) stack"
     with pytest.raises(ValueError, match=message):
         families.u_lambda_member(0.1, short, 0.5, 12)
     omega = families.blaschke_series(0.0, (0.5,), 9)
-    for bad in (omega[0], np.concatenate([omega, omega])):  # not one row
-        with pytest.raises(ValueError, match=r"omega of shape \(.*\) is not one row known"):
+    for bad in (omega[0], np.concatenate([omega, omega])):  # not one row per a2
+        with pytest.raises(ValueError, match=r"omega of shape \(.*\) is not a \(1, >= 10\) stack"):
             families.u_lambda_member(0.1, bad, 0.5, 12)
+
+
+def test_u_lambda_member_makes_one_member_per_value_of_a2():
+    lam, order = 0.75, 12
+    a2 = np.array([0.3 + 0.1j, -0.2, 1.1j])
+    omega = np.concatenate([families.blaschke_series(t, (0.5j, -0.3), order - 3)
+                            for t in (0.0, 1.0, 2.0)])
+    rows = families.u_lambda_member(a2, omega, lam, order)
+    alone = [families.u_lambda_member(a, w[None], lam, order) for a, w in zip(a2, omega)]
+    assert np.array_equal(rows, np.concatenate(alone))
+    # a constant omega is every row's
+    const = families.u_lambda_member(a2, 0.4, lam, order)
+    assert np.array_equal(const, np.concatenate(
+        [families.u_lambda_member(a, 0.4, lam, order) for a in a2]))
+    with pytest.raises(ValueError, match=r"omega of shape \(2, 10\) is not a \(3, >= 10\) stack"):
+        families.u_lambda_member(a2, omega[:2], lam, order)
 
 
 def test_u_extremal_second_coefficient():

@@ -78,6 +78,17 @@ def test_report_write_file(tmp_path):
     assert json.loads(p_json.read_text())["kind"] == "cross-check"
 
 
+def test_a_report_longer_than_one_write_slice_is_written_whole(tmp_path):
+    # write hands the text to the file 1 MiB at a time; this one takes three
+    rep = harness.VerifyReport("verify", "long", {}, 1, 2, 0, None, 0.0,
+                               notes=["x" * (5 << 19)])
+    text = rep.to_json()
+    assert 2 << 20 < len(text) < 3 << 20
+    p = tmp_path / "r.json"
+    rep.write(str(p), "json")
+    assert p.read_text() == text
+
+
 def test_flag_grading_thresholds():
     tol = 1e-9
     assert harness._flag(0.0, tol) == "ok"
