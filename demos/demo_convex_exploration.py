@@ -9,6 +9,8 @@ failures, and this run produces plenty of them.
 """
 
 from invlog import harness
+from invlog.bounds import bound_for
+from invlog.families import ClassSpec
 
 
 def main():
@@ -19,7 +21,8 @@ def main():
           f"{'members over':>12}")
     for row in rep.summary:
         n = row["n"]
-        marker = "proved bound" if n <= 3 else "conjectured 1"
+        proved = bound_for(ClassSpec.f_alpha(0.0), n).applicable
+        marker = "proved bound" if proved else "conjectured 1"
         print(f" {n:>2}  {row['max_ratio']:>16.9f}  {row['argmax_sample']:>9}  "
               f"{row['exceed_count']:>12}   vs {marker}")
     print(f"\nflags: {rep.counts()}")

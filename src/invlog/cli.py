@@ -9,15 +9,19 @@ Subcommands:
   explore      probe the open orders of the convex class
   cross-check  two-route agreement campaign
 
+Every command writes through harness.dumps and harness.write_text.
+
 Exit status: 0 clean; 1 when a campaign turns up a mathematical violation
 (for sharpness: an asserted equality function missing its bound by more
 than tolerance noise); 2 on bad arguments, including a flag the subcommand
+does not take, a class or family parameter flag the chosen class or family
 does not take, orders above harness.MAX_ORDER and sizes too large to allocate.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from fractions import Fraction
@@ -81,13 +85,17 @@ def _add_output_args(p: argparse.ArgumentParser, table=False):
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-_FLAGS = {"lam": "--lambda"}  # ClassSpec fields whose flag is not --<field>
+_PARAMS = ("A", "B", "alpha", "beta", "c", "lam", "a2")  # not --a: its default hides a value
 
 
 def _require_flags(args, names, what: str):
-    """Reject a class or family missing any of its parameter flags, naming each."""
-    missing = [_FLAGS.get(name, f"--{name}") for name in names if getattr(args, name) is None]
-    _require(not missing, f"{what} needs {' and '.join(missing)}")
+    """Reject a class or family missing a parameter flag or given one it does not take."""
+    missing = [name for name in names if getattr(args, name) is None]
+    extra = [name for name in _PARAMS
+             if name not in names and getattr(args, name, None) is not None]
+    for bad, verb in ((missing, "needs"), (extra, "does not take")):
+        flags = " and ".join("--lambda" if name == "lam" else f"--{name}" for name in bad)
+        _require(not bad, f"{what} {verb} {flags}")
 
 
 def _spec_from_args(args) -> ClassSpec:
@@ -146,73 +154,57 @@ def _gamma_function(args, order: int):
     return build(args, order)
 
 
-def cmd_gamma(args) -> int:
-    n_max = args.n_max
-    order = harness._resolve_order(n_max, args.order)
-    f = _gamma_function(args, order)
-    gams = gammas.gamma_via_bn(f, n_max)[0]  # an overflow is reported below, at its first n
-    lines_csv = ["n,re,im,abs"]
-    human = [f"Gamma_n for family {args.family} (order {order}, route: bn-identity)"]
-    payload = []
-    for n in range(1, n_max + 1):
-        g = complex(gams[n - 1])
-        _require(np.isfinite(g), f"Gamma at n={n} is {g}, beyond double precision; lower n_max")
-        payload.append({"n": n, "re": g.real, "im": g.imag, "abs": abs(g)})
-        lines_csv.append(",".join((str(n), harness._fmt17(g.real), harness._fmt17(g.imag),
-                                   harness._fmt17(abs(g)))))
-        human.append(f"  n={n:3d}  re={g.real:+.12e}  im={g.imag:+.12e}  |Gamma|={abs(g):.12e}")
-    if args.format == "csv":
-        text = "\n".join(lines_csv) + "\n"
-    elif args.format == "json":
-        import json
-        text = json.dumps({"family": args.family, "n_max": n_max, "order": order,
-                           "gammas": payload}, sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
+def _table(args, payload: dict, rows: list, title: str, line, cell=harness._fmt17) -> int:
+    """Write a table command's rows (dicts with the same keys) in --format: json is payload,
+    which holds them; csv their keys, then cell(value); human the title, then line(row)."""
+    if args.format == "json":
+        lines = [harness.dumps(payload)]
+    elif args.format == "csv":
+        lines = [",".join(rows[0])] + [",".join(map(cell, row.values())) for row in rows]
     else:
-        text = "\n".join(human) + "\n"
-    _emit(text, args.output)
+        lines = [title, *map(line, rows)]
+    harness.write_text("\n".join(lines) + "\n", args.output)
     return 0
+
+
+def cmd_gamma(args) -> int:
+    order = harness._resolve_order(args.n_max, args.order)
+    gams = gammas.gamma_via_bn(_gamma_function(args, order), args.n_max)[0]
+    rows = []
+    for n, g in enumerate(gams.tolist(), start=1):  # an overflow stops at its first n
+        _require(np.isfinite(g), f"Gamma at n={n} is {g}, beyond double precision; lower n_max")
+        rows.append({"n": n, "re": g.real, "im": g.imag, "abs": abs(g)})
+    return _table(args, {"family": args.family, "n_max": args.n_max, "order": order,
+                         "gammas": rows}, rows,
+                  f"Gamma_n for family {args.family} (order {order}, route: bn-identity)",
+                  lambda r: f"  n={r['n']:3d}  re={r['re']:+.12e}  im={r['im']:+.12e}  "
+                            f"|Gamma|={r['abs']:.12e}")
+
+
+def _bound_line(r: dict) -> str:
+    if not r["applicable"]:
+        return f"  n={r['n']:3d}  |Gamma_n| <= n/a  ({r['branch']}): {r['note']}"
+    note = f"   [{r['note']}]" if r["note"] else ""
+    return f"  n={r['n']:3d}  |Gamma_n| <= {r['value']:.12e}  ({r['branch']}){note}"
 
 
 def cmd_bounds(args) -> int:
     spec = _spec_from_args(args)
     abs_a = abs(args.a) if spec.entry.per_sample_bound else None
-    lines = [f"bounds for {spec.label()}" + (f" at |omega(0)| = {abs_a:g}" if abs_a is not None else "")]
-    rows = []
-    for n in range(1, args.n_max + 1):
-        res = bound_for(spec, n, abs_a=abs_a)
-        rows.append({"n": n, "value": res.value, "branch": res.branch,
-                     "applicable": res.applicable, "note": res.note})
-        if res.applicable:
-            note = f"   [{res.note}]" if res.note else ""
-            lines.append(f"  n={n:3d}  |Gamma_n| <= {res.value:.12e}  ({res.branch}){note}")
-        else:
-            lines.append(f"  n={n:3d}  |Gamma_n| <= n/a  ({res.branch}): {res.note}")
-    if args.format == "json":
-        import json
-        text = json.dumps({"label": spec.label(), "params": spec.params(), "rows": rows},
-                          sort_keys=True, indent=2, allow_nan=False) + "\n"
-    elif args.format == "csv":
-        out = ["n,value,branch,applicable,note"]
-        for r in rows:
-            val = "n/a" if r["value"] is None else harness._fmt17(r["value"])
-            out.append(f'{r["n"]},{val},{r["branch"]},{int(r["applicable"])},{r["note"]}')
-        text = "\n".join(out) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return 0
+    rows = [dataclasses.asdict(bound_for(spec, n, abs_a=abs_a)) for n in range(1, args.n_max + 1)]
+    at = f" at |omega(0)| = {abs_a:g}" if abs_a is not None else ""
+    return _table(args, {"label": spec.label(), "params": spec.params(), "rows": rows}, rows,
+                  f"bounds for {spec.label()}{at}", _bound_line,
+                  lambda v: "n/a" if v is None else harness._fmt17(  # applicable: 0 or 1
+                      int(v) if isinstance(v, bool) else v))
 
 
 def _finish_report(report, args) -> int:
+    report.write(args.output, args.format)
     if args.output:
-        report.write(args.output, args.format)
         counts = report.counts()  # a sampled campaign's rows stay columns
         print(f"{report.kind}: {report.label}  rows={sum(counts.values())}  "
               f"counts={counts}  ok={report.ok}  -> {args.output}")
-    else:
-        text = report.to_json() if args.format == "json" else report.to_csv()
-        sys.stdout.write(text)
     return 0 if report.ok else 1
 
 
@@ -224,6 +216,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cross_check(args) -> int:
+    if args.cls is None:  # the default class, star-ab(1,-1), takes no parameter flag
+        _require_flags(args, (), "cross-check with no --class")
     spec = _spec_from_args(args) if args.cls else None
     report = harness.cross_check(args.samples, args.seed, args.n_max, tol=args.tol,
                                  spec=spec, order=args.order)
@@ -242,14 +236,6 @@ def cmd_explore(args) -> int:
     report = harness.explore_convex_large_n(args.n_min, args.n_max, args.samples,
                                             args.seed, order=args.order, tol=args.tol)
     return _finish_report(report, args)
-
-
-def _emit(text: str, output: str | None):
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -352,9 +352,9 @@ def member_from_schwarz(spec: ClassSpec, phi, order: int) -> np.ndarray:
 def member_rows(spec: ClassSpec, draws: MemberDraws, order: int) -> np.ndarray:
     """One member of the class per row of draw_members' columns, as rows."""
     dilation = spec.entry.subordination is None
-    # a dilation omega is known to order - 3, a Schwarz function phi to order - 1
+    # omega to order - 3, phi to order - 1, never below 0: the builders refuse order < 2
     ball = blaschke_rows(draws.theta, draws.multiplicity, draws.factors, draws.count,
-                         max(order - 3, 0) if dilation else order - 1)
+                         max(order - 3 if dilation else order - 1, 0))
     if dilation:
         return u_lambda_member(draws.a2, ball, spec.lam, order)
     return member_from_schwarz(spec, ball, order)
@@ -365,6 +365,8 @@ def blaschke_rows(thetas, multiplicities, factors, counts, order: int) -> np.nda
     the a_j = factors[s, j] with j < counts[s]; m = 0 leaves out the z^m
     factor, as blaschke_series does. Factor slot j multiplies only the rows
     that have a j-th factor."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     thetas, m = np.asarray(thetas, dtype=np.float64), np.asarray(multiplicities)
     factors, counts = np.asarray(factors, dtype=np.complex128), np.asarray(counts)
     out = np.zeros((len(thetas), order + 1), dtype=np.complex128)

@@ -23,7 +23,9 @@ each distinct function once and runs the bn route on all of them as one
 stack, up to the campaign's largest bounded order.
 VerifyReport.to_json and to_csv are byte-identical to the reference writers
 in tests/_oracles.py (the whole payload through json's indent encoder, one
-format per CSV cell).
+format per CSV cell). dumps and write_text are the package's one JSON
+spelling and one sink (a path or stdout, 1 MiB at a time), reports and CLI
+tables alike.
 
 The sampled campaigns share one sample loop, _sample, and CHUNK bounds only
 the draw and the routes: it takes CHUNK sample indices at a time, draws
@@ -52,9 +54,11 @@ are the report's violations.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import compress
@@ -78,6 +82,17 @@ def _flag(excess, tol: float):
     excess = np.asarray(excess)
     level = (~(excess <= tol)).astype(np.intp) + ~(excess <= 10.0 * tol)
     return np.array(("ok", "numerical", "mathematical"), dtype=object)[level]
+
+
+def dumps(obj) -> str:
+    """The one JSON spelling of reports and CLI tables: sorted keys, indent 2, no NaN."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+def write_text(text: str, path: str | None = None):
+    """Put text on path, or on sys.stdout without one, 1 MiB at a time: never encoded whole."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(text[i:i + (1 << 20)] for i in range(0, len(text), 1 << 20))
 
 
 def _fmt17(x) -> str:
@@ -157,9 +172,8 @@ class VerifyReport:
         return not self.mathematical_violations
 
     def to_json(self) -> str:
-        """json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), one key at a
-        time. Rows and violations of a column-backed report with finite floats come
-        from its columns."""
+        """dumps(payload), one key at a time. Rows and violations of a column-backed
+        report with finite floats come from its columns."""
         cols = self._columns
         columnar = cols is not None and all(np.isfinite(col).all() for col in cols.values()
                                             if col.dtype.kind == "f")
@@ -178,8 +192,7 @@ class VerifyReport:
                 body = self._text(masks[key], cols, line, float.__repr__, json.dumps)
                 pieces += ["[", body[0][1:], *body[1:], "\n  ]"] if body else ["[]"]
             else:  # indented one level: strings hold no raw newline
-                pieces.append(json.dumps(payload[key], sort_keys=True, indent=2,
-                                         allow_nan=False).replace("\n", "\n  "))
+                pieces.append(dumps(payload[key]).replace("\n", "\n  "))
             sep = ","
         pieces.append("\n}\n")
         return "".join(pieces)
@@ -193,10 +206,8 @@ class VerifyReport:
         return "".join(lines + self._text(None, CSV_COLUMNS, line, "%.17g".__mod__, _fmt17)
                        + ["\n"])
 
-    def write(self, path: str, fmt: str = "json"):
-        text = self.to_json() if fmt == "json" else self.to_csv()
-        with open(path, "w") as fh:  # 1 MiB at a time, so no encoded copy of all the text
-            fh.writelines(text[i:i + (1 << 20)] for i in range(0, len(text), 1 << 20))
+    def write(self, path: str | None, fmt: str = "json"):  # on stdout when path is None
+        write_text(self.to_json() if fmt == "json" else self.to_csv(), path)
 
     def _chunks(self, mask) -> list:
         """(sample, order) indices of the rows mask selects (all when None), CHUNK
@@ -246,6 +257,7 @@ class VerifyReport:
 CHUNK = 256  # sample indices drawn and computed as one batch
 
 MAX_ORDER = 1024  # the largest order a campaign or `invlog gamma` runs at; work grows as order^3
+RADIUS_CAP = 0.95  # explore_convex_large_n's Blaschke radius cap, and verify_bounds' default
 
 
 def _draw_chunk(spec: ClassSpec, seed: int, ids, order: int, radius_cap: float):
@@ -413,7 +425,7 @@ def cross_check(samples: int, seed: int, n_max: int, tol: float = 1e-10, *,
 
 def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
                   tol: float = 1e-9, *, order: int | None = None,
-                  radius_cap: float = 0.95) -> VerifyReport:
+                  radius_cap: float = RADIUS_CAP) -> VerifyReport:
     """Check |Gamma_n| <= bound on random members, for every n with a bound.
 
     Bounds are per-class constants except for the bounded-distortion class,
@@ -499,8 +511,7 @@ def sharpness_check(spec: ClassSpec, n_max: int, tol: float = 1e-9, *,
 
 
 def explore_convex_large_n(n_min: int, n_max: int, samples: int, seed: int, *,
-                           order: int | None = None, radius_cap: float = 0.95,
-                           tol: float = 1e-9) -> VerifyReport:
+                           order: int | None = None, tol: float = 1e-9) -> VerifyReport:
     """Probe whether 2n |Gamma_n| <= 1 survives on random convex functions at
     orders where it is neither proved nor refuted. Orders with a proved bound
     (n <= 3) are graded against it; beyond that, rows report the conjectured
@@ -508,7 +519,7 @@ def explore_convex_large_n(n_min: int, n_max: int, samples: int, seed: int, *,
     it there answers a question rather than revealing a bug. A NaN |Gamma_n| is
     "mathematical" at every order."""
     spec = ClassSpec.f_alpha(0.0)
-    order = _resolve_order(n_max, order, tol, seed, radius_cap, samples=samples, n_min=n_min)
+    order = _resolve_order(n_max, order, tol, seed, samples=samples, n_min=n_min)
     ns = range(n_min, n_max + 1)
     results = [bound_for(spec, n) for n in ns]
     conjectured = np.array([not res.applicable for res in results])
@@ -517,7 +528,7 @@ def explore_convex_large_n(n_min: int, n_max: int, samples: int, seed: int, *,
                       dtype=object)
     report = VerifyReport(kind="explore", label=spec.label(), params=spec.params(),
                           n_max=n_max, order=order, samples=samples, seed=seed, tol=tol)
-    gams, _ = _sample(report, spec, radius_cap, gammas.gamma_via_bn)
+    gams, _ = _sample(report, spec, RADIUS_CAP, gammas.gamma_via_bn)
     ag = np.abs(gams[:, n_min - 1:])
     excess = ag - bound
     flag = _flag(excess, tol)

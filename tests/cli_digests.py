@@ -95,6 +95,9 @@ FAILING = [
     ("cross-check", "--seed", "1", "--a2", "1"),
     ("bounds", "--class", "full-s", "--a2", "1"),
     ("sharpness", "--class", "full-s", "--a2", "1"),
+    ("verify", "--class", "gc", "--c", "0.5", "--lambda", "2", "--seed", "1"),
+    ("cross-check", "--seed", "1", "--A", "0.3", "--c", "0.7"),
+    ("gamma", "--family", "koebe", "--c", "9"),
 ]
 
 

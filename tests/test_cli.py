@@ -522,6 +522,20 @@ def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
     assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--class", "gc", "--c", "0.5", "--lambda", "2", "--seed", "1"),
+     "--class gc does not take --lambda"),
+    (("cross-check", "--seed", "1", "--A", "0.3", "--c", "0.7"),
+     "cross-check with no --class does not take --A and --c"),
+    (("gamma", "--family", "koebe", "--c", "9"), "--family koebe does not take --c"),
+], ids=["verify", "cross-check", "gamma"])
+def test_a_parameter_flag_the_class_does_not_take_is_refused(capsys, argv, message):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_unknown_class_rejected(capsys):
     with pytest.raises(SystemExit):
         run_cli("bounds", "--class", "banana")

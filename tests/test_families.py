@@ -709,6 +709,17 @@ def test_blaschke_rows_match_the_scalar_series():
     assert np.array_equal(rows[0], families.blaschke_series(thetas[0], factors[0], 12)[0])
 
 
+def test_a_negative_order_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
+        families.blaschke_series(0.0, (0.3,), -1)
+    # orders 0 and 1 reach the builders' own check, with a Schwarz function or a dilation
+    for spec in (ClassSpec.gc(0.5), ClassSpec.u_lambda(0.5)):
+        draws = families.draw_members(spec, [(1, i, 0) for i in range(3)], radius_cap=0.95)
+        for order in (0, 1):
+            with pytest.raises(ValueError, match=r"^order must be >= 2$"):
+                families.member_rows(spec, draws, order)
+
+
 def test_a_dilation_draw_is_keyed_and_inside_the_class():
     def draw(key):
         [row] = _draw_rows(families.draw_members(ClassSpec.u_lambda(0.5), [key], radius_cap=0.95))

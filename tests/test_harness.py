@@ -89,6 +89,32 @@ def test_a_report_longer_than_one_write_slice_is_written_whole(tmp_path):
     assert p.read_text() == text
 
 
+def test_a_report_goes_to_stdout_without_a_path_in_the_same_slices(monkeypatch):
+    class Sink:  # records each piece handed over
+        def __init__(self):
+            self.pieces = []
+
+        def writelines(self, pieces):
+            self.pieces += pieces
+
+    rep = harness.VerifyReport("verify", "long", {}, 1, 2, 0, None, 0.0,
+                               notes=["x" * (5 << 19)])
+    for fmt, text, slices in (("json", rep.to_json(), 3), ("csv", rep.to_csv(), 1)):
+        sink = Sink()
+        monkeypatch.setattr("sys.stdout", sink)
+        rep.write(None, fmt)
+        assert "".join(sink.pieces) == text
+        assert len(sink.pieces) == slices
+        assert all(len(piece) == 1 << 20 for piece in sink.pieces[:-1])
+
+
+def test_dumps_is_the_reports_json_spelling():
+    obj = {"b": [1.5, None], "a": {"d": True, "c": "x"}}
+    assert harness.dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(ValueError):
+        harness.dumps({"x": math.nan})
+
+
 def test_flag_grading_thresholds():
     tol = 1e-9
     assert harness._flag(0.0, tol) == "ok"
@@ -988,8 +1014,6 @@ def test_sampled_campaigns_reject_a_bad_radius_cap_before_sampling(monkeypatch, 
         for campaign in campaigns:
             with pytest.raises(ValueError, match=r"radius_cap must lie in \[0, 1\)"):
                 campaign(spec)
-    with pytest.raises(ValueError, match=r"radius_cap must lie in \[0, 1\)"):
-        explore_convex_large_n(1, 4, 5, 3, radius_cap=radius_cap)
 
 
 def test_draw_gives_up_on_four_non_finite_members(monkeypatch):
