@@ -15,7 +15,8 @@ Exit status: 0 clean; 1 when a campaign turns up a mathematical violation
 (for sharpness: an asserted equality function missing its bound by more
 than tolerance noise); 2 on bad arguments, including a flag the subcommand
 does not take, a class or family parameter flag the chosen class or family
-does not take, orders above harness.MAX_ORDER and sizes too large to allocate.
+does not take (--a included), an empty --output, orders above
+harness.MAX_ORDER and sizes too large to allocate.
 """
 
 from __future__ import annotations
@@ -44,21 +45,21 @@ def _complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
 
 
-def _add_class_args(p: argparse.ArgumentParser, required=True, omega0=None):
+def _add_class_args(p: argparse.ArgumentParser, required=True, a=False):
     p.add_argument("--class", dest="cls", required=required, choices=families.CLASS_TAGS)
-    _add_param_args(p, omega0)
+    _add_param_args(p, a)
 
 
-def _add_param_args(p: argparse.ArgumentParser, omega0=None, a2=False):
-    """The class parameter flags; --a, defaulting to omega0, and --a2 where read."""
+def _add_param_args(p: argparse.ArgumentParser, a=False, a2=False):
+    """The class parameter flags; --a and --a2 where read."""
     p.add_argument("--A", type=_rational, default=None)
     p.add_argument("--B", type=_rational, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    if omega0 is not None:
-        p.add_argument("--a", type=_complex, default=omega0,
+    if a:  # None when not given: its reader's default, and refused where not read
+        p.add_argument("--a", type=_complex, default=None,
                        help="omega(0) for the bounded-distortion class")
     if a2:
         p.add_argument("--a2", type=_complex, default=None)
@@ -85,12 +86,13 @@ def _add_output_args(p: argparse.ArgumentParser, table=False):
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-_PARAMS = ("A", "B", "alpha", "beta", "c", "lam", "a2")  # not --a: its default hides a value
+_PARAMS = ("A", "B", "alpha", "beta", "c", "lam", "a", "a2")
 
 
 def _require_flags(args, names, what: str):
-    """Reject a class or family missing a parameter flag or given one it does not take."""
-    missing = [name for name in names if getattr(args, name) is None]
+    """Reject a class or family missing a parameter flag or given one it does not take;
+    --a, with a default where read, is never missing."""
+    missing = [name for name in names if name != "a" and getattr(args, name) is None]
     extra = [name for name in _PARAMS
              if name not in names and getattr(args, name, None) is not None]
     for bad, verb in ((missing, "needs"), (extra, "does not take")):
@@ -99,10 +101,17 @@ def _require_flags(args, names, what: str):
 
 
 def _spec_from_args(args) -> ClassSpec:
-    names = families.CLASSES[args.cls].params
-    _require_flags(args, names, f"--class {args.cls}")
+    entry = families.CLASSES[args.cls]
+    # a class whose bound varies with omega(0) reads --a
+    _require_flags(args, (*entry.params, "a") if entry.per_sample_bound else entry.params,
+                   f"--class {args.cls}")
     # --A and --B keep their exact Fractions for the bound's seam detection
-    return ClassSpec(tag=args.cls, **{name: getattr(args, name) for name in names})
+    return ClassSpec(tag=args.cls, **{name: getattr(args, name) for name in entry.params})
+
+
+def _omega0(args, default):
+    """--a, or default where it is not given."""
+    return default if args.a is None else args.a
 
 
 def _require(cond: bool, message: str):
@@ -122,13 +131,13 @@ def _require_counts(args):
 
 
 def _u_extremal(args, order: int):
-    _require(args.a.imag == 0 and 0 <= args.a.real < 1,
-             "--family u-extremal needs real --a in [0,1)")
-    return families.u_extremal(args.lam, args.a.real, order)
+    a = _omega0(args, 0.0)
+    _require(a.imag == 0 and 0 <= a.real < 1, "--family u-extremal needs real --a in [0,1)")
+    return families.u_extremal(args.lam, a.real, order)
 
 
-# each gamma family: the parameter flags it needs (--a is optional where
-# read) and its builder, called with the parsed arguments and the order
+# each gamma family: the parameter flags it reads (--a, 0 unless given, is
+# optional) and its builder, called with the parsed arguments and the order
 GAMMA_FAMILIES = {
     "identity": ((), lambda args, order: series.identity(order)),
     "koebe": ((), lambda args, order: families.koebe(args.theta, order)),
@@ -140,9 +149,10 @@ GAMMA_FAMILIES = {
     "spiral": (("alpha", "beta"),
                lambda args, order: families.spiral_extremal(args.alpha, args.beta, args.n, order)),
     "gc": (("c",), lambda args, order: families.gc_extremal(args.c, args.n, order)),
-    "u-extremal": (("lam",), _u_extremal),
-    "u-member": (("lam", "a2"),
-                 lambda args, order: families.u_lambda_member(args.a2, args.a, args.lam, order)),
+    "u-extremal": (("lam", "a"), _u_extremal),
+    "u-member": (("lam", "a2", "a"),
+                 lambda args, order: families.u_lambda_member(args.a2, _omega0(args, 0.0),
+                                                              args.lam, order)),
     "f-alpha": (("alpha",),
                 lambda args, order: families.f_alpha_extremal(args.alpha, args.variant, order)),
 }
@@ -190,7 +200,7 @@ def _bound_line(r: dict) -> str:
 
 def cmd_bounds(args) -> int:
     spec = _spec_from_args(args)
-    abs_a = abs(args.a) if spec.entry.per_sample_bound else None
+    abs_a = abs(_omega0(args, harness.DEFAULT_ABS_A)) if spec.entry.per_sample_bound else None
     rows = [dataclasses.asdict(bound_for(spec, n, abs_a=abs_a)) for n in range(1, args.n_max + 1)]
     at = f" at |omega(0)| = {abs_a:g}" if abs_a is not None else ""
     return _table(args, {"label": spec.label(), "params": spec.params(), "rows": rows}, rows,
@@ -228,7 +238,8 @@ def cmd_sharpness(args) -> int:
     spec = _spec_from_args(args)
     n_max = args.n if args.n is not None else args.n_max
     report = harness.sharpness_check(spec, n_max, tol=args.tol, order=args.order,
-                                     abs_a=abs(args.a), n_min=n_max if args.n is not None else 1)
+                                     abs_a=abs(_omega0(args, harness.DEFAULT_ABS_A)),
+                                     n_min=n_max if args.n is not None else 1)
     return _finish_report(report, args)
 
 
@@ -252,12 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, default=1, help="symmetry index for star-ab/spiral/gc")
     g.add_argument("--variant", choices=families.F_ALPHA_VARIANTS, default="pow1")
     _add_run_args(g, 6)
-    _add_param_args(g, omega0=0.0, a2=True)
+    _add_param_args(g, a=True, a2=True)
     _add_output_args(g, table=True)
     g.set_defaults(fn=cmd_gamma)
 
     b = command("bounds", help="bound table for a class")
-    _add_class_args(b, omega0=harness.DEFAULT_ABS_A)
+    _add_class_args(b, a=True)
     _add_run_args(b, 8, order=False)
     _add_output_args(b, table=True)
     b.set_defaults(fn=cmd_bounds)
@@ -275,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     x.set_defaults(fn=cmd_cross_check)
 
     s = command("sharpness", help="equality-function gap check")
-    _add_class_args(s, omega0=harness.DEFAULT_ABS_A)
+    _add_class_args(s, a=True)
     s.add_argument("--n", type=int, default=None, help="check this order only")
     _add_run_args(s, 4, tol=1e-9)
     _add_output_args(s)
@@ -295,6 +306,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _require_counts(args)
+        _require(args.output != "", "--output needs a path")
         return args.fn(args)
     except (ValueError, MemoryError) as exc:
         # an order too large to allocate is a bad argument, not a finding

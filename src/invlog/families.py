@@ -423,7 +423,7 @@ class ClassEntry:
     # candidates(spec, n, branch, order, abs_a) -> [(label, build, asserted, note)]:
     # the named equality functions of the clause that gave the bound at n,
     # build() making the function as a one-row stack. Within one (spec, order, abs_a)
-    # a label names one function at every n, so a caller builds each label once
+    # a label names one function at every n, so sharpness_check builds each label once
     candidates: Callable
     # the subordination gives f' rather than f/z
     derivative: bool = False

@@ -16,11 +16,11 @@ key replays one row. Each campaign check has one home:
 _resolve_order checks every argument before sampling, so the one reason to
 redraw, under the next attempt, is a member that is not finite (a draw
 that raises is a fault; its error propagates);
-bounds.bound_for refuses a bound beyond double precision; _candidate_rows
-evaluates the named equality functions for sharpness_check's rows and
-verify_bounds' sharpness_gap alike, with one call per campaign: it builds
-each distinct function once and runs the bn route on all of them as one
-stack, up to the campaign's largest bounded order.
+bounds.bound_for refuses a bound beyond double precision; sharpness_check
+alone evaluates the named equality functions, and verify_bounds reads its
+sharpness_gap from sharpness_check's rows: each distinct function is built
+once, and the bn route runs on all of them as one stack per campaign, up
+to its largest bounded order.
 VerifyReport.to_json and to_csv are byte-identical to the reference writers
 in tests/_oracles.py (the whole payload through json's indent encoder, one
 format per CSV cell). dumps and write_text are the package's one JSON
@@ -354,41 +354,6 @@ def _set_columns(report: VerifyReport, ns, **columns):
     del report.rows, report.violations
 
 
-def _candidate_rows(spec: ClassSpec, results, order: int, abs_a: float, tol: float) -> list:
-    """For each applicable bound in results, its sharpness rows: one per
-    named equality function of the clause that gave it, in the registry's
-    order, with margin bound - |Gamma_n|. An asserted candidate is graded on
-    both sides of the bound (an equality function must reach it); any other
-    is "report-only".
-
-    Within one (spec, order, abs_a) a label names one function at every n
-    (the registry's rule), so each label is built once, and all of them go
-    through the bn route as one stack up to the largest n. A row's Gamma_n
-    has the bits of that function's one-row call at n alone."""
-    if not results:
-        return []
-    cands = [spec.entry.candidates(spec, res.n, res.branch, order, abs_a) for res in results]
-    builds = {}
-    for per_n in cands:
-        for name, build, _, _ in per_n:
-            builds.setdefault(name, build)
-    stack = np.concatenate([build() for build in builds.values()])
-    gams = dict(zip(builds, gammas.gamma_via_bn(stack, max(res.n for res in results))))
-    out = []
-    for res, per_n in zip(results, cands):
-        rows = []
-        for name, _, asserted, note in per_n:
-            # a scalar abs: np.abs on an array can differ from it in the last bit
-            ag = float(abs(gams[name][res.n - 1]))
-            gap = res.value - ag
-            rows.append({"sample_id": name, "n": res.n, "abs_gamma": ag, "bound": res.value,
-                         "branch": res.branch, "margin": gap,
-                         "flag": _flag(abs(gap), tol) if asserted else "report-only",
-                         "excess": abs(gap), "asserted": asserted, "note": note})
-        out.append(rows)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # campaigns
 
@@ -442,9 +407,7 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
     report = VerifyReport(kind="verify", label=spec.label(), params=spec.params(),
                           n_max=n_max, order=order, samples=samples, seed=seed, tol=tol)
     # bound - max |Gamma| as the least margin: rounding is monotone, so the bits agree
-    sharp_gaps = {} if per_sample else {
-        res.n: min((row["margin"] for row in rows if row["asserted"]), default=None)
-        for res, rows in zip(static, _candidate_rows(spec, static, order, DEFAULT_ABS_A, tol))}
+    sharp = [] if per_sample else sharpness_check(spec, n_max, tol, order=order).rows
     gams, abs_a = _sample(report, spec, radius_cap, gammas.gamma_via_bn)
     results = ([[bound_for(spec, n, abs_a=a) for n in ns] for a in abs_a.tolist()]
                if per_sample else [static])
@@ -459,7 +422,9 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
     least = np.fmin.reduce(margin, axis=0, initial=math.inf).tolist()
     lowest = np.fmin.reduce(bound, axis=0)
     report.summary = [{"n": n, "empirical_max_abs_gamma": t, "margin": m, "bound": b,
-                       "branch": br, "sharpness_gap": sharp_gaps.get(n)}
+                       "branch": br, "sharpness_gap": min(
+                           (row["margin"] for row in sharp if row["n"] == n and row["asserted"]),
+                           default=None)}
                       for n, t, m, b, br in zip(ns, top.tolist(), least, lowest.tolist(),
                                                 branch[0])]
     if per_sample:
@@ -476,17 +441,30 @@ def verify_bounds(spec: ClassSpec, n_max: int, samples: int, seed: int,
 def sharpness_check(spec: ClassSpec, n_max: int, tol: float = 1e-9, *,
                     order: int | None = None, abs_a: float = DEFAULT_ABS_A,
                     n_min: int = 1) -> VerifyReport:
-    """Evaluate each bound's named equality function at orders n_min..n_max
-    and report the gap bound - |Gamma_n|. Candidates marked asserted must
-    close the gap to tol; report-only candidates never fail the run. abs_a
-    selects the bounded-distortion bound's omega(0) (its bounds are a
-    one-parameter family)."""
+    """Evaluate each bound's named equality functions at orders n_min..n_max
+    and report the gap bound - |Gamma_n|, one row per function in the
+    registry's order. Candidates marked asserted must close the gap to tol,
+    on both sides of the bound; report-only candidates never fail the run.
+    abs_a selects the bounded-distortion bound's omega(0) (its bounds are a
+    one-parameter family).
+
+    Within one (spec, order, abs_a) a label names one function at every n
+    (the registry's rule), so each label is built once, and all of them go
+    through the bn route as one stack up to the largest n. A row's Gamma_n
+    has the bits of that function's one-row call at n alone."""
     order = _resolve_order(n_max, order, tol, n_min=n_min)
     report = VerifyReport(kind="sharpness", label=spec.label(), params=spec.params(),
                           n_max=n_max, order=order, samples=0, seed=None, tol=tol)
     results = [bound_for(spec, n, abs_a=abs_a) for n in range(n_min, n_max + 1)]
-    candidate_rows = iter(_candidate_rows(spec, [res for res in results if res.applicable],
-                                          order, abs_a, tol))
+    cands = {res.n: spec.entry.candidates(spec, res.n, res.branch, order, abs_a)
+             for res in results if res.applicable}
+    builds = {}
+    for per_n in cands.values():
+        for name, build, _, _ in per_n:
+            builds.setdefault(name, build)
+    if builds:
+        stack = np.concatenate([build() for build in builds.values()])
+        gams = dict(zip(builds, gammas.gamma_via_bn(stack, max(cands))))
     gaps = []
     for res in results:
         n = res.n
@@ -497,13 +475,19 @@ def sharpness_check(spec: ClassSpec, n_max: int, tol: float = 1e-9, *,
             continue
         if res.note:
             report.notes.append(f"n={n}: {res.note}")
-        rows = next(candidate_rows)
-        report.rows += rows
-        gaps += [row["excess"] for row in rows if row["asserted"]]
         best = {"best_gap": math.inf, "best_candidate": ""}
-        for row in rows:  # a NaN gap never wins, and equal gaps go to the first
-            if row["margin"] < best["best_gap"]:
-                best = {"best_gap": row["margin"], "best_candidate": row["sample_id"]}
+        for name, _, asserted, note in cands[n]:
+            # a scalar abs: np.abs on an array can differ from it in the last bit
+            ag = float(abs(gams[name][n - 1]))
+            gap = res.value - ag
+            report.rows.append({"sample_id": name, "n": n, "abs_gamma": ag, "bound": res.value,
+                                "branch": res.branch, "margin": gap,
+                                "flag": _flag(abs(gap), tol) if asserted else "report-only",
+                                "excess": abs(gap), "asserted": asserted, "note": note})
+            if asserted:
+                gaps.append(abs(gap))
+            if gap < best["best_gap"]:  # a NaN gap never wins, and equal gaps go to the first
+                best = {"best_gap": gap, "best_candidate": name}
         report.summary.append({"n": n, "bound": res.value, "branch": res.branch, **best})
     report.violations = [dict(row) for row in report.rows if row["flag"] in VIOLATION_FLAGS]
     report.max_discrepancy = float(max(gaps)) if gaps else None

@@ -98,6 +98,10 @@ FAILING = [
     ("verify", "--class", "gc", "--c", "0.5", "--lambda", "2", "--seed", "1"),
     ("cross-check", "--seed", "1", "--A", "0.3", "--c", "0.7"),
     ("gamma", "--family", "koebe", "--c", "9"),
+    ("verify", "--class", "gc", "--c", "0.5", "--n-max", "2", "--samples", "1", "--seed", "1",
+     "--format", "csv", "--output", ""),
+    ("bounds", "--class", "full-s", "--a", "0.9", "--n-max", "2"),
+    ("sharpness", "--class", "gc", "--c", "0.5", "--a", "0.3", "--n-max", "2"),
 ]
 
 

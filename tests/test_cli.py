@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from invlog import cli, families, harness
+from invlog import cli, families, gammas, harness
 from invlog.cli import build_parser, main
 
 
@@ -460,7 +460,7 @@ def test_an_order_above_the_cap_exits_2_before_any_work(capsys, monkeypatch, arg
     def no_work(*args, **kwargs):
         raise AssertionError("ran past the order check")
 
-    for owner, name in ((harness, "_draw_chunk"), (harness, "_candidate_rows"),
+    for owner, name in ((harness, "_draw_chunk"), (gammas, "gamma_via_bn"),
                         (cli, "_gamma_function")):
         monkeypatch.setattr(owner, name, no_work)
     assert run_cli(*argv) == 2
@@ -528,12 +528,30 @@ def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
     (("cross-check", "--seed", "1", "--A", "0.3", "--c", "0.7"),
      "cross-check with no --class does not take --A and --c"),
     (("gamma", "--family", "koebe", "--c", "9"), "--family koebe does not take --c"),
-], ids=["verify", "cross-check", "gamma"])
+    # --a is read by the class whose bound varies with omega(0) and the u families only
+    (("bounds", "--class", "full-s", "--a", "0.9", "--n-max", "2"),
+     "--class full-s does not take --a"),
+    (("sharpness", "--class", "gc", "--c", "0.5", "--a", "0.3", "--n-max", "2"),
+     "--class gc does not take --a"),
+    (("gamma", "--family", "koebe", "--a", "0.3"), "--family koebe does not take --a"),
+], ids=["verify", "cross-check", "gamma", "bounds-a", "sharpness-a", "gamma-a"])
 def test_a_parameter_flag_the_class_does_not_take_is_refused(capsys, argv, message):
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_an_empty_output_path_is_refused_before_any_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran past the --output check")
+
+    monkeypatch.setattr(harness, "_draw_chunk", no_work)
+    assert run_cli("verify", "--class", "gc", "--c", "0.5", "--n-max", "2", "--samples", "1",
+                   "--seed", "1", "--format", "csv", "--output", "") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --output needs a path\n"
 
 
 def test_unknown_class_rejected(capsys):

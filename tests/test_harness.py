@@ -31,6 +31,10 @@ EVERY_CLASS = [ClassSpec.full_s(), ClassSpec.star_ab(0.6, -1.0), ClassSpec.spira
                ClassSpec.gc(0.5), ClassSpec.u_lambda(0.5), ClassSpec.f_alpha(0.0),
                ClassSpec.f_alpha(-0.5)]
 
+SHARPNESS_CLASSES = EVERY_CLASS + [
+    ClassSpec.star_ab(0.5, -0.5), ClassSpec.star_ab(0.2, 0.0), ClassSpec.spiral(0.0, 0.25),
+    ClassSpec.gc(1.0), ClassSpec.f_alpha(0.3), ClassSpec.f_alpha(0.8), ClassSpec.f_alpha(0.18)]
+
 
 # ---------------------------------------------------------------------------
 # determinism
@@ -373,15 +377,15 @@ def test_cross_check_reverts_each_chunk_in_one_call_of_the_public_names(monkeypa
 def _spy_bn(monkeypatch, edit=None):
     """Record each gammas.gamma_via_bn call as (source, shape of its rows,
     n_max): source "candidates" for a call made inside
-    harness._candidate_rows, "chunk" for any other. edit(calls, out), if
+    harness.sharpness_check, "chunk" for any other. edit(calls, out), if
     given, may change a call's result before it is returned."""
     calls, inside = [], []
-    real_bn, real_rows = gammas.gamma_via_bn, harness._candidate_rows
+    real_bn, real_check = gammas.gamma_via_bn, harness.sharpness_check
 
-    def candidate_rows(*args):
+    def sharpness_check(*args, **kwargs):
         inside.append(True)
         try:
-            return real_rows(*args)
+            return real_check(*args, **kwargs)
         finally:
             inside.pop()
 
@@ -392,7 +396,7 @@ def _spy_bn(monkeypatch, edit=None):
             edit(calls, out)
         return out
 
-    monkeypatch.setattr(harness, "_candidate_rows", candidate_rows)
+    monkeypatch.setattr(harness, "sharpness_check", sharpness_check)
     monkeypatch.setattr(gammas, "gamma_via_bn", bn)
     return calls
 
@@ -458,16 +462,18 @@ def test_verify_u_lambda_uses_per_sample_bounds():
     assert len(bounds_seen) > 1
 
 
-@pytest.mark.parametrize("spec", [spec for spec in EVERY_CLASS
+@pytest.mark.parametrize("spec", [spec for spec in SHARPNESS_CLASSES
                                   if not spec.entry.per_sample_bound], ids=ClassSpec.label)
 def test_verify_sharpness_gap_is_the_least_asserted_margin_of_sharpness_check(spec):
     # bound - max |Gamma| and min (bound - |Gamma|) round alike, bit for bit
-    verify, sharp = verify_bounds(spec, 8, 5, 1), sharpness_check(spec, 8, order=9)
-    bounded = [row["n"] for row in verify.summary]
-    assert bounded == [row["n"] for row in sharp.summary]
-    for row in verify.summary:
-        margins = [r["margin"] for r in sharp.rows if r["n"] == row["n"] and r["asserted"]]
-        assert row["sharpness_gap"] == min(margins, default=None)
+    for tol, order in ((1e-9, None), (1e-6, 12)):
+        verify = verify_bounds(spec, 8, 5, 1, tol, order=order)
+        sharp = sharpness_check(spec, 8, tol, order=order)
+        bounded = [row["n"] for row in verify.summary]
+        assert bounded == [row["n"] for row in sharp.summary]
+        for row in verify.summary:
+            margins = [r["margin"] for r in sharp.rows if r["n"] == row["n"] and r["asserted"]]
+            assert row["sharpness_gap"] == min(margins, default=None)
 
 
 def test_verify_u_lambda_bounds_each_draw_at_the_bounded_orders_only(monkeypatch):
@@ -577,11 +583,6 @@ def test_sharpness_middle_clause_is_report_only():
 
 
 # every class, and a spec on each bound clause that names equality functions
-SHARPNESS_CLASSES = EVERY_CLASS + [
-    ClassSpec.star_ab(0.5, -0.5), ClassSpec.star_ab(0.2, 0.0), ClassSpec.spiral(0.0, 0.25),
-    ClassSpec.gc(1.0), ClassSpec.f_alpha(0.3), ClassSpec.f_alpha(0.8), ClassSpec.f_alpha(0.18)]
-
-
 def _candidates_by_n(spec, n_max, order, abs_a=harness.DEFAULT_ABS_A):
     """{n: the registry's (label, build, asserted, note) list} for every n
     up to n_max with a bound."""
@@ -595,7 +596,7 @@ def _candidates_by_n(spec, n_max, order, abs_a=harness.DEFAULT_ABS_A):
 
 @pytest.mark.parametrize("spec", SHARPNESS_CLASSES, ids=ClassSpec.label)
 def test_a_candidate_label_builds_one_function_at_every_order(spec):
-    # _candidate_rows builds each label once per (spec, order, abs_a)
+    # sharpness_check builds each label once per (spec, order, abs_a)
     built = {}
     for cands in _candidates_by_n(spec, 12, 13).values():
         for label, build, _, _ in cands:
@@ -640,7 +641,7 @@ def test_sharpness_and_verify_make_one_candidate_stack_of_the_distinct_labels(mo
     labels = {label for cands in by_n.values() for label, *_ in cands}
     stack = [("candidates", (len(labels), 14), max(by_n))]
     calls = _spy_bn(monkeypatch)
-    sharpness_check(spec, 12)
+    harness.sharpness_check(spec, 12)
     assert calls == stack
     del calls[:]
     verify_bounds(spec, 12, 3, 1)
