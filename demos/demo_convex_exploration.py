@@ -28,9 +28,12 @@ def main():
     print(f"\nflags: {rep.counts()}")
     print(f"graded violations (n <= 3): {len(rep.violations)}")
     print("reading: the proved orders never budge, and n = 4 survives this "
-          "probe too, but from n = 5 on random members cross 1/(2n) outright. "
-          "The three proved orders are not the visible edge of an "
-          "all-orders pattern; they are where the pattern stops.")
+          "probe too. The overshoot of 1/(2n) at n = 5..9 is certified in exact "
+          "arithmetic by tests/test_certificates.py::"
+          "test_a_convex_map_overshoots_one_over_2n_exactly; the random members "
+          "above only illustrate it. The three proved orders are not the "
+          "visible edge of an all-orders pattern; they are where the pattern "
+          "stops.")
 
 
 if __name__ == "__main__":

@@ -27,20 +27,27 @@ format per CSV cell). dumps and write_text are the package's one JSON
 spelling and one sink (a path or stdout, 1 MiB at a time), reports and CLI
 tables alike.
 
-The sampled campaigns share one sample loop, _sample, and CHUNK bounds only
-the draw and the routes: it takes CHUNK sample indices at a time, draws
-their keys as one batch, builds their members as a (samples x order) array
+The sampled campaigns share one sample loop, _sample. It takes
+_chunk_rows(order) = max(1, CHUNK_COEFFS // (order + 1)) sample indices at
+a time, a budget of CHUNK_COEFFS = 2**14 member coefficients (1,638 samples
+at order 9, 399 at order 40, 15 at MAX_ORDER), draws their keys as one
+batch, builds their members as a (samples x order) array
 (families.member_rows) and runs each Gamma route the campaign asks for on
 it with one stacked call (gammas.gamma_via_bn; cross_check adds
 gammas.gamma_via_reversion, one Horner table per member but the whole
 chunk in one loop over the orders). The campaign gets each route's Gammas
 for all its samples and grades them with one vectorized comparison; its
 summary is numpy reductions over the samples axis, and its report keeps
-those arrays as its rows' columns (_set_columns), written CHUNK samples at
-a time and made into row dicts only when asked. A row's bits do not depend
-on the rows computed with it, so reports do not depend on CHUNK; one
-function is a one-row stack through the same code. tests/_oracles.py is
-the reference the routes are held to.
+those arrays as its rows' columns (_set_columns), written as text CHUNK =
+256 samples at a time and made into row dicts only when asked. The two
+chunks bound different things: the compute chunk holds enough coefficients
+that numpy arithmetic, not the overhead of each call, sets a campaign's
+speed, and few enough to stay in cache; the text chunk bounds the writers'
+heap (text chunks of 1,638 samples raised perfbench's verify-wide-report
+peak RSS from 82.8 to 88.7 MB). A row's bits do not depend on the rows
+computed with it, so reports depend on neither chunk; one function is a
+one-row stack through the same code. tests/_oracles.py is the reference
+the routes are held to.
 A campaign with no order given runs at n_max + 1: Gamma_n reads a_2..a_{n+1}
 only, so a higher order changes nothing but the report's order field.
 
@@ -254,7 +261,10 @@ class VerifyReport:
 # sampling
 
 
-CHUNK = 256  # sample indices drawn and computed as one batch
+# two chunks, for two resources (see the module docstring): the compute
+# chunk bounds Python overhead against cache size, the text chunk bounds heap
+CHUNK_COEFFS = 2 ** 14  # member coefficients per compute chunk: 256 KiB of complex128
+CHUNK = 256  # samples per string of report text
 
 MAX_ORDER = 1024  # the largest order a campaign or `invlog gamma` runs at; work grows as order^3
 RADIUS_CAP = 0.95  # explore_convex_large_n's Blaschke radius cap, and verify_bounds' default
@@ -296,6 +306,12 @@ def _draw_chunk(spec: ClassSpec, seed: int, ids, order: int, radius_cap: float):
     return rows, abs_a, attempts
 
 
+def _chunk_rows(order: int) -> int:
+    """Samples per compute chunk at a series order: CHUNK_COEFFS coefficients'
+    worth of member rows, and at least one."""
+    return max(1, CHUNK_COEFFS // (order + 1))
+
+
 def _resolve_order(n_max: int, order, tol: float = 0.0, seed=0, radius_cap=0.0, *,
                    samples: int = 1, n_min: int = 1) -> int:
     """The series order a campaign up to Gamma_{n_max} runs at. Every
@@ -325,14 +341,16 @@ def _resolve_order(n_max: int, order, tol: float = 0.0, seed=0, radius_cap=0.0, 
 
 
 def _sample(report: VerifyReport, spec: ClassSpec, radius_cap: float, *routes):
-    """The sample loop of every sampled campaign. CHUNK indices at a time,
-    draw the members and run each Gamma route on them with one stacked call.
-    Returns each route's (samples, n_max) Gamma_1..Gamma_{n_max}, then the
-    |omega(0)| column; resampled draws leave a note."""
+    """The sample loop of every sampled campaign. _chunk_rows(order) indices
+    at a time, draw the members and run each Gamma route on them with one
+    stacked call, so a chunk holds about CHUNK_COEFFS coefficients at any
+    order. Returns each route's (samples, n_max) Gamma_1..Gamma_{n_max}, then
+    the |omega(0)| column; resampled draws leave a note."""
     out = [np.empty((report.samples, report.n_max), dtype=np.complex128) for _ in routes]
     abs_a = np.empty(report.samples)
-    for start in range(0, report.samples, CHUNK):
-        chunk = slice(start, start + CHUNK)
+    rows = _chunk_rows(report.order)
+    for start in range(0, report.samples, rows):
+        chunk = slice(start, start + rows)
         ids = range(report.samples)[chunk]
         members, abs_a[chunk], attempts = _draw_chunk(spec, report.seed, ids, report.order,
                                                       radius_cap)

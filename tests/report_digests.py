@@ -5,8 +5,10 @@ running this on both trees and diffing the output:
 
     PYTHONPATH=src python tests/report_digests.py [--chunk N] > digests.txt
 
---chunk sets harness.CHUNK first, so the same set can be run at several
-chunk sizes; reports must not depend on it. Each line is "sha256  label".
+--chunk N shrinks both chunks first: N samples a text chunk (harness.CHUNK)
+and a compute budget of 10 N coefficients (harness.CHUNK_COEFFS), N samples
+a compute chunk at order 9 and a few at every order of the set, at least
+one. Reports must not depend on either chunk. Each line is "sha256  label".
 """
 
 import argparse
@@ -75,10 +77,11 @@ def reports():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--chunk", type=int, default=None,
-                        help="set harness.CHUNK before running (default: leave it)")
+                        help="set harness.CHUNK to N and harness.CHUNK_COEFFS to 10 N "
+                             "before running (default: leave both)")
     args = parser.parse_args(argv)
     if args.chunk is not None:
-        harness.CHUNK = args.chunk
+        harness.CHUNK, harness.CHUNK_COEFFS = args.chunk, 10 * args.chunk
     for label, make in reports():
         rep = make()
         digest = hashlib.sha256((rep.to_json() + rep.to_csv()).encode()).hexdigest()

@@ -55,7 +55,8 @@ def test_the_kernel_probe_runs_every_op(run, monkeypatch):
                          ids=lambda v: v.label() if isinstance(v, ClassSpec) else None)
 def test_the_tracer_times_the_member_build_once_per_draw_pass(run, monkeypatch, spec, name):
     # campaigns build their members through the wrapped public builders
-    monkeypatch.setattr(invlog.harness, "CHUNK", 4)
+    # four samples a compute chunk at the campaigns' order 4
+    monkeypatch.setattr(invlog.harness, "CHUNK_COEFFS", 4 * 5)
     tracer = run.Tracer()
     saved = tracer.install(invlog)
     try:

@@ -250,9 +250,12 @@ def _spy_row_builds(monkeypatch) -> list:
 
 @COLUMN_CAMPAIGNS
 def test_column_backed_reports_write_and_grade_without_rows(monkeypatch, make):
-    monkeypatch.setattr(harness, "CHUNK", 7)  # several chunks, the last one short
+    monkeypatch.setattr(harness, "CHUNK", 7)  # several text chunks, the last one short
+    monkeypatch.setattr(harness, "CHUNK_COEFFS", 64)  # 4 to 8 samples a compute chunk
+    calls = _spy_bn(monkeypatch)
     builds = _spy_row_builds(monkeypatch)
     rep = make()
+    assert len(_chunk_sizes(calls)) > 1
     text_json, text_csv = rep.to_json(), rep.to_csv()
     counts, ok, math_rows = rep.counts(), rep.ok, rep.mathematical_violations
     assert builds == [] and rep._columns is not None
@@ -361,6 +364,12 @@ def test_cross_check_overflow_is_a_bad_argument(monkeypatch):
         cross_check(6, 1, 4)
 
 
+def _shrink_compute_chunk(monkeypatch, order, rows):
+    """Make a compute chunk hold rows samples at order, by its coefficient budget."""
+    monkeypatch.setattr(harness, "CHUNK_COEFFS", rows * (order + 1))
+    assert harness._chunk_rows(order) == rows
+
+
 def test_cross_check_reverts_each_chunk_in_one_call_of_the_public_names(monkeypatch):
     # perfbench's tracer times the reversion route through these two names
     calls = []
@@ -369,8 +378,9 @@ def test_cross_check_reverts_each_chunk_in_one_call_of_the_public_names(monkeypa
             calls.append((name, f.shape[0]))
             return real(f, n)
         monkeypatch.setattr(owner, name, spy)
-    cross_check(harness.CHUNK + 5, 2, 4)
-    assert calls == [("gamma_via_reversion", harness.CHUNK), ("revert", harness.CHUNK),
+    _shrink_compute_chunk(monkeypatch, 5, 7)
+    cross_check(7 + 5, 2, 4)
+    assert calls == [("gamma_via_reversion", 7), ("revert", 7),
                      ("gamma_via_reversion", 5), ("revert", 5)]
 
 
@@ -401,6 +411,11 @@ def _spy_bn(monkeypatch, edit=None):
     return calls
 
 
+def _chunk_sizes(calls) -> list:
+    """The samples of each compute chunk among _spy_bn's calls."""
+    return [shape[0] for source, shape, _ in calls if source == "chunk"]
+
+
 @pytest.mark.parametrize("campaign, candidates", [
     (lambda n: cross_check(n, 2, 4), []),
     # gc's two equality functions, stacked once at order 5 for every bounded n
@@ -411,9 +426,38 @@ def test_sampled_campaigns_run_the_bn_route_once_per_chunk(monkeypatch, campaign
     # perfbench's tracer times the bn route through this name; verify's
     # sharp gaps add one stack of equality functions, which is not a chunk
     calls = _spy_bn(monkeypatch)
-    rep = campaign(harness.CHUNK + 5)
-    assert calls == candidates + [("chunk", (harness.CHUNK, rep.order + 1), 4),
-                                  ("chunk", (5, rep.order + 1), 4)]
+    _shrink_compute_chunk(monkeypatch, 5, 7)
+    rep = campaign(7 + 5)
+    assert rep.order == 5
+    assert calls == candidates + [("chunk", (7, 6), 4), ("chunk", (5, 6), 4)]
+
+
+@pytest.mark.parametrize("order, rows", [(1, 8192), (9, 1638), (40, 399), (41, 390),
+                                         (harness.MAX_ORDER, 15)])
+def test_a_compute_chunk_is_a_budget_of_coefficients(order, rows):
+    assert harness.CHUNK_COEFFS == 2 ** 14
+    assert harness._chunk_rows(order) == rows
+
+
+def test_a_compute_chunk_holds_at_least_one_sample(monkeypatch):
+    monkeypatch.setattr(harness, "CHUNK_COEFFS", 100)
+    assert [harness._chunk_rows(order) for order in (9, 49, 50, 99, harness.MAX_ORDER)] == [
+        10, 2, 1, 1, 1]
+
+
+@pytest.mark.parametrize("campaign, samples, order", [
+    (lambda s: verify_bounds(ClassSpec.gc(0.5), 8, s, 1), 5000, 9),
+    (lambda s: explore_convex_large_n(1, 40, s, 1), 1000, 41),
+    (lambda s: cross_check(s, 1, 32, order=40), 900, 40),
+], ids=["verify-order-9", "explore-order-41", "cross-check-order-40"])
+def test_a_campaign_runs_ceil_samples_over_rows_chunks(monkeypatch, campaign, samples, order):
+    # at the default budget: every chunk but the last is full
+    calls = _spy_bn(monkeypatch)
+    rep = campaign(samples)
+    rows = harness._chunk_rows(order)
+    sizes = _chunk_sizes(calls)
+    assert rep.order == order and len(sizes) == math.ceil(samples / rows) > 1
+    assert sizes == [rows] * (len(sizes) - 1) + [samples - rows * (len(sizes) - 1)]
 
 
 def test_cross_check_validation():
@@ -856,10 +900,18 @@ def _campaign_bytes():
 
 
 def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
-    reference = _campaign_bytes()  # 12 samples: one chunk
+    reference = _campaign_bytes()  # 12 samples: one chunk of each kind
+    calls = _spy_bn(monkeypatch)
     for chunk in (1, 7):
+        # chunk samples a text chunk and a compute chunk at order 9
         monkeypatch.setattr(harness, "CHUNK", chunk)
+        monkeypatch.setattr(harness, "CHUNK_COEFFS", 10 * chunk)
+        del calls[:]
         assert _campaign_bytes() == reference, f"CHUNK = {chunk}"
+        # eight campaigns at order 9 and one at order 10, each in several chunks
+        chunks = [math.ceil(12 / harness._chunk_rows(order)) for order in [9] * 8 + [10]]
+        assert min(chunks) > 1
+        assert len(_chunk_sizes(calls)) == sum(chunks)
 
 
 # a sampled campaign's summary is a plain fold over its own rows, in which a
@@ -935,17 +987,20 @@ def _assert_summary_is_the_fold(rep, fold):
 
 @pytest.mark.parametrize("name", FOLDED_CAMPAIGNS)
 def test_sampled_summaries_are_folds_of_their_rows(monkeypatch, name):
-    monkeypatch.setattr(harness, "CHUNK", 7)  # several chunks, the last one short
+    _shrink_compute_chunk(monkeypatch, 7, 7)  # several chunks, the last one short
+    calls = _spy_bn(monkeypatch)
     campaign, fold = FOLDED_CAMPAIGNS[name]
-    _assert_summary_is_the_fold(campaign(), fold)
+    rep = campaign()
+    assert len(_chunk_sizes(calls)) == math.ceil(rep.samples / 7)
+    _assert_summary_is_the_fold(rep, fold)
 
 
 @pytest.mark.parametrize("name", ["verify-gc", "verify-u-lambda", "explore", "cross-check"])
 def test_a_nan_gamma_row_is_flagged_and_left_out_of_the_summary(monkeypatch, name):
-    monkeypatch.setattr(harness, "CHUNK", 7)
+    _shrink_compute_chunk(monkeypatch, 7, 7)
 
     def sample_8_is_nan(calls, out):  # sample 8 is row 1 of the second chunk
-        if calls[-1][0] == "chunk" and [c[0] for c in calls].count("chunk") == 2:
+        if calls[-1][0] == "chunk" and len(_chunk_sizes(calls)) == 2:
             out[1] = math.nan
 
     _spy_bn(monkeypatch, sample_8_is_nan)
@@ -978,8 +1033,10 @@ def test_a_non_finite_member_is_redrawn(monkeypatch, campaign):
         return dataclasses.replace(draws, theta=theta)
 
     monkeypatch.setattr(families, "draw_members", first_attempt_of_sample_2_overflows)
-    monkeypatch.setattr(harness, "CHUNK", 3)
+    _shrink_compute_chunk(monkeypatch, 5, 3)  # sample 2 ends the first of two chunks
+    calls = _spy_bn(monkeypatch)
     rep = campaign()
+    assert _chunk_sizes(calls) == [3, 2]
     assert [n for n in rep.notes if "resampled" in n] == ["sample 2: resampled 1 time(s)"]
     assert len(rep.rows) == 5 * 4
     assert [row["sample_id"] for row in rep.rows[::4]] == [0, 1, 2, 3, 4]
