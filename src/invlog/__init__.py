@@ -30,12 +30,7 @@ from .families import (
     u_extremal,
     u_lambda_member,
 )
-from .gammas import (
-    gamma12_U,
-    gamma123_F_alpha,
-    gamma_via_bn,
-    gamma_via_reversion,
-)
+from .gammas import gamma_via_bn, gamma_via_reversion
 from .bounds import (
     BoundResult,
     bound_F_gamma1,
@@ -73,7 +68,7 @@ __all__ = [
     "ClassSpec", "blaschke_series", "f_alpha_extremal",
     "gc_extremal", "k_AB_n", "koebe", "member_from_schwarz", "sample_schwarz",
     "spiral_extremal", "u_extremal", "u_lambda_member",
-    "gamma12_U", "gamma123_F_alpha", "gamma_via_bn", "gamma_via_reversion",
+    "gamma_via_bn", "gamma_via_reversion",
     "BoundResult", "bound_F_gamma1", "bound_F_gamma2", "bound_F_gamma3",
     "bound_Gc", "bound_U_gamma1", "bound_U_gamma2", "bound_bn_Gc",
     "bound_class_S", "bound_for", "bound_spiral", "bound_star_AB",

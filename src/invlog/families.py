@@ -246,10 +246,10 @@ class MemberDraws:
 
 
 def draw_members(spec: ClassSpec, keys, *, radius_cap: float) -> MemberDraws:
-    """The random parameters of one member of the class per key: the bits
-    numpy's default generator seeded with the key gives, a Schwarz function
-    for a subordination class and a dilation and a2 for the class drawn from
-    its structure formula, all keys drawn as one batch by invlog.keyed."""
+    """The random parameters of one member of the class per key (a key list,
+    or keyed.Columns): the bits numpy's default generator seeded with the key
+    gives, a Schwarz function for a subordination class and a dilation and a2
+    for the class drawn from its structure formula, as one invlog.keyed batch."""
     if spec.entry.subordination is None:
         return _draw_dilations(keys, spec.lam, radius_cap)
     return _draw_schwarz(keys, radius_cap)
@@ -364,7 +364,12 @@ def blaschke_rows(thetas, multiplicities, factors, counts, order: int) -> np.nda
     """Row s is e^{i theta_s} z^{m_s} prod_j (z + a_j)/(1 + conj(a_j) z) over
     the a_j = factors[s, j] with j < counts[s]; m = 0 leaves out the z^m
     factor, as blaschke_series does. Factor slot j multiplies only the rows
-    that have a j-th factor."""
+    that have a j-th factor.
+
+    Each 1/(1 + conj(a) z) is r_k = -(conj(a) r_{k-1}). series.reciprocal's sum
+    for r_k is this product plus exact zeros, so the two differ at most in a
+    zero's sign, which the product with z + a erases: it adds an exact +0 (a
+    term with r_0 = 1) to every coefficient past the constant."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     thetas, m = np.asarray(thetas, dtype=np.float64), np.asarray(multiplicities)
@@ -375,13 +380,12 @@ def blaschke_rows(thetas, multiplicities, factors, counts, order: int) -> np.nda
     for j in range(counts.max(initial=0)):
         has = np.flatnonzero(counts > j)
         num = np.zeros((has.size, order + 1), dtype=np.complex128)  # z + a
-        den = np.zeros((has.size, order + 1), dtype=np.complex128)  # 1 + conj(a) z
-        num[:, 0] = factors[has, j]
-        den[:, 0] = 1.0
-        if order >= 1:
-            num[:, 1] = 1.0
-            den[:, 1] = factors[has, j].conj()
-        factor = series.multiply(num, series.reciprocal(den, order), order)
+        num[:, 0], num[:, 1:2] = factors[has, j], 1.0
+        recip = np.empty((order + 1, has.size), dtype=np.complex128)  # by order, then row
+        recip[0], conj = 1.0, factors[has, j].conj()
+        for k in range(1, order + 1):
+            recip[k] = -(conj * recip[k - 1])
+        factor = series.multiply(num, recip.T, order)
         out[has] = series.multiply(out[has], factor, order)
     return out
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import series
-from .bounds import check_f_alpha, check_u_lambda
 
 
 def _check_rows(f: np.ndarray, n_max: int) -> np.ndarray:
@@ -80,35 +79,3 @@ def gamma_via_bn(f: np.ndarray, n_max: int) -> np.ndarray:
             lo = power if n // 2 == m else prev
             out[:, n - 1] = np.einsum("sj,sj->s", power[:, : n + 1], lo[:, n::-1]) / (2.0 * n)
     return out
-
-
-def gamma12_U(a2, a, lam: float) -> tuple[complex, complex]:
-    """Closed forms for the bounded-distortion class from its structure
-    formula: Gamma_1 = -a2/2, Gamma_2 = (a2^2 + 2 lam a)/4, where
-    a = omega(0) of the member's dilation."""
-    check_u_lambda(lam)
-    a2 = complex(a2)
-    a = complex(a)
-    if abs(a) > 1 + 1e-12:
-        raise ValueError(f"omega(0) must satisfy |a| <= 1, got {abs(a)}")
-    return -a2 / 2.0, (a2 * a2 + 2.0 * lam * a) / 4.0
-
-
-def gamma123_F_alpha(c1, c2, c3, alpha: float) -> tuple[complex, complex, complex]:
-    """Closed forms for the half-plane convexity class in terms of the first
-    three coefficients of the member's Schwarz function omega, where
-    z f''/f' = 2 (1-alpha) omega / (1 - omega):
-
-        2 Gamma_1 = -(1-alpha) c1
-        4 Gamma_2 = ((1-alpha)/3) (-2 c2 + (3-5 alpha) c1^2)
-        6 Gamma_3 = ((1-alpha)/2) (-c3 + (3-5 alpha) c1 c2
-                                   - (3 alpha-2)(2 alpha-1) c1^3)
-    """
-    check_f_alpha(alpha)
-    c1, c2, c3 = complex(c1), complex(c2), complex(c3)
-    om = 1.0 - alpha
-    g1 = -om * c1 / 2.0
-    g2 = om * (-2.0 * c2 + (3.0 - 5.0 * alpha) * c1 * c1) / 12.0
-    g3 = om * (-c3 + (3.0 - 5.0 * alpha) * c1 * c2
-               - (3.0 * alpha - 2.0) * (2.0 * alpha - 1.0) * c1 ** 3) / 12.0
-    return g1, g2, g3

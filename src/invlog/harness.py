@@ -10,9 +10,10 @@ Four entry points, all deterministic in (seed, sample index):
 Each sample draws its parameters under its own key (seed, index, attempt),
 with the bits numpy's default generator seeded with the key would give, so
 a campaign gives byte-identical reports. families.draw_members draws a
-whole chunk of keys with one call (invlog.keyed runs numpy's seed-sequence
-hashing and PCG64 on one uint64 lane per key), and the same call on one
-key replays one row. Each campaign check has one home:
+chunk's pending keys with one call, as keyed.Columns (the seed, arrays of
+indices and attempts: numpy's seed sequence and PCG64 by array ops, one
+uint64 lane per key), and the same call on a one-key list replays one row.
+Each campaign check has one home:
 _resolve_order checks every argument before sampling, so the one reason to
 redraw, under the next attempt, is a member that is not finite (a draw
 that raises is a fault; its error propagates);
@@ -72,7 +73,7 @@ from itertools import compress
 
 import numpy as np
 
-from . import families, gammas
+from . import families, gammas, keyed
 from .bounds import bound_for
 from .families import ClassSpec
 
@@ -275,35 +276,35 @@ def _draw_chunk(spec: ClassSpec, seed: int, ids, order: int, radius_cap: float):
     member's |omega(0)| (0 for a Schwarz function, which fixes 0) and each
     index's attempt count.
 
-    Each index draws its parameters under the key (seed, index, attempt).
+    Pass k draws every index still pending under the key (seed, index, k),
+    all with one families.draw_members call on keyed.Columns (the seed once,
+    arrays of indices and attempts), and makes them members as one batch.
     A draw whose member row is not finite (an overflow) is redrawn under the
     next attempt rather than perturbed, so results stay reproducible; four
     attempts are allowed, and a sample with no usable one raises ValueError:
     the arguments ask for more than double precision holds, which is no
     finding about the class. The campaign's arguments are checked before any
     draw, so a draw that raises anyway is a fault, and its error propagates.
-    Each pass draws all pending keys with one families.draw_members call and
-    turns them into members as one batch.
     """
+    ids = np.asarray(ids, dtype=np.int64)
     rows = np.empty((len(ids), order + 1), dtype=np.complex128)
     abs_a = np.zeros(len(ids))
-    attempts = [0] * len(ids)
+    attempts = np.zeros(len(ids), dtype=np.int64)
     todo = np.arange(len(ids))
-    while todo.size:
-        draws = families.draw_members(spec, [(seed, ids[j], attempts[j]) for j in todo.tolist()],
-                                      radius_cap=radius_cap)
+    for attempt in range(4):
+        keys = keyed.Columns(seed, ids[todo], np.full(todo.size, attempt))
+        draws = families.draw_members(spec, keys, radius_cap=radius_cap)
         if draws.abs_a is not None:
             abs_a[todo] = draws.abs_a
         # overflow shows up as a non-finite row, caught below
         members = families.member_rows(spec, draws, order)
         rows[todo] = members
         todo = todo[~np.isfinite(members).all(axis=1)]
-        for j in todo.tolist():
-            attempts[j] += 1
-            if attempts[j] == 4:
-                raise ValueError(f"sample {ids[j]}: no usable draw in 4 attempts "
-                                 "(non-finite coefficients)")
-    return rows, abs_a, attempts
+        if not todo.size:
+            return rows, abs_a, attempts.tolist()
+        attempts[todo] += 1
+    raise ValueError(f"sample {ids[todo[0]]}: no usable draw in 4 attempts "
+                     "(non-finite coefficients)")
 
 
 def _chunk_rows(order: int) -> int:
@@ -348,16 +349,16 @@ def _sample(report: VerifyReport, spec: ClassSpec, radius_cap: float, *routes):
     the |omega(0)| column; resampled draws leave a note."""
     out = [np.empty((report.samples, report.n_max), dtype=np.complex128) for _ in routes]
     abs_a = np.empty(report.samples)
-    rows = _chunk_rows(report.order)
+    rows, samples = _chunk_rows(report.order), np.arange(report.samples)
     for start in range(0, report.samples, rows):
         chunk = slice(start, start + rows)
-        ids = range(report.samples)[chunk]
+        ids = samples[chunk]
         members, abs_a[chunk], attempts = _draw_chunk(spec, report.seed, ids, report.order,
                                                       radius_cap)
         for gams, route in zip(out, routes):
             gams[chunk] = route(members, report.n_max)
         report.notes += [f"sample {i}: resampled {tries} time(s)"
-                         for i, tries in zip(ids, attempts) if tries]
+                         for i, tries in zip(ids.tolist(), attempts) if tries]
     return (*out, abs_a)
 
 

@@ -2,9 +2,12 @@
 
 Row s of every result has the bits that numpy's default generator seeded
 with keys[s] (PCG64 under a seed sequence) gives for the same calls, as
-numpy 2 defines them:
+numpy 2 defines them. keys is a list of keys (ints or tuples of them), or
+Columns: one campaign pass's keys (seed, index[s], attempt[s]) as arrays.
 
-  seeding   -- the key's seed sequence: its 32-bit words are hashed into a
+  words     -- each key part's 32-bit words, low first, part after part;
+               a list fills the table key by key, Columns with array ops
+  seeding   -- the key's seed sequence: its words are hashed into a
                4-word pool (hashmix/mix; words past the fourth are mixed in
                afterwards), and generate_state(4, uint64) gives the PCG64
                seed (state, inc)
@@ -70,18 +73,46 @@ def _mix(x, y):
     return out ^ (out >> np.uint32(16))
 
 
+class Columns:
+    """One draw pass's keys (seed, index[s], attempt[s]): one seed, two integer
+    arrays. A plain class: a dataclass costs about 0.8 ms at import."""
+
+    def __init__(self, seed: int, index: np.ndarray, attempt: np.ndarray):
+        self.seed, self.index, self.attempt = seed, index, attempt
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
+def _word_table(keys) -> tuple:
+    """Each key's entropy words as a row of a (S, >= 4) uint32 table, zero
+    past the row's length (a key shorter than the pool hashes in zeros, as
+    numpy's does), and the lengths."""
+    if isinstance(keys, Columns):  # the seed's words, then each part's low word and any high one
+        seed, rows = _key_words(keys.seed), np.arange(len(keys))
+        table = np.zeros((len(keys), len(seed) + 4), dtype=np.uint32)
+        table[:, :len(seed)], lengths = seed, np.full(len(keys), len(seed))
+        for part in (keys.index, keys.attempt):
+            part = np.asarray(part, dtype=np.int64)
+            if part.min(initial=0) < 0:
+                raise ValueError("expected non-negative integer key parts")
+            # a one-word part's zero high word is overwritten, or lies past the row
+            table[rows, lengths], table[rows, lengths + 1] = part & _M32, part >> 32
+            lengths = lengths + 1 + (part > _M32)
+    else:
+        words = [_key_words(key) for key in keys]
+        lengths = np.array([len(w) for w in words], dtype=np.intp)
+        width = max(4, lengths.max(initial=0))
+        table = np.array([w + [0] * (width - len(w)) for w in words], np.uint32).reshape(-1, width)
+    return table[:, :max(4, lengths.max(initial=0))], lengths
+
+
 def _seed_words(keys) -> list:
     """generate_state(4, uint64) of each key's seed sequence, as four
     uint64 arrays. Within one pass of the mixing loop the source word is
     fixed, so its three hashes are taken as one (S, 3) operation."""
-    words = [_key_words(key) for key in keys]
-    lengths = np.array([len(w) for w in words])
-    width = max(4, lengths.max(initial=0))
-    # a key shorter than the pool hashes in zeros, as numpy does
-    table = np.zeros((len(words), width), dtype=np.uint32)
-    for length in np.unique(lengths).tolist():  # one block per key length
-        rows = np.flatnonzero(lengths == length)
-        table[rows, :length] = [words[s] for s in rows.tolist()]
+    table, lengths = _word_table(keys)
+    width = table.shape[1]
     const = _hash_consts(_INIT_A, _MULT_A, 4 * width)  # 4 * width hash calls
     pool = _hash(table[:, :4], const, 0, 4)
     for src in range(4):

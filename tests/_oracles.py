@@ -5,7 +5,9 @@ Fractions or mpmath numbers), written from the defining formulas rather
 than the package's recurrences: naive convolution, Neumann sums for
 reciprocals, Mercator and Taylor series for log and exp, generalized
 binomial sums for powers, direct power sums for composition, Lagrange's
-formula for reversion, and the bn identity at 50 digits. Slow on purpose;
+formula for reversion, the bn identity at 50 digits, and the closed forms
+of Gamma_1..Gamma_3 for the bounded-distortion and convexity classes, a
+third check at n <= 3 beside the two routes. Slow on purpose;
 the point is that they share no algorithmic structure with the kernel they
 check. The package's series kernels, which take a stack of series or one
 series as a one-row stack, are one implementation; these are the
@@ -15,7 +17,8 @@ Lists hold coefficients low to high: p[k] multiplies z**k.
 
 The last sections keep earlier forms of package code that must not change
 its output: the logarithm and reversion kernels one row at a time, the
-keyed parameter draws, one Generator call per value, and the report
+Blaschke rows with each denominator by series.reciprocal, the keyed
+parameter draws, one Generator call per value, and the report
 serializers, the pure-Python indent encoder and one format per CSV cell.
 The package's row kernels, draws and writers are held to them bit for bit
 and byte for byte.
@@ -213,6 +216,39 @@ def bn_term_scale(f, n_max, dps=50):
     return _bn_coefficients(u, n_max)
 
 
+def gamma12_U(a2, a, lam):
+    """Closed forms for the bounded-distortion class from its structure
+    formula: Gamma_1 = -a2/2, Gamma_2 = (a2^2 + 2 lam a)/4, where
+    a = omega(0) of the member's dilation."""
+    if not 0 < lam <= 1:
+        raise ValueError(f"u-lambda requires 0 < lam <= 1, got {lam}")
+    a2, a = complex(a2), complex(a)
+    if abs(a) > 1 + 1e-12:
+        raise ValueError(f"omega(0) must satisfy |a| <= 1, got {abs(a)}")
+    return -a2 / 2.0, (a2 * a2 + 2.0 * lam * a) / 4.0
+
+
+def gamma123_F_alpha(c1, c2, c3, alpha):
+    """Closed forms for the half-plane convexity class in terms of the first
+    three coefficients of the member's Schwarz function omega, where
+    z f''/f' = 2 (1-alpha) omega / (1 - omega):
+
+        2 Gamma_1 = -(1-alpha) c1
+        4 Gamma_2 = ((1-alpha)/3) (-2 c2 + (3-5 alpha) c1^2)
+        6 Gamma_3 = ((1-alpha)/2) (-c3 + (3-5 alpha) c1 c2
+                                   - (3 alpha-2)(2 alpha-1) c1^3)
+    """
+    if not -0.5 <= alpha < 1:
+        raise ValueError(f"f-alpha requires -1/2 <= alpha < 1, got {alpha}")
+    c1, c2, c3 = complex(c1), complex(c2), complex(c3)
+    om = 1.0 - alpha
+    g1 = -om * c1 / 2.0
+    g2 = om * (-2.0 * c2 + (3.0 - 5.0 * alpha) * c1 * c1) / 12.0
+    g3 = om * (-c3 + (3.0 - 5.0 * alpha) * c1 * c2
+               - (3.0 * alpha - 2.0) * (2.0 * alpha - 1.0) * c1 ** 3) / 12.0
+    return g1, g2, g3
+
+
 def blaschke(theta, m, factors, order):
     """e^{i theta} z^m prod_j (z + a_j)/(1 + conj(a_j) z), each denominator
     by its geometric (Neumann) series."""
@@ -271,7 +307,8 @@ def analytic_draw(rng, order, rho=1.0):
 
 # ---------------------------------------------------------------------------
 # series kernels one row at a time, as they were before the row layer held
-# them; arrays in and out, bodies unchanged
+# them, and the Blaschke rows before the geometric recurrence; arrays in and
+# out, bodies unchanged
 
 
 def log_unit_one_row(c, order):
@@ -304,6 +341,31 @@ def revert_one_row(fc, order):
             # [w^n] H_k = sum_{m<n} [w^m] H_{k+1} A_{n-m}, for k = 1..order-n
             H[1 : order + 1 - n, n] = (H[2 : order + 2 - n, :n] * inv[n:0:-1]).sum(axis=1)
     return inv
+
+
+def blaschke_rows_reciprocal(thetas, multiplicities, factors, counts, order):
+    """families.blaschke_rows as it was before the geometric recurrence:
+    each factor (z + a)/(1 + conj(a) z) as series.multiply of its numerator
+    and series.reciprocal of its denominator."""
+    from invlog import series
+
+    thetas, m = np.asarray(thetas, dtype=np.float64), np.asarray(multiplicities)
+    factors, counts = np.asarray(factors, dtype=np.complex128), np.asarray(counts)
+    out = np.zeros((len(thetas), order + 1), dtype=np.complex128)
+    rows = np.flatnonzero(m <= order)
+    out[rows, m[rows]] = np.exp(1j * thetas[rows])
+    for j in range(counts.max(initial=0)):
+        has = np.flatnonzero(counts > j)
+        num = np.zeros((has.size, order + 1), dtype=np.complex128)  # z + a
+        den = np.zeros((has.size, order + 1), dtype=np.complex128)  # 1 + conj(a) z
+        num[:, 0] = factors[has, j]
+        den[:, 0] = 1.0
+        if order >= 1:
+            num[:, 1] = 1.0
+            den[:, 1] = factors[has, j].conj()
+        factor = series.multiply(num, series.reciprocal(den, order), order)
+        out[has] = series.multiply(out[has], factor, order)
+    return out
 
 
 # ---------------------------------------------------------------------------

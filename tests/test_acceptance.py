@@ -23,7 +23,7 @@ import pytest
 from invlog import bounds, families, gammas, harness, series
 from invlog.families import ClassSpec
 
-from _oracles import analytic_draw, unit_draw, v_quadrature
+from _oracles import analytic_draw, gamma123_F_alpha, unit_draw, v_quadrature
 
 
 def RNG(tag):
@@ -220,7 +220,7 @@ def test_c08_cubic_schwarz_closed_forms():
         phi = np.concatenate([[0.0], cs, np.zeros(order - 4)])[None]
         f = families.member_from_schwarz(ClassSpec.f_alpha(alpha), phi, order)
         gv = gammas.gamma_via_bn(f, 3)[0]
-        closed = gammas.gamma123_F_alpha(cs[0], cs[1], cs[2], alpha)
+        closed = gamma123_F_alpha(cs[0], cs[1], cs[2], alpha)
         worst = max(worst, max(abs(gv[i] - closed[i]) for i in range(3)))
     assert worst < 1e-9, f"closed forms drift from the generic route by {worst:.3e}"
 

@@ -15,7 +15,7 @@ import pytest
 import _oracles
 from _oracles import (blaschke, bn_term_scale, gamma_bn_mp, poly_mul, pow_binomial,
                       recip_neumann)
-from invlog import bounds, families, gammas, series
+from invlog import bounds, families, gammas, keyed, series
 from invlog.families import F_ALPHA_VARIANTS, ClassSpec
 
 
@@ -707,6 +707,27 @@ def test_blaschke_rows_match_the_scalar_series():
                                        padded[s:s + 1, : counts[s]], counts[s:s + 1], 12)
         assert np.array_equal(alone[0], rows[s])
     assert np.array_equal(rows[0], families.blaschke_series(thetas[0], factors[0], 12)[0])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 8, 39, 128])
+@pytest.mark.parametrize("rows", [1, 7, 1638])
+def test_blaschke_rows_keep_the_reciprocal_bits(rows, order):
+    # the geometric recurrence against the construction it replaced,
+    # multiply(num, reciprocal(den)): the same bytes, signs of zero included,
+    # on drawn rows and on edge factors: a = 0, a real a as u_extremal uses
+    # (its conjugate has imaginary part -0), and a = 1e-9, whose powers
+    # underflow by order 40
+    draws = families.draw_members(ClassSpec.gc(0.5), keyed.Columns(
+        17, np.arange(rows), np.zeros(rows, dtype=np.int64)), radius_cap=0.95)
+    factors, counts = draws.factors.copy(), draws.count.copy()
+    edges = [0.0, 0.5, 1e-9, -0.3, 1e-9j][:rows]
+    factors[:len(edges), 0], counts[:len(edges)] = edges, np.maximum(counts[:len(edges)], 1)
+    args = (draws.theta, draws.multiplicity, factors, counts, order)
+    want = _oracles.blaschke_rows_reciprocal(*args)
+    assert families.blaschke_rows(*args).tobytes() == want.tobytes()
+    for a in (0.0, 0.5, 1e-9):
+        want = _oracles.blaschke_rows_reciprocal([0.0], [0], [[a]], [1], order)
+        assert families.blaschke_series(0.0, (a,), order).tobytes() == want.tobytes()
 
 
 def test_a_negative_order_is_refused_by_name():

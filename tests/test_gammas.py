@@ -11,7 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
-from _oracles import analytic_draw, gamma_oracle
+from _oracles import analytic_draw, gamma12_U, gamma123_F_alpha, gamma_oracle
 from invlog import families, gammas, series
 from invlog.families import ClassSpec
 
@@ -179,7 +179,7 @@ def test_bounded_distortion_closed_forms_match_generic_route():
         omega = families.blaschke_series(0.0, (a,), 10)
         assert abs(omega[0, 0] - a) < 1e-15
         f = families.u_lambda_member(a2, omega, lam, 12)
-        g1, g2 = gammas.gamma12_U(a2, a, lam)
+        g1, g2 = gamma12_U(a2, a, lam)
         gv = gammas.gamma_via_bn(f, 2)[0]
         assert abs(gv[0] - g1) < 1e-10
         assert abs(gv[1] - g2) < 1e-10
@@ -187,9 +187,9 @@ def test_bounded_distortion_closed_forms_match_generic_route():
 
 def test_gamma12_U_validation():
     with pytest.raises(ValueError):
-        gammas.gamma12_U(0.1, 0.0, 0.0)
+        gamma12_U(0.1, 0.0, 0.0)
     with pytest.raises(ValueError):
-        gammas.gamma12_U(0.1, 1.2, 0.5)
+        gamma12_U(0.1, 1.2, 0.5)
 
 
 def test_half_plane_convexity_closed_forms_match_generic_route():
@@ -202,7 +202,7 @@ def test_half_plane_convexity_closed_forms_match_generic_route():
             cs *= 0.9 / total
         phi = np.concatenate([[0.0], cs, np.zeros(8)])[None]
         f = families.member_from_schwarz(ClassSpec.f_alpha(alpha), phi, 12)
-        want = gammas.gamma123_F_alpha(cs[0], cs[1], cs[2], alpha)
+        want = gamma123_F_alpha(cs[0], cs[1], cs[2], alpha)
         gv = gammas.gamma_via_bn(f, 3)[0]
         for n in (1, 2, 3):
             assert abs(gv[n - 1] - want[n - 1]) < 1e-10
@@ -210,7 +210,7 @@ def test_half_plane_convexity_closed_forms_match_generic_route():
 
 def test_gamma123_F_alpha_validation():
     with pytest.raises(ValueError):
-        gammas.gamma123_F_alpha(0.1, 0.0, 0.0, 1.0)
+        gamma123_F_alpha(0.1, 0.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from invlog import families, gammas, harness, series
+from invlog import families, gammas, harness, keyed, series
 from invlog.families import ClassSpec
 from invlog.harness import (
     CSV_COLUMNS,
@@ -867,6 +867,19 @@ def test_draw_member_is_reproducible_per_key():
         assert abs_a[2:4].tolist() == [abs_a1[0], abs_a3[0]]
 
 
+def test_a_campaign_splits_key_words_once_per_draw_pass(monkeypatch):
+    # a chunk's keys reach invlog.keyed as columns, so the per-key word split
+    # runs on the seed once a pass, not once a sample
+    splits, passes = [], []
+    key_words, draw = keyed._key_words, families.draw_members
+    monkeypatch.setattr(keyed, "_key_words", lambda key: splits.append(key) or key_words(key))
+    monkeypatch.setattr(families, "draw_members",
+                        lambda *args, **kwargs: passes.append(args[1]) or draw(*args, **kwargs))
+    verify_bounds(ClassSpec.gc(0.5), 8, 5500, 1)
+    assert sum(map(len, passes)) >= 5500
+    assert 1 <= len(splits) <= len(passes)
+
+
 @pytest.mark.parametrize("spec", [ClassSpec.gc(0.5), ClassSpec.u_lambda(0.5)],
                          ids=lambda s: s.label())
 def test_a_row_is_rebuilt_from_its_key(spec):
@@ -1029,7 +1042,8 @@ def test_a_non_finite_member_is_redrawn(monkeypatch, campaign):
     def first_attempt_of_sample_2_overflows(spec, keys, **kwargs):
         draws = draw(spec, keys, **kwargs)
         # a NaN rotation makes every coefficient NaN
-        theta = np.where([key[1:] == (2, 0) for key in keys], math.nan, draws.theta)
+        assert keys.seed == 3
+        theta = np.where((keys.index == 2) & (keys.attempt == 0), math.nan, draws.theta)
         return dataclasses.replace(draws, theta=theta)
 
     monkeypatch.setattr(families, "draw_members", first_attempt_of_sample_2_overflows)
@@ -1050,14 +1064,14 @@ def test_a_draw_that_raises_is_not_retried(monkeypatch, campaign):
     calls = []
 
     def broken_draw(spec, keys, **kwargs):
-        calls.append(keys)
+        calls.append((keys.seed, keys.index.tolist(), keys.attempt.tolist()))
         raise ValueError("boom")
 
     monkeypatch.setattr(families, "draw_members", broken_draw)
     with pytest.raises(ValueError, match="^boom$"):
         campaign()
     # one call, on the first chunk's attempt-0 keys
-    assert calls == [[(3, i, 0) for i in range(5)]]
+    assert calls == [(3, list(range(5)), [0] * 5)]
 
 
 @pytest.mark.parametrize("radius_cap", [1.0, 1.5, -0.1, math.nan])

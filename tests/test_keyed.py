@@ -106,3 +106,27 @@ def test_integers_takes_only_lemire_spans():
     for low, high in ((0, 1), (0, 2**32 + 1), (3, 3)):
         with pytest.raises(ValueError, match="high - low"):
             streams.integers(low, high)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32 + 5, 2**96 + 11])
+def test_key_columns_give_default_rng_bits(seed):
+    # attempts 0-3 mixed in one table, and two-word indices (>= 2**32)
+    # next to one-word ones, so rows of one table differ in length
+    index = np.array([0, 1, 2**32, 7, 2**32 + 9, 2**40 + 3, 299, 2**32 - 1])
+    attempt = np.array([0, 3, 1, 2, 0, 3, 1, 2])
+    keys = keyed.Columns(seed, index, attempt)
+    raw = Streams.seeded(keys).steps(5)
+    got = _draws(Streams.seeded(keys))
+    for s, key in enumerate(zip([seed] * len(index), index.tolist(), attempt.tolist())):
+        assert np.array_equal(np.random.default_rng(key).bit_generator.random_raw(5), raw[s]), key
+        want = _draws(np.random.default_rng(key))
+        assert [got[0][s], got[1][s], got[2][s].tolist()] == [
+            want[0], want[1], want[2].tolist()], key
+        # a one-key replay, as a key list, is its row of the chunk
+        assert np.array_equal(Streams.seeded([key]).steps(5)[0], raw[s]), key
+
+
+def test_key_columns_refuse_a_negative_part():
+    for index, attempt in (([1, -1], [0, 0]), ([1, 2], [0, -3])):
+        with pytest.raises(ValueError, match="non-negative"):
+            Streams.seeded(keyed.Columns(3, np.array(index), np.array(attempt)))
