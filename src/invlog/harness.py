@@ -24,9 +24,12 @@ once, and the bn route runs on all of them as one stack per campaign, up
 to its largest bounded order.
 VerifyReport.to_json and to_csv are byte-identical to the reference writers
 in tests/_oracles.py (the whole payload through json's indent encoder, one
-format per CSV cell). dumps and write_text are the package's one JSON
-spelling and one sink (a path or stdout, 1 MiB at a time), reports and CLI
-tables alike.
+format per CSV cell). Each format has one writer, a generator of text
+pieces (_json_pieces, _csv_pieces): to_json and to_csv join it, and write
+streams it to write_text one text chunk at a time, so writing a
+column-backed report never holds its whole text. dumps and write_text are
+the package's one JSON spelling and one sink (a path or stdout, in slices
+of at most 1 MiB), reports and CLI tables alike.
 
 The sampled campaigns share one sample loop, _sample. It takes
 _chunk_rows(order) = max(1, CHUNK_COEFFS // (order + 1)) sample indices at
@@ -40,15 +43,15 @@ chunk in one loop over the orders). The campaign gets each route's Gammas
 for all its samples and grades them with one vectorized comparison; its
 summary is numpy reductions over the samples axis, and its report keeps
 those arrays as its rows' columns (_set_columns), written as text CHUNK =
-256 samples at a time and made into row dicts only when asked. The two
-chunks bound different things: the compute chunk holds enough coefficients
-that numpy arithmetic, not the overhead of each call, sets a campaign's
-speed, and few enough to stay in cache; the text chunk bounds the writers'
-heap (text chunks of 1,638 samples raised perfbench's verify-wide-report
-peak RSS from 82.8 to 88.7 MB). A row's bits do not depend on the rows
-computed with it, so reports depend on neither chunk; one function is a
-one-row stack through the same code. tests/_oracles.py is the reference
-the routes are held to.
+256 samples at a time (one piece each) and made into row dicts only when
+asked. The two chunks bound different things: the compute chunk holds
+enough coefficients that numpy arithmetic, not the overhead of each call,
+sets a campaign's speed, and few enough to stay in cache; the text chunk
+bounds the writers' heap (text chunks of 1,638 samples raised perfbench's
+verify-wide-report peak RSS from 82.8 to 88.7 MB). A row's bits do not
+depend on the rows computed with it, so reports depend on neither chunk;
+one function is a one-row stack through the same code. tests/_oracles.py
+is the reference the routes are held to.
 A campaign with no order given runs at n_max + 1: Gamma_n reads a_2..a_{n+1}
 only, so a higher order changes nothing but the report's order field.
 
@@ -69,7 +72,7 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -97,10 +100,19 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
 
 
-def write_text(text: str, path: str | None = None):
-    """Put text on path, or on sys.stdout without one, 1 MiB at a time: never encoded whole."""
+def write_text(text, path: str | None = None):
+    """Put text, a str or an iterable of str pieces, on path, or on sys.stdout
+    without one: each piece goes to the sink's write as it comes, in slices of
+    at most 1 MiB, so pieces are never held together and never encoded whole.
+    The first piece is made before path is opened or stdout touched: a writer
+    that spells every checked value before its first piece leaves no output
+    when one raises."""
+    pieces = iter((text,) if isinstance(text, str) else text)
+    first = next(pieces, "")
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-        fh.writelines(text[i:i + (1 << 20)] for i in range(0, len(text), 1 << 20))
+        for piece in chain((first,), pieces):
+            for i in range(0, len(piece), 1 << 20):
+                fh.write(piece[i:i + (1 << 20)])
 
 
 def _fmt17(x) -> str:
@@ -180,50 +192,77 @@ class VerifyReport:
         return not self.mathematical_violations
 
     def to_json(self) -> str:
-        """dumps(payload), one key at a time. Rows and violations of a column-backed
-        report with finite floats come from its columns."""
+        return "".join(self._json_pieces())
+
+    def to_csv(self) -> str:
+        return "".join(self._csv_pieces())
+
+    def write(self, path: str | None, fmt: str = "json"):  # on stdout when path is None
+        """Stream the report in fmt ("json" or "csv") to path, one text chunk at a time."""
+        if fmt not in ("json", "csv"):
+            raise ValueError(f"unknown report format {fmt!r}; use 'json' or 'csv'")
+        write_text(self._json_pieces() if fmt == "json" else self._csv_pieces(), path)
+
+    def _json_pieces(self):
+        """dumps(payload), one piece per key. Every key but a column-backed
+        report's rows and violations is spelled, in sorted order, before the
+        first piece goes out, so a value JSON cannot hold raises the
+        reference's message before any output. Rows and violations of a
+        column-backed report with finite floats come from its columns, one
+        text chunk at a time."""
         cols = self._columns
         columnar = cols is not None and all(np.isfinite(col).all() for col in cols.values()
                                             if col.dtype.kind == "f")
         payload = {f.name: getattr(self, f.name) for f in fields(self)
                    if not (columnar and f.name in ("rows", "violations"))}
         payload.update(counts=self.counts(), ok=self.ok)
+        # indented one level: strings hold no raw newline
+        spelled = {key: dumps(payload[key]).replace("\n", "\n  ") for key in sorted(payload)}
         masks = {}
         if columnar:
             masks = {"rows": None, "violations": np.isin(cols["flag"], VIOLATION_FLAGS)}
             line = ",\n    {\n      " + ",\n      ".join(f"{json.dumps(name)}: %s"
                                                   for name in cols) + "\n    }"
-        pieces, sep = [], "{"  # joined once, so the rows' text is copied once
-        for key in sorted([*payload, *masks]):
-            pieces.append(f'{sep}\n  "{key}": ')
+        sep = "{"
+        for key in sorted([*spelled, *masks]):
+            yield f'{sep}\n  "{key}": '
             if key in masks:  # the rows' text starts with ","
                 body = self._text(masks[key], cols, line, float.__repr__, json.dumps)
-                pieces += ["[", body[0][1:], *body[1:], "\n  ]"] if body else ["[]"]
-            else:  # indented one level: strings hold no raw newline
-                pieces.append(dumps(payload[key]).replace("\n", "\n  "))
+                first = next(body, None)
+                if first is None:
+                    yield "[]"
+                else:
+                    yield "[" + first[1:]
+                    yield from body
+                    yield "\n  ]"
+            else:
+                yield spelled[key]
             sep = ","
-        pieces.append("\n}\n")
-        return "".join(pieces)
+        yield "\n}\n"
 
-    def to_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
+    def _csv_pieces(self):
+        """The CSV text: a row-backed report's as one piece, a column-backed
+        report's one text chunk at a time."""
+        head = ",".join(CSV_COLUMNS)
         if self._columns is None:
-            lines += [",".join(_fmt17(row[col]) for col in CSV_COLUMNS) for row in self.rows]
-            return "\n".join(lines) + "\n"
+            yield "\n".join([head, *(",".join(_fmt17(row[col]) for col in CSV_COLUMNS)
+                                     for row in self.rows)]) + "\n"
+            return
+        yield head
         line = "\n" + ",".join(["%s"] * len(CSV_COLUMNS))
-        return "".join(lines + self._text(None, CSV_COLUMNS, line, "%.17g".__mod__, _fmt17)
-                       + ["\n"])
+        yield from self._text(None, CSV_COLUMNS, line, "%.17g".__mod__, _fmt17)
+        yield "\n"
 
-    def write(self, path: str | None, fmt: str = "json"):  # on stdout when path is None
-        write_text(self.to_json() if fmt == "json" else self.to_csv(), path)
-
-    def _chunks(self, mask) -> list:
+    def _chunks(self, mask):
         """(sample, order) indices of the rows mask selects (all when None), CHUNK
         samples at a time; rows run by sample, then by order."""
         samples, orders = self._columns["flag"].shape
-        sel = np.arange(samples * orders) if mask is None else np.flatnonzero(mask)
-        bounds = np.searchsorted(sel, np.arange(CHUNK, samples, CHUNK) * orders)
-        return [np.divmod(rows, orders) for rows in np.split(sel, bounds) if rows.size]
+        for lo in range(0, samples, CHUNK):
+            hi = min(lo + CHUNK, samples)
+            rows = (np.arange(lo * orders, hi * orders) if mask is None
+                    else np.flatnonzero(mask[lo:hi]) + lo * orders)
+            if rows.size:
+                yield np.divmod(rows, orders)
 
     def _dicts(self, mask) -> list:
         cols, out = self._columns, []
@@ -237,12 +276,12 @@ class VerifyReport:
             rows, self._columns = self._dicts(None), None
             self.__dict__.update(rows=rows, violations=list(map(dict, compress(rows, flagged))))
 
-    def _text(self, mask, names, line, fast, cell) -> list:
+    def _text(self, mask, names, line, fast, cell):
         """The rows mask selects as text, one string per CHUNK of samples:
         line with a row's cells at its "%s" marks, one per column of names.
         A column constant along samples is formatted once, any other distinct
         column once per chunk; cells and line's pieces are joined at once."""
-        cols, out = self._columns, []
+        cols = self._columns
         fixed = {name: np.array(_format(cols[name][0], fast, cell), dtype=object)
                  for name in names if not cols[name].strides[0]}
         for s, k in self._chunks(mask):
@@ -254,8 +293,7 @@ class VerifyReport:
             cells = np.empty((len(k), 2 * len(names) + 1), dtype=object)
             cells[:, ::2] = line.split("%s")
             cells[:, 1::2] = np.array([texts[id(cols[name])] for name in names], dtype=object).T
-            out.append("".join(cells.ravel().tolist()))
-        return out
+            yield "".join(cells.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

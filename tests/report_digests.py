@@ -9,11 +9,18 @@ running this on both trees and diffing the output:
 and a compute budget of 10 N coefficients (harness.CHUNK_COEFFS), N samples
 a compute chunk at order 9 and a few at every order of the set, at least
 one. Reports must not depend on either chunk. Each line is "sha256  label".
+
+Each report is also written with write(path, fmt) to a temporary file, in
+both formats; the script exits 1, naming the report on stderr, if a file's
+bytes differ from to_json() or to_csv().
 """
 
 import argparse
 import hashlib
+import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from invlog import harness
 from invlog.families import ClassSpec
@@ -82,11 +89,22 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.chunk is not None:
         harness.CHUNK, harness.CHUNK_COEFFS = args.chunk, 10 * args.chunk
-    for label, make in reports():
-        rep = make()
-        digest = hashlib.sha256((rep.to_json() + rep.to_csv()).encode()).hexdigest()
-        print(f"{digest}  {label}", flush=True)
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report"
+        for label, make in reports():
+            rep = make()
+            texts = {"json": rep.to_json(), "csv": rep.to_csv()}
+            digest = hashlib.sha256((texts["json"] + texts["csv"]).encode()).hexdigest()
+            print(f"{digest}  {label}", flush=True)
+            for fmt, text in texts.items():
+                rep.write(str(path), fmt)
+                if path.read_bytes() != text.encode():
+                    differ += 1
+                    print(f"{label}: write(path, {fmt!r}) differs from to_{fmt}()",
+                          file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -8,6 +8,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,18 +99,76 @@ def test_a_report_goes_to_stdout_without_a_path_in_the_same_slices(monkeypatch):
         def __init__(self):
             self.pieces = []
 
-        def writelines(self, pieces):
-            self.pieces += pieces
+        def write(self, piece):
+            self.pieces.append(piece)
 
-    rep = harness.VerifyReport("verify", "long", {}, 1, 2, 0, None, 0.0,
-                               notes=["x" * (5 << 19)])
-    for fmt, text, slices in (("json", rep.to_json(), 3), ("csv", rep.to_csv(), 1)):
-        sink = Sink()
-        monkeypatch.setattr("sys.stdout", sink)
+    long_notes = harness.VerifyReport("verify", "long", {}, 1, 2, 0, None, 0.0,
+                                      notes=["x" * (5 << 19)])
+    columns = verify_bounds(ClassSpec.gc(0.5), 8, 2 * harness.CHUNK + 1, 3)
+    for rep in (long_notes, columns):
+        for fmt, text in (("json", rep.to_json()), ("csv", rep.to_csv())):
+            sink = Sink()
+            monkeypatch.setattr("sys.stdout", sink)
+            rep.write(None, fmt)
+            assert "".join(sink.pieces) == text
+            assert all(len(piece) <= 1 << 20 for piece in sink.pieces)
+            if rep is columns:  # three text chunks, each its own piece
+                assert len(sink.pieces) > 3
+            elif fmt == "json":  # the 2.5 MiB note goes over in 1 MiB slices
+                assert [len(piece) for piece in sink.pieces].count(1 << 20) == 2
+    assert columns._columns is not None
+
+
+def test_an_unknown_write_format_is_refused_before_any_output(tmp_path, monkeypatch):
+    monkeypatch.setattr("sys.stdout", None)  # any touch of stdout would raise AttributeError
+    rep = cross_check(4, 5, 3)
+    p = tmp_path / "r.xml"
+    for fmt in ("xml", "JSON", "human", ""):
+        with pytest.raises(ValueError, match=f"unknown report format {fmt!r}"):
+            rep.write(str(p), fmt)
+        with pytest.raises(ValueError, match=f"unknown report format {fmt!r}"):
+            rep.write(None, fmt)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("plant", ["row", "max_discrepancy"])
+def test_a_report_that_cannot_be_spelled_leaves_the_output_untouched(tmp_path, monkeypatch,
+                                                                   plant, fmt):
+    rep = cross_check(4, 5, 3, tol=1e-17)
+    if plant == "row":
+        rep.rows[5]["discrepancy"] = math.nan  # rows are read: the report is row-backed
+    else:
+        rep.max_discrepancy = math.nan
+    rep.rows[6].pop("bound")  # and a row CSV cannot spell (CSV prints a NaN as "nan")
+    assert rep._columns is None
+    p = tmp_path / "r.out"
+    p.write_text("earlier content\n")
+    error, message = ((ValueError, "Out of range float values are not JSON compliant: nan")
+                      if fmt == "json" else (KeyError, "bound"))
+    with pytest.raises(error, match=message):
+        rep.write(str(p), fmt)
+    assert p.read_text() == "earlier content\n"
+    monkeypatch.setattr("sys.stdout", None)  # any touch of stdout would raise AttributeError
+    with pytest.raises(error, match=message):
         rep.write(None, fmt)
-        assert "".join(sink.pieces) == text
-        assert len(sink.pieces) == slices
-        assert all(len(piece) == 1 << 20 for piece in sink.pieces[:-1])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_write_holds_less_than_the_reports_text(tmp_path, fmt):
+    # the writers stream one text chunk at a time: a write that held the
+    # whole text, or its pieces before a join, would peak above len(text)
+    rep = verify_bounds(ClassSpec.gc(0.5), 8, 5500, 3)
+    text = rep.to_json() if fmt == "json" else rep.to_csv()
+    p = tmp_path / f"r.{fmt}"
+    tracemalloc.start()
+    try:
+        rep.write(str(p), fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text)
+    assert p.read_text() == text
 
 
 def test_dumps_is_the_reports_json_spelling():
