@@ -360,6 +360,16 @@ def member_rows(spec: ClassSpec, draws: MemberDraws, order: int) -> np.ndarray:
     return member_from_schwarz(spec, ball, order)
 
 
+def _times(x, y) -> np.ndarray:
+    """x y, spelled in real arithmetic as series.multiply's einsum forms each
+    product; numpy's complex multiply differs from it in the last bit in
+    about a third of the products."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
 def blaschke_rows(thetas, multiplicities, factors, counts, order: int) -> np.ndarray:
     """Row s is e^{i theta_s} z^{m_s} prod_j (z + a_j)/(1 + conj(a_j) z) over
     the a_j = factors[s, j] with j < counts[s]; m = 0 leaves out the z^m
@@ -369,24 +379,35 @@ def blaschke_rows(thetas, multiplicities, factors, counts, order: int) -> np.nda
     Each 1/(1 + conj(a) z) is r_k = -(conj(a) r_{k-1}). series.reciprocal's sum
     for r_k is this product plus exact zeros, so the two differ at most in a
     zero's sign, which the product with z + a erases: it adds an exact +0 (a
-    term with r_0 = 1) to every coefficient past the constant."""
+    term with r_0 = 1) to every coefficient past the constant.
+
+    That product is two terms a coefficient, a r_k + r_{k-1}, and slot 0's
+    product with e^{i theta} z^m is a scale and a shift by m. With each
+    complex product spelled as series.multiply forms it (_times), the rows
+    keep the bits of the series.multiply calls these replace."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     thetas, m = np.asarray(thetas, dtype=np.float64), np.asarray(multiplicities)
     factors, counts = np.asarray(factors, dtype=np.complex128), np.asarray(counts)
     out = np.zeros((len(thetas), order + 1), dtype=np.complex128)
+    unit = np.exp(1j * thetas)[:, None]  # e^{i theta}
     rows = np.flatnonzero(m <= order)
-    out[rows, m[rows]] = np.exp(1j * thetas[rows])
+    out[rows, m[rows]] = unit[rows, 0]
     for j in range(counts.max(initial=0)):
         has = np.flatnonzero(counts > j)
-        num = np.zeros((has.size, order + 1), dtype=np.complex128)  # z + a
-        num[:, 0], num[:, 1:2] = factors[has, j], 1.0
+        a = factors[has, j]
         recip = np.empty((order + 1, has.size), dtype=np.complex128)  # by order, then row
-        recip[0], conj = 1.0, factors[has, j].conj()
+        recip[0], conj = 1.0, a.conj()
         for k in range(1, order + 1):
             recip[k] = -(conj * recip[k - 1])
-        factor = series.multiply(num, recip.T, order)
-        out[has] = series.multiply(out[has], factor, order)
+        factor = _times(a, recip)  # (z + a) r: a r_k + r_{k-1}
+        factor[1:] += recip[:-1]
+        if j:
+            out[has] = series.multiply(out[has], factor.T, order)
+        else:  # e^{i theta} z^m times the factor: scale, then shift by m
+            at = np.arange(order + 1) - m[has, None]
+            scaled = _times(unit[has], factor.T)
+            out[has] = np.where(at >= 0, np.take_along_axis(scaled, np.maximum(at, 0), axis=1), 0.0)
     return out
 
 

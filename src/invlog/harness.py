@@ -27,7 +27,15 @@ in tests/_oracles.py (the whole payload through json's indent encoder, one
 format per CSV cell). Each format has one writer, a generator of text
 pieces (_json_pieces, _csv_pieces): to_json and to_csv join it, and write
 streams it to write_text one text chunk at a time, so writing a
-column-backed report never holds its whole text. dumps and write_text are
+column-backed report never holds its whole text. Each cell's text is made
+once (_layout, _text): the columns constant along samples (a class's
+bound, branch and n at each order) once per write, each run of them fused
+with the fixed text around it into one text per order; sample_id once per
+sample; and in each text chunk every other
+column once, except a float column with another's absolute values (margin
+is -excess), which takes that text with its "-" toggled where the signs
+differ. Formatting floats is most of a write's time, so a verify row
+formats two floats, not three. dumps and write_text are
 the package's one JSON spelling and one sink (a path or stdout, in slices
 of at most 1 MiB), reports and CLI tables alike.
 
@@ -133,6 +141,27 @@ def _format(values, fast, cell) -> list:
     return list(map(once.__getitem__, values))
 
 
+def _spell(values, spelled: list, fast, cell) -> list:
+    """_format(values, fast, cell), but a float column with the absolute
+    values of one in spelled, the (values, texts) of the float columns a
+    text chunk has spelled so far, takes that one's texts with the leading
+    "-" toggled where the sign bits differ (repr and %.17g spell -x as "-"
+    and the text of x, zeros and infinities too): a campaign's margin is its
+    excess negated, and both are +0.0 where |Gamma| meets the bound. A NaN,
+    whose text has no sign, never compares equal, so its column is formatted."""
+    if values.dtype.kind != "f":
+        return _format(values, fast, cell)
+    for other, texts in spelled:
+        if np.array_equal(np.abs(values), np.abs(other)):
+            flip = (np.signbit(values) != np.signbit(other)).tolist()
+            texts = [(t[1:] if t[0] == "-" else "-" + t) if f else t for t, f in zip(texts, flip)]
+            break
+    else:
+        texts = _format(values, fast, cell)
+    spelled.append((values, texts))
+    return texts
+
+
 @dataclass
 class VerifyReport:
     """Uniform result container for every campaign kind.
@@ -223,11 +252,13 @@ class VerifyReport:
             masks = {"rows": None, "violations": np.isin(cols["flag"], VIOLATION_FLAGS)}
             line = ",\n    {\n      " + ",\n      ".join(f"{json.dumps(name)}: %s"
                                                   for name in cols) + "\n    }"
+            fmt = float.__repr__, json.dumps
+            runs = self._layout(list(cols), line, *fmt)
         sep = "{"
         for key in sorted([*spelled, *masks]):
             yield f'{sep}\n  "{key}": '
             if key in masks:  # the rows' text starts with ","
-                body = self._text(masks[key], cols, line, float.__repr__, json.dumps)
+                body = self._text(masks[key], runs, *fmt)
                 first = next(body, None)
                 if first is None:
                     yield "[]"
@@ -250,7 +281,8 @@ class VerifyReport:
             return
         yield head
         line = "\n" + ",".join(["%s"] * len(CSV_COLUMNS))
-        yield from self._text(None, CSV_COLUMNS, line, "%.17g".__mod__, _fmt17)
+        fmt = "%.17g".__mod__, _fmt17
+        yield from self._text(None, self._layout(CSV_COLUMNS, line, *fmt), *fmt)
         yield "\n"
 
     def _chunks(self, mask):
@@ -276,23 +308,70 @@ class VerifyReport:
             rows, self._columns = self._dicts(None), None
             self.__dict__.update(rows=rows, violations=list(map(dict, compress(rows, flagged))))
 
-    def _text(self, mask, names, line, fast, cell):
-        """The rows mask selects as text, one string per CHUNK of samples:
-        line with a row's cells at its "%s" marks, one per column of names.
-        A column constant along samples is formatted once, any other distinct
-        column once per chunk; cells and line's pieces are joined at once."""
+    def _layout(self, names, line, fast, cell) -> list:
+        """line, a row's text with a "%s" mark per column of names, as runs
+        (axis, what) to be joined in turn. A column constant along samples
+        has axis "order", one constant along orders "sample" and any other
+        "row". A literal joins the run before it unless that is a "row" run,
+        and a column joins a run of its own axis or of literals, so each
+        "order" run is one text per order and each "sample" run one text per
+        sample. what is a literal run's text, a "row" run's column name, a
+        "sample" run's (axis, literal or name) items, and an "order" run's
+        texts by order, spelled here, once per write."""
+        cols, literals = self._columns, line.split("%s")
+        items = [("", literals[0])]
+        for name, literal in zip(names, literals[1:]):
+            stride = cols[name].strides
+            items += [("order" if not stride[0] else "sample" if not stride[1] else "row",
+                       name), ("", literal)]
+        runs = []
+        for axis, item in items:
+            last = runs[-1][0] if runs else "row"  # nothing joins a "row" run
+            if last != "row" and axis != "row" and (not axis or last in ("", axis)):
+                runs[-1][0] = last or axis
+                runs[-1][1].append((axis, item))
+            elif axis or item:  # an empty literal makes no run
+                runs.append([axis, [(axis, item)]])
+        orders = cols[names[0]].shape[1]
+        for run in runs:
+            axis, what = run
+            if not axis:
+                run[1] = "".join(item for _, item in what)
+            elif axis == "row":
+                run[1] = what[0][1]
+            elif axis == "order":
+                run[1] = np.array(self._fuse(what, 0, orders, fast, cell), dtype=object)
+        return runs
+
+    def _fuse(self, items, at, size, fast, cell) -> list:
+        """The size texts of a run of items: each literal, and each column's
+        cells at index at, joined in turn."""
+        return list(map("".join, zip(*(_format(self._columns[item][at], fast, cell) if axis
+                                       else [item] * size for axis, item in items))))
+
+    def _text(self, mask, runs, fast, cell):
+        """The rows mask selects as text, one string per CHUNK of samples,
+        made of runs (_layout): a chunk spells each "sample" run once per
+        sample in it and each distinct "row" column once (_spell). Every
+        row's texts are joined at once."""
         cols = self._columns
-        fixed = {name: np.array(_format(cols[name][0], fast, cell), dtype=object)
-                 for name in names if not cols[name].strides[0]}
         for s, k in self._chunks(mask):
-            texts = {}  # by array: cross_check's excess is its discrepancy
-            for name in names:
-                if id(cols[name]) not in texts:
-                    texts[id(cols[name])] = (fixed[name][k] if name in fixed
-                                             else _format(cols[name][s, k], fast, cell))
-            cells = np.empty((len(k), 2 * len(names) + 1), dtype=object)
-            cells[:, ::2] = line.split("%s")
-            cells[:, 1::2] = np.array([texts[id(cols[name])] for name in names], dtype=object).T
+            texts, floats = {}, []  # by array: cross_check's excess is its discrepancy
+            cells = np.empty((len(k), len(runs)), dtype=object)
+            for j, (axis, what) in enumerate(runs):
+                if axis == "order":
+                    cells[:, j] = what[k]
+                elif axis == "sample":  # s runs in order: one text per sample met
+                    new = np.diff(s, prepend=-1) != 0
+                    cells[:, j] = np.array(self._fuse(what, (s[new], 0), new.sum(), fast, cell),
+                                           dtype=object)[np.cumsum(new) - 1]
+                elif axis == "row":
+                    col = cols[what]
+                    if id(col) not in texts:
+                        texts[id(col)] = _spell(col[s, k], floats, fast, cell)
+                    cells[:, j] = texts[id(col)]
+                else:
+                    cells[:, j] = what
             yield "".join(cells.ravel().tolist())
 
 

@@ -249,6 +249,69 @@ def test_writers_match_the_reference_serializers(monkeypatch, chunk, make):
     assert rep.to_csv() == _oracles.report_csv(rep)
 
 
+# the floats whose text is the other's with its "-" toggled: both zeros, the
+# least subnormal, and the magnitudes where repr and %.17g change notation
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-05, 9.5e-05, 1e16, 1e22, -1e300, 0.75]
+
+
+def _edge_report(excess, abs_gamma) -> VerifyReport:
+    """A column-backed verify report of 9 samples at 3 orders whose margin
+    is -excess (+0.0 where excess is a zero), but for the cell [8, 1], which
+    breaks the negation in its text chunk."""
+    ns, samples = [2, 3, 5], len(excess)
+    rep = VerifyReport("verify", "edge", {}, 5, 6, samples, 0, 1e-9)
+    margin = np.where(excess == 0.0, 0.0, -excess)
+    margin[8, 1] = 0.5
+    harness._set_columns(rep, ns, abs_gamma=abs_gamma, bound=np.array([0.25, 1.0, 3.0]),
+                         branch=np.array(["a", "b", "b"], dtype=object), margin=margin,
+                         flag=harness._flag(excess, 1e-9), excess=excess)
+    return rep
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+def test_negated_columns_share_their_text_at_the_edge_floats(monkeypatch, chunk):
+    monkeypatch.setattr(harness, "CHUNK", chunk)
+    # each value with both signs (samples 3-5 negate 0-2), zeros included
+    excess = (np.array(EDGE_FLOATS) * np.array([[1.0], [-1.0], [1.0]])).reshape(9, 3)
+    # abs_gamma is |excess| in samples 0-2: a chunk of those alone shares it
+    abs_gamma = np.where(np.arange(9)[:, None] < 3, np.abs(excess), 0.125)
+    rep = _edge_report(excess, abs_gamma)
+    assert rep.counts()["mathematical"] and 0.0 in rep._columns["margin"]
+    texts = rep.to_json(), rep.to_csv()
+    assert "-0.0" in texts[0] and "5e-324" in texts[0] and "9.5e-05" in texts[0]
+    assert texts == (_oracles.report_json(rep), _oracles.report_csv(rep))
+    # a NaN, which no negation reaches (its text has no sign), in CSV
+    excess[0, 0], abs_gamma[0, 0] = np.nan, np.nan
+    rep = _edge_report(excess, abs_gamma)
+    text = rep.to_csv()
+    assert ",nan," in text and text == _oracles.report_csv(rep)
+
+
+def test_each_report_cell_is_spelled_once(monkeypatch):
+    # a row's floats are abs_gamma and excess, whose negation is the margin;
+    # sample_id is spelled once per sample, and bound, branch and n (constant
+    # along samples) once per write
+    spelled, real = [], harness._format
+
+    def spy(values, fast, cell):
+        spelled.append(values.copy())
+        return real(values, fast, cell)
+
+    monkeypatch.setattr(harness, "_format", spy)
+    rep = verify_bounds(ClassSpec.gc(0.5), 8, 513, 3)  # 3 text chunks, the last 1 sample
+    ns = [row["n"] for row in rep.summary]
+    assert spelled == [] and list(rep.counts()) == ["ok"]
+    text = rep.to_json()
+    rows = 513 * len(ns)
+    by_kind = {kind: [v for v in spelled if v.dtype.kind == kind] for kind in "fiO"}
+    assert sum(v.size for v in by_kind["f"]) == 2 * rows + len(ns)
+    assert sorted(np.concatenate(by_kind["i"]).tolist()) == sorted([*range(513), *ns])
+    assert sum(v.size for v in by_kind["O"]) == rows + len(ns)  # the flags, and branch
+    per_order = [rep._columns[name][0].tolist() for name in ("bound", "branch", "n")]
+    assert [v.tolist() for v in spelled if v.tolist() in per_order] == per_order
+    assert text == _oracles.report_json(rep)
+
+
 @pytest.mark.parametrize("planted, named", [
     ([("row", "discrepancy", math.inf)], "inf"),
     ([("row", "discrepancy", -math.inf)], "-inf"),
