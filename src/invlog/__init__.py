@@ -46,7 +46,6 @@ from .bounds import (
     bound_star_AB,
     bound_star_order,
     f_alpha_mu_upsilon,
-    inverse_coeff_bound_S,
     ps_psi_bound,
     ps_region,
     v_of_x,
@@ -72,8 +71,8 @@ __all__ = [
     "BoundResult", "bound_F_gamma1", "bound_F_gamma2", "bound_F_gamma3",
     "bound_Gc", "bound_U_gamma1", "bound_U_gamma2", "bound_bn_Gc",
     "bound_class_S", "bound_for", "bound_spiral", "bound_star_AB",
-    "bound_star_order", "f_alpha_mu_upsilon", "inverse_coeff_bound_S",
-    "ps_psi_bound", "ps_region", "v_of_x", "verify_d1234",
+    "bound_star_order", "f_alpha_mu_upsilon", "ps_psi_bound", "ps_region",
+    "v_of_x", "verify_d1234",
     "VerifyReport", "cross_check", "explore_convex_large_n",
     "sharpness_check", "verify_bounds",
     "__version__",

@@ -93,14 +93,6 @@ def bound_class_S(n: int) -> BoundResult:
     return BoundResult(n=n, value=value, branch="central-binomial")
 
 
-def inverse_coeff_bound_S(n: int) -> float:
-    """Sharp bound on the n-th inverse coefficient over the full class,
-    (2n)!/(n! (n+1)!), again attained by the cusp map."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return _product(2.0 * n - j for j in range(n)) / (n + 1.0)
-
-
 # ---------------------------------------------------------------------------
 # the two-parameter starlike family and its specializations
 

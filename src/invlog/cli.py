@@ -15,8 +15,8 @@ Exit status: 0 clean; 1 when a campaign turns up a mathematical violation
 (for sharpness: an asserted equality function missing its bound by more
 than tolerance noise); 2 on bad arguments, including a flag the subcommand
 does not take, a class or family parameter flag the chosen class or family
-does not take (--a included), an empty --output, orders above
-harness.MAX_ORDER and sizes too large to allocate.
+does not take (--a included), an empty --output or one that cannot be
+opened, orders above harness.MAX_ORDER and sizes too large to allocate.
 """
 
 from __future__ import annotations
@@ -308,8 +308,9 @@ def main(argv=None) -> int:
         _require_counts(args)
         _require(args.output != "", "--output needs a path")
         return args.fn(args)
-    except (ValueError, MemoryError) as exc:
-        # an order too large to allocate is a bad argument, not a finding
+    except (ValueError, MemoryError, OSError) as exc:
+        # an order too large to allocate, or an --output that cannot be
+        # opened, is a bad argument, not a finding
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,12 +28,13 @@ format per CSV cell). Each format has one writer, a generator of text
 pieces (_json_pieces, _csv_pieces): to_json and to_csv join it, and write
 streams it to write_text one text chunk at a time, so writing a
 column-backed report never holds its whole text. Each cell's text is made
-once (_layout, _text): the columns constant along samples (a class's
-bound, branch and n at each order) once per write, each run of them fused
-with the fixed text around it into one text per order; sample_id once per
-sample; and in each text chunk every other
-column once, except a float column with another's absolute values (margin
-is -excess), which takes that text with its "-" toggled where the signs
+once, by one rule (_layout, _text): a row is fixed text by order
+alternating with the columns that vary along samples. The fixed text (the
+literals and the columns with stride 0 on the samples axis: a class's
+bound, branch and n) is spelled once per write, sample_id (stride 0 on the
+orders axis) once per sample of a text chunk, and every other column once
+per chunk, except a float column with another's absolute values (margin is
+-excess), which takes that text with its "-" toggled where the signs
 differ. Formatting floats is most of a write's time, so a verify row
 formats two floats, not three. dumps and write_text are
 the package's one JSON spelling and one sink (a path or stdout, in slices
@@ -309,69 +310,43 @@ class VerifyReport:
             self.__dict__.update(rows=rows, violations=list(map(dict, compress(rows, flagged))))
 
     def _layout(self, names, line, fast, cell) -> list:
-        """line, a row's text with a "%s" mark per column of names, as runs
-        (axis, what) to be joined in turn. A column constant along samples
-        has axis "order", one constant along orders "sample" and any other
-        "row". A literal joins the run before it unless that is a "row" run,
-        and a column joins a run of its own axis or of literals, so each
-        "order" run is one text per order and each "sample" run one text per
-        sample. what is a literal run's text, a "row" run's column name, a
-        "sample" run's (axis, literal or name) items, and an "order" run's
-        texts by order, spelled here, once per write."""
+        """line, a row's text with a "%s" mark per column of names, as runs:
+        fixed texts by order alternating with the names of the columns that
+        vary along samples. A fixed text is the literals and the columns
+        with stride 0 on the samples axis between two varying columns,
+        spelled here, once per write."""
         cols, literals = self._columns, line.split("%s")
-        items = [("", literals[0])]
-        for name, literal in zip(names, literals[1:]):
-            stride = cols[name].strides
-            items += [("order" if not stride[0] else "sample" if not stride[1] else "row",
-                       name), ("", literal)]
-        runs = []
-        for axis, item in items:
-            last = runs[-1][0] if runs else "row"  # nothing joins a "row" run
-            if last != "row" and axis != "row" and (not axis or last in ("", axis)):
-                runs[-1][0] = last or axis
-                runs[-1][1].append((axis, item))
-            elif axis or item:  # an empty literal makes no run
-                runs.append([axis, [(axis, item)]])
         orders = cols[names[0]].shape[1]
-        for run in runs:
-            axis, what = run
-            if not axis:
-                run[1] = "".join(item for _, item in what)
-            elif axis == "row":
-                run[1] = what[0][1]
-            elif axis == "order":
-                run[1] = np.array(self._fuse(what, 0, orders, fast, cell), dtype=object)
-        return runs
-
-    def _fuse(self, items, at, size, fast, cell) -> list:
-        """The size texts of a run of items: each literal, and each column's
-        cells at index at, joined in turn."""
-        return list(map("".join, zip(*(_format(self._columns[item][at], fast, cell) if axis
-                                       else [item] * size for axis, item in items))))
+        runs, fixed = [], np.full(orders, literals[0], dtype=object)
+        for name, literal in zip(names, literals[1:]):
+            if cols[name].strides[0]:
+                runs += [fixed, name]
+                fixed = np.full(orders, literal, dtype=object)
+            else:  # object arrays add as their strings do
+                fixed = fixed + np.array(_format(cols[name][0], fast, cell), dtype=object) + literal
+        return runs + [fixed]
 
     def _text(self, mask, runs, fast, cell):
         """The rows mask selects as text, one string per CHUNK of samples,
-        made of runs (_layout): a chunk spells each "sample" run once per
-        sample in it and each distinct "row" column once (_spell). Every
-        row's texts are joined at once."""
+        made of runs (_layout): a chunk takes each row's fixed texts by its
+        order, spells a column with stride 0 on the orders axis (sample_id)
+        once per sample in it and each other distinct column once (_spell),
+        and joins all its rows' texts at once."""
         cols = self._columns
         for s, k in self._chunks(mask):
             texts, floats = {}, []  # by array: cross_check's excess is its discrepancy
+            new = np.diff(s, prepend=-1) != 0  # s runs in order: the first row of each sample
             cells = np.empty((len(k), len(runs)), dtype=object)
-            for j, (axis, what) in enumerate(runs):
-                if axis == "order":
-                    cells[:, j] = what[k]
-                elif axis == "sample":  # s runs in order: one text per sample met
-                    new = np.diff(s, prepend=-1) != 0
-                    cells[:, j] = np.array(self._fuse(what, (s[new], 0), new.sum(), fast, cell),
-                                           dtype=object)[np.cumsum(new) - 1]
-                elif axis == "row":
-                    col = cols[what]
+            for j, run in enumerate(runs):
+                if isinstance(run, str):  # a column that varies along samples
+                    col = cols[run]
                     if id(col) not in texts:
-                        texts[id(col)] = _spell(col[s, k], floats, fast, cell)
+                        texts[id(col)] = (_spell(col[s, k], floats, fast, cell) if col.strides[1]
+                                          else np.array(_format(col[s[new], 0], fast, cell),
+                                                        dtype=object)[np.cumsum(new) - 1])
                     cells[:, j] = texts[id(col)]
                 else:
-                    cells[:, j] = what
+                    cells[:, j] = run[k]
             yield "".join(cells.ravel().tolist())
 
 

@@ -28,7 +28,6 @@ from invlog.bounds import (
     bound_U_gamma1,
     bound_U_gamma2,
     f_alpha_mu_upsilon,
-    inverse_coeff_bound_S,
     ps_psi_bound,
     ps_region,
     v_of_x,
@@ -45,14 +44,6 @@ def test_full_class_bound_is_central_binomial():
         assert abs(got.value - want) <= 1e-15 * want
     with pytest.raises(ValueError):
         bound_class_S(0)
-
-
-def test_inverse_coefficient_bound_closed_form():
-    for n in range(2, 13):
-        want = math.factorial(2 * n) / (math.factorial(n) * math.factorial(n + 1))
-        assert abs(inverse_coeff_bound_S(n) - want) <= 1e-14 * want
-    with pytest.raises(ValueError):
-        inverse_coeff_bound_S(1)
 
 
 # ---------------------------------------------------------------------------

@@ -554,6 +554,21 @@ def test_an_empty_output_path_is_refused_before_any_work(capsys, monkeypatch):
     assert captured.err == "error: --output needs a path\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--class", "full-s", "--n-max", "3"),
+    ("verify", "--class", "gc", "--c", "0.5", "--n-max", "2", "--samples", "2", "--seed", "1"),
+], ids=["table", "report"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_an_output_path_that_cannot_be_opened_exits_2(capsys, tmp_path, argv, where):
+    path = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    assert run_cli(*argv, "--output", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno ") and str(path) in captured.err
+    assert captured.err.count("\n") == 1  # one line, no traceback
+    assert not (tmp_path / "missing").exists()
+
+
 def test_unknown_class_rejected(capsys):
     with pytest.raises(SystemExit):
         run_cli("bounds", "--class", "banana")

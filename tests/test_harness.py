@@ -238,6 +238,15 @@ def _writer_cases():
               ("explore", 256, lambda: explore_convex_large_n(1, 9, 300, 3)),
               ("hand-built", 256, lambda: _hand_built_report(False)),
               ("hand-built with violations", 256, lambda: _hand_built_report(True))]
+    # size-1 axes, where a column's strides say least about what it varies along
+    one_axis = [("one sample", lambda: verify_bounds(ClassSpec.gc(0.5), 8, 1, 2)),
+                ("one order, per-sample bounds",
+                 lambda: verify_bounds(ClassSpec.u_lambda(0.5), 1, 3, 1)),
+                ("one order, explore", lambda: explore_convex_large_n(4, 4, 2, 1)),
+                ("one order, full-s", lambda: verify_bounds(ClassSpec.full_s(), 1, 5, 1)),
+                ("one sample, one order", lambda: cross_check(1, 1, 1))]
+    cases += [(f"{name} CHUNK {chunk}", chunk, make)
+              for chunk in (1, 256) for name, make in one_axis]
     return [pytest.param(chunk, make, id=name) for name, chunk, make in cases]
 
 
@@ -287,10 +296,14 @@ def test_negated_columns_share_their_text_at_the_edge_floats(monkeypatch, chunk)
     assert ",nan," in text and text == _oracles.report_csv(rep)
 
 
-def test_each_report_cell_is_spelled_once(monkeypatch):
-    # a row's floats are abs_gamma and excess, whose negation is the margin;
-    # sample_id is spelled once per sample, and bound, branch and n (constant
-    # along samples) once per write
+@pytest.mark.parametrize("fmt, per_order", [("json", ("bound", "branch", "n")),
+                                             ("csv", ("n", "bound", "branch"))],
+                         ids=["json", "csv"])
+def test_each_report_cell_is_spelled_once(monkeypatch, fmt, per_order):
+    # a row's floats are abs_gamma and, in JSON, excess, whose negation is the
+    # margin (a CSV row has abs_gamma and margin); sample_id is spelled once
+    # per sample, and bound, branch and n (constant along samples) once per
+    # write, in column order
     spelled, real = [], harness._format
 
     def spy(values, fast, cell):
@@ -301,15 +314,15 @@ def test_each_report_cell_is_spelled_once(monkeypatch):
     rep = verify_bounds(ClassSpec.gc(0.5), 8, 513, 3)  # 3 text chunks, the last 1 sample
     ns = [row["n"] for row in rep.summary]
     assert spelled == [] and list(rep.counts()) == ["ok"]
-    text = rep.to_json()
+    text = getattr(rep, f"to_{fmt}")()
     rows = 513 * len(ns)
     by_kind = {kind: [v for v in spelled if v.dtype.kind == kind] for kind in "fiO"}
     assert sum(v.size for v in by_kind["f"]) == 2 * rows + len(ns)
     assert sorted(np.concatenate(by_kind["i"]).tolist()) == sorted([*range(513), *ns])
     assert sum(v.size for v in by_kind["O"]) == rows + len(ns)  # the flags, and branch
-    per_order = [rep._columns[name][0].tolist() for name in ("bound", "branch", "n")]
+    per_order = [rep._columns[name][0].tolist() for name in per_order]
     assert [v.tolist() for v in spelled if v.tolist() in per_order] == per_order
-    assert text == _oracles.report_json(rep)
+    assert text == getattr(_oracles, f"report_{fmt}")(rep)
 
 
 @pytest.mark.parametrize("planted, named", [
